@@ -26,7 +26,6 @@ examples:
 	$(GO) run ./examples/newsdelivery -scale 20
 	$(GO) run ./examples/customstrategy
 	$(GO) run ./examples/liveproxy
-	$(GO) run ./examples/federation
 	$(GO) run ./examples/cluster
 
 # Full-scale regeneration of every paper table/figure (~4 minutes).

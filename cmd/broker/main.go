@@ -20,10 +20,11 @@
 // checkpoint and exits 0.
 //
 // With -metrics-addr, an HTTP admin endpoint serves /metrics (JSON
-// counters, gauges and latency histograms), /trace (the most recent
-// publish→match→push→fetch events, filterable with ?page=), /traces
-// and /trace/{id} (distributed span traces: every request is traced
-// end-to-end, including across federated peers over the wire),
+// counters, gauges and latency histograms), /traces and /trace/{id}
+// (distributed span traces: every request is traced end-to-end,
+// including across uplinked and clustered peers over the wire;
+// /traces?page=X lists the traces that published, fetched, pushed or
+// requested page X),
 // /healthz and /readyz (liveness and readiness: journal usable,
 // listener accepting, uplink connected), and /debug/pprof/. Logs are
 // structured (-log-level, -log-format text|json) and carry
@@ -153,8 +154,7 @@ func parsePeers(s string) (map[string]string, error) {
 func run(args []string, stop <-chan struct{}, out *os.File) error {
 	fs := flag.NewFlagSet("broker", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	metricsAddr := fs.String("metrics-addr", "", "HTTP admin address for /metrics, /trace and /debug/pprof (empty disables)")
-	traceCap := fs.Int("trace-events", 4096, "event tracer ring-buffer capacity")
+	metricsAddr := fs.String("metrics-addr", "", "HTTP admin address for /metrics, /traces and /debug/pprof (empty disables)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "close connections silent for this long (0 = default, negative disables)")
 	writeTimeout := fs.Duration("write-timeout", 0, "bound each outbound write (0 = default, negative disables)")
 	codecs := fs.String("codecs", "", "comma-separated wire codecs this server offers, most preferred first (empty = binary,json; \"json\" pins legacy framing)")
@@ -268,17 +268,15 @@ func run(args []string, stop <-chan struct{}, out *os.File) error {
 		serverOpts = append(serverOpts, broker.WithMaxFrame(*maxFrame))
 	}
 	var reg *telemetry.Registry
-	var tracer *telemetry.Tracer
 	var spans *telemetry.SpanCollector
 	var admin *telemetry.AdminServer
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
-		tracer = telemetry.NewTracer(*traceCap)
 		spans = telemetry.NewSpanCollector(telemetry.CollectorOptions{})
 		serverOpts = append(serverOpts,
 			broker.WithServerTelemetry(reg),
 			broker.WithServerTracer(spans))
-		admin, err = telemetry.NewAdminServer(*metricsAddr, reg, tracer, telemetry.WithSpans(spans))
+		admin, err = telemetry.NewAdminServer(*metricsAddr, reg, telemetry.WithSpans(spans))
 		if err != nil {
 			return err
 		}
@@ -384,7 +382,7 @@ func run(args []string, stop <-chan struct{}, out *os.File) error {
 		broker.WithDataDir(*dataDir),
 		broker.WithFsyncPolicy(fsyncPolicy),
 		broker.WithSnapshotInterval(*snapshotInterval),
-		broker.WithBrokerTelemetry(reg, tracer),
+		broker.WithBrokerTelemetry(reg),
 		broker.WithPublishSLO(*publishSLO),
 	)
 	if err != nil {

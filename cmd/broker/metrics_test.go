@@ -16,8 +16,8 @@ import (
 
 // TestMetricsEndpoint boots the command with -metrics-addr, drives real
 // traffic through the TCP transport, and asserts the admin endpoint
-// serves live transport + match counters, latency histograms, the event
-// trace, and pprof.
+// serves live transport + match counters, latency histograms, the span
+// traces of one page, and pprof.
 func TestMetricsEndpoint(t *testing.T) {
 	const (
 		brokerAddr  = "127.0.0.1:39919"
@@ -115,18 +115,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	var events []struct {
-		Kind string `json:"kind"`
-		Page string `json:"page"`
+	var listing struct {
+		Traces []struct {
+			Root string `json:"root"`
+		} `json:"traces"`
 	}
-	if err := json.Unmarshal(get("/trace?page=p1"), &events); err != nil {
-		t.Fatalf("trace JSON: %v", err)
+	if err := json.Unmarshal(get("/traces?page=p1"), &listing); err != nil {
+		t.Fatalf("traces JSON: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("trace for p1 is empty")
+	roots := make(map[string]bool)
+	for _, tr := range listing.Traces {
+		roots[tr.Root] = true
 	}
-	if events[0].Kind != "publish" || events[0].Page != "p1" {
-		t.Errorf("first trace event = %+v, want publish of p1", events[0])
+	if len(roots) != 2 || !roots["transport.server.publish"] || !roots["transport.server.fetch"] {
+		t.Errorf("traces for p1 have roots %v, want the publish and the fetch", roots)
 	}
 
 	if body := get("/debug/pprof/"); len(body) == 0 {

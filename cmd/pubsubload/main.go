@@ -168,7 +168,7 @@ func run(ctx context.Context, cfg config, progress io.Writer) (*Report, error) {
 	}
 
 	reg := telemetry.NewRegistry()
-	admin, err := telemetry.NewAdminServer(cfg.metricsAddr, reg, nil)
+	admin, err := telemetry.NewAdminServer(cfg.metricsAddr, reg)
 	if err != nil {
 		return nil, fmt.Errorf("metrics endpoint: %w", err)
 	}

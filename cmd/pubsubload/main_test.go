@@ -54,7 +54,7 @@ func startSoakCluster(t *testing.T) (addrs, scrape []string) {
 		// minutes of drain for a throwaway cluster. The goroutine dies
 		// with the test process.
 		t.Cleanup(func() { go n.Kill() })
-		admin, err := telemetry.NewAdminServer("127.0.0.1:0", reg, nil)
+		admin, err := telemetry.NewAdminServer("127.0.0.1:0", reg)
 		if err != nil {
 			t.Fatalf("admin %s: %v", id, err)
 		}

@@ -138,7 +138,7 @@ func run(args []string) error {
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		spans = telemetry.NewSpanCollector(telemetry.CollectorOptions{})
-		admin, err := telemetry.NewAdminServer(*metricsAddr, reg, nil, telemetry.WithSpans(spans))
+		admin, err := telemetry.NewAdminServer(*metricsAddr, reg, telemetry.WithSpans(spans))
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // Breaker is a classic three-state circuit breaker for calls to one
-// remote target (a cluster peer, a federation uplink). Closed passes
+// remote target (a cluster peer, a remote-link uplink). Closed passes
 // everything; a run of consecutive failures opens it; while open,
 // Allow fails fast — no dial, no request timeout burned against a
 // target known dead. After the cooldown one probe call is let through
@@ -52,7 +52,7 @@ type Breaker struct {
 	onChange func(BreakerState)
 }
 
-// Defaults used by cluster member links and federation uplinks.
+// Defaults used by cluster member links and remote-link uplinks.
 const (
 	defaultBreakerThreshold = 3
 	defaultBreakerCooldown  = 2 * time.Second

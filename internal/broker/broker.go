@@ -323,7 +323,7 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		if bt != nil {
 			bt.publishErrors.Inc()
 		}
-		err := fmt.Errorf("broker: page %q version %d not newer than stored %d", c.ID, c.Version, prev.Version)
+		err := fmt.Errorf("broker: page %q version %d "+notNewerMarker+" %d", c.ID, c.Version, prev.Version)
 		sp.SetError(err)
 		return 0, err
 	}
@@ -334,7 +334,6 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		for _, topic := range c.Topics {
 			bt.publishesByTopic.With(topic).Inc()
 		}
-		bt.trace(telemetry.KindPublish, c.ID, -1, fmt.Sprintf("version=%d size=%d", c.Version, len(c.Body)))
 	}
 
 	ev := match.Event{ID: c.ID, Topics: c.Topics, Keywords: c.Keywords}
@@ -363,14 +362,14 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	// read-lock, then deliver outside it. The pooled parallel slice
 	// (instead of a per-publish map) keeps the fan-out hot path
 	// allocation-free; the per-proxy breakdown is only materialized
-	// when something consumes it (push sinks, trace).
+	// when push sinks consume it.
 	b.mu.RLock()
 	if cap(fs.notifiers) < len(matched) {
 		fs.notifiers = make([]Notifier, len(matched))
 	}
 	notifiers := fs.notifiers[:len(matched)] // every slot overwritten below
 	var perProxy map[int]int
-	if len(b.sinks) > 0 || bt != nil {
+	if len(b.sinks) > 0 {
 		perProxy = make(map[int]int, 8)
 	}
 	for i, sub := range matched {
@@ -390,9 +389,6 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	}
 	b.mu.RUnlock()
 
-	if bt != nil {
-		bt.trace(telemetry.KindMatch, c.ID, -1, fmtMatched(len(matched), len(perProxy)))
-	}
 	for i, sub := range matched {
 		if n := notifiers[i]; n != nil {
 			notify(ctx, n, Notification{
@@ -403,7 +399,6 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 			})
 			if bt != nil {
 				bt.notifications.Inc()
-				bt.trace(telemetry.KindNotify, c.ID, -1, fmt.Sprintf("sub=%d", sub.ID))
 			}
 		}
 	}
@@ -417,7 +412,6 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		psp.End()
 		if bt != nil {
 			bt.pushes.Inc()
-			bt.trace(telemetry.KindPush, c.ID, proxy, fmt.Sprintf("subs=%d", perProxy[proxy]))
 		}
 	}
 	if bt != nil {
@@ -465,7 +459,6 @@ func (b *Broker) FetchContext(ctx context.Context, pageID string) (Content, erro
 	if !ok {
 		if bt != nil {
 			bt.fetchMisses.Inc()
-			bt.trace(telemetry.KindFetch, pageID, -1, "unknown page")
 		}
 		err := fmt.Errorf("%w: %q", ErrUnknownPage, pageID)
 		sp.SetError(err)
@@ -473,7 +466,6 @@ func (b *Broker) FetchContext(ctx context.Context, pageID string) (Content, erro
 	}
 	if bt != nil {
 		bt.fetchNanos.ObserveExemplar(sinceNanos(start), sp.Context().TraceID)
-		bt.trace(telemetry.KindFetch, pageID, -1, fmt.Sprintf("version=%d size=%d", c.Version, len(c.Body)))
 	}
 	return c, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func publishUntilAccepted(t *testing.T, c *Client, id string, v int, topics []st
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_, err := c.Publish(ctx, Content{ID: id, Version: v, Topics: topics, Body: []byte(fmt.Sprintf("%s-v%d", id, v))})
 		cancel()
-		if err == nil || strings.Contains(err.Error(), "not newer") {
+		if err == nil || IsNotNewer(err) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -345,7 +344,7 @@ func TestChaosBinaryCodecAckedSubsetDelivered(t *testing.T) {
 				Body: []byte(fmt.Sprintf("v%d", v)),
 			})
 			cancel()
-			if err == nil || strings.Contains(err.Error(), "not newer") {
+			if err == nil || IsNotNewer(err) {
 				// An explicit OK — or proof a previous attempt landed
 				// before its ack was dropped. Both mean the broker has it.
 				acked = append(acked, v)

@@ -69,7 +69,7 @@ func TestPublishedAtRoundTripsBothCodecs(t *testing.T) {
 func TestDeliveryLatencyClockSkewSafe(t *testing.T) {
 	h := newChaosHarness(t, 31)
 	serverReg := telemetry.NewRegistry()
-	h.broker.EnableTelemetry(serverReg, nil)
+	h.broker.EnableTelemetry(serverReg)
 	// Re-serve through a telemetered server: the harness server predates
 	// the registry, so build our own on the same broker.
 	s2, err := NewServer(h.broker, "127.0.0.1:0", WithServerTelemetry(serverReg))

@@ -40,7 +40,6 @@ type brokerConfig struct {
 	snapshotInterval time.Duration
 	fs               journal.FS
 	telemetry        *telemetry.Registry
-	tracer           *telemetry.Tracer
 	slo              time.Duration
 }
 
@@ -76,15 +75,12 @@ func WithJournalFS(fs journal.FS) BrokerOption {
 	return func(c *brokerConfig) { c.fs = fs }
 }
 
-// WithBrokerTelemetry attaches the metrics registry and optional
-// event tracer before recovery runs, so journal counters
-// (journal.appends, journal.fsyncs, journal.replay_truncations, ...)
-// and the journal.recovery_ns histogram cover the restart itself.
-func WithBrokerTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) BrokerOption {
-	return func(c *brokerConfig) {
-		c.telemetry = reg
-		c.tracer = tracer
-	}
+// WithBrokerTelemetry attaches the metrics registry before recovery
+// runs, so journal counters (journal.appends, journal.fsyncs,
+// journal.replay_truncations, ...) and the journal.recovery_ns
+// histogram cover the restart itself.
+func WithBrokerTelemetry(reg *telemetry.Registry) BrokerOption {
+	return func(c *brokerConfig) { c.telemetry = reg }
 }
 
 // WithPublishSLO sets the publish-to-placement latency budget; see
@@ -123,8 +119,8 @@ func Open(opts ...BrokerOption) (*Broker, error) {
 		}
 	}
 	b := New()
-	if cfg.telemetry != nil || cfg.tracer != nil {
-		b.EnableTelemetry(cfg.telemetry, cfg.tracer)
+	if cfg.telemetry != nil {
+		b.EnableTelemetry(cfg.telemetry)
 	}
 	if cfg.slo > 0 {
 		b.SetPublishSLO(cfg.slo)

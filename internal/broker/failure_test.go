@@ -153,13 +153,13 @@ func TestProxyWithTinyCacheNeverStores(t *testing.T) {
 	}
 }
 
-// TestFederationLinkRecoversAfterPeerRestart bridges an in-process
-// federation (two nodes) to a remote broker over TCP through a
-// RemoteLink, restarts the remote peer's transport mid-stream, and
-// requires the bridge to heal: the remote subscription is
-// re-established, publications flow again end-to-end, and the
-// reconnect/retry telemetry counters advance.
-func TestFederationLinkRecoversAfterPeerRestart(t *testing.T) {
+// TestRemoteLinkRecoversAfterPeerRestart bridges a local broker to a
+// remote broker over TCP through a RemoteLink, restarts the remote
+// peer's transport mid-stream, and requires the bridge to heal: the
+// remote subscription is re-established, publications flow again
+// end-to-end to the local subscriber, and the reconnect/retry
+// telemetry counters advance.
+func TestRemoteLinkRecoversAfterPeerRestart(t *testing.T) {
 	// Remote peer: a broker served over TCP.
 	remote := New()
 	server, err := NewServer(remote, "127.0.0.1:0")
@@ -168,16 +168,12 @@ func TestFederationLinkRecoversAfterPeerRestart(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = server.Close() })
 
-	// Local federation: edge <-> hub; the hub holds the bridge, the
-	// subscriber sits on the edge so publications must route through
-	// the federation after crossing the link.
-	hub, edge := NewNode("hub"), NewNode("edge")
-	if err := Connect(hub, edge); err != nil {
-		t.Fatal(err)
-	}
+	// Local broker: it holds the bridge and the subscriber, so a
+	// publication reaches the subscriber only by crossing the link.
+	local := New()
 	var mu sync.Mutex
 	var got []Notification
-	if _, err := edge.Subscribe(match.Subscription{Proxy: 1, Topics: []string{"world"}}, NotifierFunc(func(n Notification) {
+	if _, err := local.Subscribe(match.Subscription{Proxy: 1, Topics: []string{"world"}}, NotifierFunc(func(n Notification) {
 		mu.Lock()
 		got = append(got, n)
 		mu.Unlock()
@@ -188,7 +184,7 @@ func TestFederationLinkRecoversAfterPeerRestart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	link, err := NewRemoteLink(ctx, hub, server.Addr(), []string{"world"}, nil,
+	link, err := NewRemoteLink(ctx, local, server.Addr(), []string{"world"}, nil,
 		WithReconnect(fastBackoff()),
 		WithRetryBudget(50),
 		WithRequestTimeout(50*time.Millisecond),
@@ -206,7 +202,7 @@ func TestFederationLinkRecoversAfterPeerRestart(t *testing.T) {
 		}
 	}
 
-	// A remote publication crosses link -> hub -> edge.
+	// A remote publication crosses the link to the local subscriber.
 	if _, err := remote.Publish(Content{ID: "w", Version: 1, Topics: []string{"world"}, Body: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +241,7 @@ func TestFederationLinkRecoversAfterPeerRestart(t *testing.T) {
 	}
 	waitFor(t, "link resubscription on the restarted peer", func() bool { return remote.Subscriptions() == 1 })
 
-	// Post-recovery publication still reaches the edge subscriber.
+	// Post-recovery publication still reaches the local subscriber.
 	if _, err := remote.Publish(Content{ID: "w", Version: 2, Topics: []string{"world"}, Body: []byte("v2")}); err != nil {
 		t.Fatal(err)
 	}

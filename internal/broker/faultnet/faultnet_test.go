@@ -160,6 +160,14 @@ func TestSeverAllKillsEveryConnection(t *testing.T) {
 		defer c.Close()
 		conns = append(conns, c)
 	}
+	// A dial registers its client end at once and its server end only
+	// when the echo server accepts; sever once all six ends are live,
+	// or a late accept lands after SeverAll.
+	for deadline := time.Now().Add(5 * time.Second); n.Conns() != 6; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Conns() = %d before SeverAll, want 6", n.Conns())
+		}
+	}
 	n.SeverAll()
 	if c := n.Conns(); c != 0 {
 		t.Errorf("Conns() = %d after SeverAll, want 0", c)

@@ -31,8 +31,8 @@ func newFleetNode(t *testing.T) *fleetNode {
 		reg:    telemetry.NewRegistry(),
 		spans:  telemetry.NewSpanCollector(telemetry.CollectorOptions{}),
 	}
-	n.broker.EnableTelemetry(n.reg, nil)
-	admin, err := telemetry.NewAdminServer("127.0.0.1:0", n.reg, nil, telemetry.WithSpans(n.spans))
+	n.broker.EnableTelemetry(n.reg)
+	admin, err := telemetry.NewAdminServer("127.0.0.1:0", n.reg, telemetry.WithSpans(n.spans))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package broker
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,43 +10,21 @@ import (
 	"pubsubcd/internal/telemetry"
 )
 
-// A RemoteLink bridges a local broker (or federation node) into a
-// remote broker across a real network: it subscribes to the remote
-// broker over TCP for a set of interests, and when a matching page is
-// published remotely it fetches the content and republishes it locally,
-// so local subscribers and proxies see the remote publication stream.
+// A RemoteLink bridges a local broker into a remote broker across a
+// real network: it subscribes to the remote broker over TCP for a set
+// of interests, and when a matching page is published remotely it
+// fetches the content and republishes it locally, so local subscribers
+// and proxies see the remote publication stream.
 //
 // The link is built on the resilient Client: when the remote peer
 // restarts, the link's connection redials with backoff and its remote
-// subscription is re-established automatically, making the federation
-// edge self-healing.
-
-// Publisher accepts published content; *Broker and *Node both satisfy
-// it (a Node routes the publication onward through the federation).
-type Publisher interface {
-	Publish(c Content) (int, error)
-}
-
-// ContextPublisher is an optional extension of Publisher for
-// implementations that carry the caller's context (and trace) through
-// the publish. *Broker and *Node both satisfy it.
-type ContextPublisher interface {
-	Publisher
-	PublishContext(ctx context.Context, c Content) (int, error)
-}
-
-// publishVia dispatches through PublishContext when available.
-func publishVia(ctx context.Context, p Publisher, c Content) (int, error) {
-	if cp, ok := p.(ContextPublisher); ok {
-		return cp.PublishContext(ctx, c)
-	}
-	return p.Publish(c)
-}
+// subscription is re-established automatically, making the bridge
+// self-healing.
 
 // RemoteLink is a live bridge to a remote broker.
 type RemoteLink struct {
 	client *Client
-	target Publisher
+	target *Broker
 	wg     sync.WaitGroup
 
 	// brk is the uplink circuit breaker: when fetches against the
@@ -72,7 +49,7 @@ const linkFetchTimeout = 10 * time.Second
 // (pass WithReconnect to tune the backoff); the provided options are
 // applied on top of the link's defaults, so WithClientTelemetry etc.
 // work as for Dial. Close the link to tear the bridge down.
-func NewRemoteLink(ctx context.Context, target Publisher, addr string, topics, keywords []string, opts ...ClientOption) (*RemoteLink, error) {
+func NewRemoteLink(ctx context.Context, target *Broker, addr string, topics, keywords []string, opts ...ClientOption) (*RemoteLink, error) {
 	if target == nil {
 		return nil, errors.New("broker: nil link target")
 	}
@@ -134,7 +111,7 @@ func (l *RemoteLink) onNotify(ctx context.Context, n Notification) {
 			sp.SetError(err)
 			return // the retry budget is spent; drop this update
 		}
-		if _, err := publishVia(ctx, l.target, c); err != nil && !isDuplicatePublish(err) {
+		if _, err := l.target.PublishContext(ctx, c); err != nil && !IsNotNewer(err) {
 			sp.SetError(err)
 			return
 		}
@@ -162,14 +139,6 @@ func (l *RemoteLink) BreakerState() BreakerState { return l.brk.State() }
 // Dropped reports how many remote notifications the open breaker has
 // shed since the link was built.
 func (l *RemoteLink) Dropped() int64 { return l.dropped.Load() }
-
-// isDuplicatePublish recognises the broker's not-newer/already-published
-// rejections, which are expected when the same page reaches a node over
-// two paths.
-func isDuplicatePublish(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "not newer") || strings.Contains(s, "already published")
-}
 
 // Client exposes the link's underlying resilient client (telemetry,
 // liveness checks).

@@ -691,15 +691,16 @@ func TestClientOverloadBackoff(t *testing.T) {
 // notification. The slow subscriber comes in through a second,
 // faultnet-throttled front door on the same broker so its write path
 // is deterministically slow without touching anyone else's.
+//
+// Only the throttled door runs drop-oldest: that policy may drop for
+// any connection the scheduler starves for a moment, so the healthy
+// door keeps the default block policy, where strict delivery is the
+// promise. Both doors share the same small per-connection lane.
 func TestChaosOverloadSlowConsumerIsolation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := New()
-	policy := []ServerOption{
-		WithSlowConsumerPolicy(SlowConsumerDropOldest),
-		WithMaxPendingPerConn(8 << 10),
-		WithServerTelemetry(reg),
-	}
-	healthyFront, err := NewServer(b, "127.0.0.1:0", policy...)
+	lane := []ServerOption{WithMaxPendingPerConn(8 << 10), WithServerTelemetry(reg)}
+	healthyFront, err := NewServer(b, "127.0.0.1:0", lane...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +711,10 @@ func TestChaosOverloadSlowConsumerIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowFront, err := NewServer(b, "127.0.0.1:0", append([]ServerOption{WithListener(fn.Listener(ln))}, policy...)...)
+	slowFront, err := NewServer(b, "127.0.0.1:0", append([]ServerOption{
+		WithListener(fn.Listener(ln)),
+		WithSlowConsumerPolicy(SlowConsumerDropOldest),
+	}, lane...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestCrashRecoveryTornFinalRecord(t *testing.T) {
 		WithDataDir(dir),
 		WithFsyncPolicy(journal.FsyncAlways),
 		WithSnapshotInterval(-1),
-		WithBrokerTelemetry(reg, nil),
+		WithBrokerTelemetry(reg),
 	)
 	if err != nil {
 		t.Fatalf("open after torn tail: %v", err)
@@ -442,7 +442,7 @@ func TestCrashRecoveryTornWriteTruncates(t *testing.T) {
 		WithDataDir(dir),
 		WithFsyncPolicy(journal.FsyncAlways),
 		WithSnapshotInterval(-1),
-		WithBrokerTelemetry(reg, nil),
+		WithBrokerTelemetry(reg),
 	)
 	if err != nil {
 		t.Fatalf("open after torn write: %v", err)

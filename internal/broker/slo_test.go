@@ -10,7 +10,7 @@ import (
 func TestPublishSLOCounters(t *testing.T) {
 	b := New()
 	reg := telemetry.NewRegistry()
-	b.EnableTelemetry(reg, nil)
+	b.EnableTelemetry(reg)
 
 	// A generous budget: the in-memory publish must land inside it.
 	b.SetPublishSLO(time.Minute)

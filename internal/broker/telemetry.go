@@ -1,17 +1,14 @@
 package broker
 
 import (
-	"fmt"
 	"time"
 
 	"pubsubcd/internal/telemetry"
 )
 
-// brokerTelemetry bundles the broker's pre-resolved metric handles and
-// the event tracer. A nil *brokerTelemetry means telemetry is off.
+// brokerTelemetry bundles the broker's pre-resolved metric handles. A
+// nil *brokerTelemetry means telemetry is off.
 type brokerTelemetry struct {
-	tracer *telemetry.Tracer
-
 	publishes     *telemetry.Counter
 	publishErrors *telemetry.Counter
 	notifications *telemetry.Counter
@@ -45,17 +42,16 @@ type brokerTelemetry struct {
 	sloMisses *telemetry.Counter
 }
 
-// EnableTelemetry wires the broker to a metrics registry and an
-// optional event tracer. Call before serving traffic; counters cover
-// publishes, notifications, pushes, fetches and subscription lifecycle,
-// histograms cover match/publish/fetch latency and fan-out, and the
-// tracer records the publish→match→push→fetch causality of every page.
-// Either argument may be nil.
-func (b *Broker) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
+// EnableTelemetry wires the broker to a metrics registry. Call before
+// serving traffic; counters cover publishes, notifications, pushes,
+// fetches and subscription lifecycle, and histograms cover
+// match/publish/fetch latency and fan-out. A page's
+// publish→match→push→fetch causality is recorded by spans; see
+// PublishContext.
+func (b *Broker) EnableTelemetry(reg *telemetry.Registry) {
 	lat := telemetry.LatencyBuckets()
 	fan := telemetry.CountBuckets()
 	b.tel.Store(&brokerTelemetry{
-		tracer:        tracer,
 		publishes:     reg.Counter("broker.publishes"),
 		publishErrors: reg.Counter("broker.publish_errors"),
 		notifications: reg.Counter("broker.notifications"),
@@ -86,15 +82,3 @@ func (b *Broker) telemetryHandles() *brokerTelemetry {
 
 // sinceNanos is time.Since in the histogram's unit.
 func sinceNanos(t0 time.Time) int64 { return time.Since(t0).Nanoseconds() }
-
-// trace records an event when a tracer is attached.
-func (bt *brokerTelemetry) trace(kind, page string, proxy int, detail string) {
-	if bt != nil && bt.tracer != nil {
-		bt.tracer.Record(kind, page, proxy, detail)
-	}
-}
-
-// fmtMatched renders the standard match-detail string.
-func fmtMatched(subs, proxies int) string {
-	return fmt.Sprintf("subs=%d proxies=%d", subs, proxies)
-}

@@ -3,6 +3,8 @@ package broker
 import (
 	"context"
 	"net"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,8 +27,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestBrokerTelemetryCountersAndTrace(t *testing.T) {
 	b := New()
 	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer(64)
-	b.EnableTelemetry(reg, tr)
+	b.EnableTelemetry(reg)
+	spans := telemetry.NewSpanCollector(telemetry.CollectorOptions{})
+	traced := telemetry.WithSpanCollector(context.Background(), spans)
 
 	var notified int
 	id, err := b.Subscribe(match.Subscription{Proxy: 2, Topics: []string{"news"}},
@@ -37,13 +40,13 @@ func TestBrokerTelemetryCountersAndTrace(t *testing.T) {
 	if err := b.AttachProxy(2, pushSinkFunc(func(Content, int) {})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Publish(Content{ID: "p1", Version: 1, Topics: []string{"news"}, Body: []byte("abc")}); err != nil {
+	if _, err := b.PublishContext(traced, Content{ID: "p1", Version: 1, Topics: []string{"news"}, Body: []byte("abc")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Publish(Content{ID: "p1", Version: 1, Topics: []string{"news"}}); err == nil {
 		t.Fatal("stale republish should error")
 	}
-	if _, err := b.Fetch("p1"); err != nil {
+	if _, err := b.FetchContext(traced, "p1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Fetch("ghost"); err == nil {
@@ -80,25 +83,75 @@ func TestBrokerTelemetryCountersAndTrace(t *testing.T) {
 		t.Errorf("notifier invoked %d times, want 1", notified)
 	}
 
-	// The tracer must carry the publish→match→notify→push→fetch
-	// causality of p1.
-	events := tr.DumpPage("p1")
-	var kinds []string
-	for _, e := range events {
-		kinds = append(kinds, e.Kind)
-	}
-	wantKinds := []string{telemetry.KindPublish, telemetry.KindMatch,
-		telemetry.KindNotify, telemetry.KindPush, telemetry.KindFetch}
-	if len(kinds) != len(wantKinds) {
-		t.Fatalf("trace kinds = %v, want %v", kinds, wantKinds)
-	}
-	for i, k := range wantKinds {
-		if kinds[i] != k {
-			t.Fatalf("trace kinds = %v, want %v", kinds, wantKinds)
+	// The spans retained for p1 must carry its publish→match→push and
+	// fetch causality: the publish trace (match and push as children of
+	// the publish, in that order) followed by the fetch trace.
+	var p1 []*telemetry.TraceData
+	for _, td := range spans.Traces() {
+		if td.HasAttr("page", "p1") {
+			p1 = append(p1, td)
 		}
 	}
-	if events[3].Proxy != 2 {
-		t.Errorf("push trace proxy = %d, want 2", events[3].Proxy)
+	if len(p1) != 2 {
+		t.Fatalf("retained %d traces for p1, want publish and fetch", len(p1))
+	}
+	sort.Slice(p1, func(i, j int) bool { return p1[i].Start.Before(p1[j].Start) })
+	pub, fetch := p1[0], p1[1]
+	var names []string
+	for _, sd := range pub.Spans {
+		names = append(names, sd.Name)
+		if sd.Name != "broker.publish" && sd.ParentID != pub.Spans[0].SpanID {
+			t.Errorf("%s is not a child of the publish span", sd.Name)
+		}
+	}
+	if got := strings.Join(names, " "); got != "broker.publish broker.match broker.push" {
+		t.Errorf("publish trace spans = %q, want publish, match, push", got)
+	}
+	if push := pub.Spans[len(pub.Spans)-1]; !push.HasAttr("proxy", "2") {
+		t.Errorf("push span attrs = %v, want proxy=2", push.Attrs)
+	}
+	if fetch.Root != "broker.fetch" || len(fetch.Spans) != 1 {
+		t.Errorf("fetch trace = %s with %d spans, want one broker.fetch", fetch.Root, len(fetch.Spans))
+	}
+	for _, td := range p1 {
+		if !td.Spans[0].HasAttr("page", "p1") {
+			t.Errorf("%s root span attrs = %v, want page=p1", td.Root, td.Spans[0].Attrs)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestPublishAllocsIndependentOfFanout pins the telemetry-on publish
+// path: with no push sinks attached, allocations per publish must not
+// grow with the number of matched subscribers.
+func TestPublishAllocsIndependentOfFanout(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled fan-out scratch is reallocated")
+	}
+	allocs := func(subs int) float64 {
+		b := New()
+		b.EnableTelemetry(telemetry.NewRegistry())
+		nop := NotifierFunc(func(Notification) {})
+		for i := 0; i < subs; i++ {
+			if _, err := b.Subscribe(match.Subscription{Proxy: i % 8, Topics: []string{"news"}}, nop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := Content{ID: "p", Topics: []string{"news"}, Body: []byte("x")}
+		return testing.AllocsPerRun(200, func() {
+			c.Version++
+			if _, err := b.Publish(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(1)
+	for _, n := range []int{64, 512} {
+		if got := allocs(n); got != one {
+			t.Errorf("publish to %d subscribers allocates %.1f times, want %.1f as with 1", n, got, one)
+		}
 	}
 }
 

@@ -88,6 +88,18 @@ func IsStaleRing(err error) bool {
 	return err != nil && strings.Contains(err.Error(), staleRingPrefix)
 }
 
+// notNewerMarker is the text of the broker's version-conflict
+// rejection; like the stale-ring marker it must survive the wire.
+const notNewerMarker = "not newer than stored"
+
+// IsNotNewer reports whether err is the broker's rejection of a
+// publish whose version is not newer than the stored one — possibly
+// one that round-tripped through the wire as a string. A bridge or a
+// retried cluster forward treats it as "already applied".
+func IsNotNewer(err error) bool {
+	return err != nil && strings.Contains(err.Error(), notNewerMarker)
+}
+
 // Route is the cluster routing metadata of a forwarded request. The
 // server attaches it to the request context so a clustered backend can
 // distinguish "apply to this partition" forwards from fresh edge
@@ -735,7 +747,7 @@ func (s *Server) requestSpan(m *Message) (context.Context, *telemetry.Span) {
 // connNotifier delivers a subscription's notifications over the
 // connection. It is context-aware: a notify caused by a traced publish
 // carries a transport.server.notify span whose identity rides the
-// notify frame, so the subscriber's reaction (e.g. a federation link's
+// notify frame, so the subscriber's reaction (e.g. a remote link's
 // bridge fetch) continues the publish's trace.
 type connNotifier struct {
 	s  *Server

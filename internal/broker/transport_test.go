@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -194,5 +195,43 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close should be a no-op, got %v", err)
+	}
+}
+
+func TestIsNotNewer(t *testing.T) {
+	b := New()
+	page := Content{ID: "p", Version: 2, Topics: []string{"t"}}
+	if _, err := b.Publish(page); err != nil {
+		t.Fatal(err)
+	}
+	_, local := b.Publish(page)
+
+	// The same rejection as a client sees it: carried over the wire as
+	// a string in the response frame.
+	s, _ := startServer(t)
+	cl := dialClient(t, s.Addr(), func(Notification) {})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := cl.Publish(ctx, page); err != nil {
+		t.Fatal(err)
+	}
+	_, wire := cl.Publish(ctx, Content{ID: "p", Version: 1, Topics: []string{"t"}})
+
+	for _, tc := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"local same version", local, true},
+		{"over the wire, older version", wire, true},
+		{"wrapped", fmt.Errorf("forward: %w", local), true},
+		{"nil", nil, false},
+		{"unknown page", fmt.Errorf("%w: %q", ErrUnknownPage, "p"), false},
+		{"stale ring", StaleRingError("ring %d behind %d", 1, 2), false},
+		{"overloaded", OverloadedError("busy"), false},
+	} {
+		if got := IsNotNewer(tc.err); got != tc.want {
+			t.Errorf("%s: IsNotNewer(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +121,7 @@ func TestClusterChaosKillMidTraffic(t *testing.T) {
 			pctx, cancel := context.WithTimeout(ctx, 25*time.Second)
 			_, err := pub.c.Publish(pctx, c)
 			cancel()
-			if err != nil && !strings.Contains(err.Error(), "not newer") {
+			if err != nil && !broker.IsNotNewer(err) {
 				// Not acked: the publisher owes a retry, the cluster
 				// owes nothing. (The transport's own retry can surface
 				// a duplicate-version rejection for an applied

@@ -325,7 +325,7 @@ func (n *Node) ensurePartitionLocked(p int) error {
 		return nil
 	}
 	opts := []broker.BrokerOption{
-		broker.WithBrokerTelemetry(n.cfg.Registry, nil),
+		broker.WithBrokerTelemetry(n.cfg.Registry),
 	}
 	if n.cfg.DataDir != "" {
 		opts = append(opts,

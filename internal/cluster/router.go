@@ -196,7 +196,7 @@ func (n *Node) publishPartition(ctx context.Context, p int, c broker.Content) (i
 			n.met.count(func(m *metrics) *telemetry.CounterVec { return m.publishes }, routeForwarded)
 			return matched, nil
 		}
-		if isDuplicatePublish(err) {
+		if broker.IsNotNewer(err) {
 			// An earlier attempt landed before its response was lost:
 			// the publish is applied, the ack just never arrived.
 			return 0, nil
@@ -248,16 +248,6 @@ func retryableForward(err error) bool {
 	}
 	s := err.Error()
 	return strings.Contains(s, "dial") || strings.Contains(s, "connection")
-}
-
-// isDuplicatePublish matches the broker's version-conflict rejection,
-// which on a retried forward means the previous attempt was applied.
-func isDuplicatePublish(err error) bool {
-	if err == nil {
-		return false
-	}
-	s := err.Error()
-	return strings.Contains(s, "not newer") || strings.Contains(s, "already published")
 }
 
 // --- Subscribe -------------------------------------------------------

@@ -19,7 +19,7 @@ import (
 func TestConcurrentScrapeDuringRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanCollector(telemetry.CollectorOptions{})
-	admin, err := telemetry.NewAdminServer("127.0.0.1:0", reg, nil, telemetry.WithSpans(spans))
+	admin, err := telemetry.NewAdminServer("127.0.0.1:0", reg, telemetry.WithSpans(spans))
 	if err != nil {
 		t.Fatal(err)
 	}

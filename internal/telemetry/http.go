@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,10 +24,9 @@ import (
 //	                 overrides. Both text flavors include Go runtime
 //	                 vitals (go_goroutines, go_heap_alloc_bytes, …).
 //	/metrics?text=1  plain-text summary
-//	/trace           retained ring-buffer trace events as JSON
-//	/trace?page=X    events for one page ID
-//	/trace?n=100     at most the last 100 matching events
 //	/traces          retained span traces (recent + slowest + errored)
+//	/traces?page=X   only the traces with a span attributed page=X
+//	                 (publish, fetch, proxy push and request of page X)
 //	/trace/{id}      one span trace rendered as a tree (?text=1 for an
 //	                 indented plain-text view with per-stage durations)
 //	/healthz         liveness: 200 once the process is up
@@ -52,8 +50,7 @@ type AdminServer struct {
 	flaps     atomic.Int64
 }
 
-// AdminOption configures NewAdminServer beyond the registry and event
-// tracer.
+// AdminOption configures NewAdminServer beyond the registry.
 type AdminOption func(*adminConfig)
 
 type adminConfig struct {
@@ -80,9 +77,9 @@ func WithHealthCheck(name string, check func() error) AdminOption {
 }
 
 // NewAdminServer starts the admin endpoint on addr (e.g.
-// "127.0.0.1:6060"; use port 0 for an ephemeral port). reg and tr may
-// be nil; the corresponding endpoints then serve empty data.
-func NewAdminServer(addr string, reg *Registry, tr *Tracer, opts ...AdminOption) (*AdminServer, error) {
+// "127.0.0.1:6060"; use port 0 for an ephemeral port). reg may be nil;
+// /metrics then serves empty data.
+func NewAdminServer(addr string, reg *Registry, opts ...AdminOption) (*AdminServer, error) {
 	var cfg adminConfig
 	for _, o := range opts {
 		if o != nil {
@@ -121,20 +118,6 @@ func NewAdminServer(addr string, reg *Registry, tr *Tracer, opts ...AdminOption)
 			writeJSON(w, snap)
 		}
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		events := tr.DumpPage(r.URL.Query().Get("page"))
-		if nStr := r.URL.Query().Get("n"); nStr != "" {
-			n, err := strconv.Atoi(nStr)
-			if err != nil || n < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			if n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		writeJSON(w, events)
-	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		type summary struct {
 			TraceID   TraceID       `json:"traceId"`
@@ -146,6 +129,15 @@ func NewAdminServer(addr string, reg *Registry, tr *Tracer, opts ...AdminOption)
 			Truncated bool          `json:"truncated,omitempty"`
 		}
 		traces := cfg.spans.Traces()
+		if page := r.URL.Query().Get("page"); page != "" {
+			kept := traces[:0]
+			for _, td := range traces {
+				if td.HasAttr("page", page) {
+					kept = append(kept, td)
+				}
+			}
+			traces = kept
+		}
 		out := struct {
 			Stats  CollectorStats `json:"stats"`
 			Traces []summary      `json:"traces"`

@@ -31,7 +31,7 @@ func TestAdminServerSpanEndpoints(t *testing.T) {
 	tid := traced(t, spans, false)
 	errTid := traced(t, spans, true)
 
-	s, err := NewAdminServer("127.0.0.1:0", nil, nil, WithSpans(spans))
+	s, err := NewAdminServer("127.0.0.1:0", nil, WithSpans(spans))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +99,15 @@ func TestAdminServerSpanEndpoints(t *testing.T) {
 		t.Errorf("unknown trace status %d, want 404", code)
 	}
 
-	// The exact /trace ring-buffer endpoint must still work beside the
-	// /trace/{id} pattern.
+	// Only /trace/{id} is mounted: a bare /trace is not a route.
 	code, _ = adminGet(t, base+"/trace")
-	if code != http.StatusOK {
-		t.Errorf("/trace status %d", code)
+	if code != http.StatusNotFound {
+		t.Errorf("/trace status %d, want 404", code)
 	}
 }
 
 func TestAdminServerHealthAndReadiness(t *testing.T) {
-	s, err := NewAdminServer("127.0.0.1:0", nil, nil)
+	s, err := NewAdminServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestAdminServerHealthAndReadiness(t *testing.T) {
 }
 
 func TestAdminServerWithHealthCheckOption(t *testing.T) {
-	s, err := NewAdminServer("127.0.0.1:0", nil, nil,
+	s, err := NewAdminServer("127.0.0.1:0", nil,
 		WithHealthCheck("static", func() error { return errors.New("never ready") }))
 	if err != nil {
 		t.Fatal(err)

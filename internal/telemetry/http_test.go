@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -28,12 +29,27 @@ func TestAdminServerMetricsAndTrace(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("broker.publishes").Add(42)
 	reg.Histogram("broker.match_ns", LatencyBuckets()).Observe(1500)
-	tr := NewTracer(16)
-	tr.Record(KindPublish, "page-1", -1, "v0")
-	tr.Record(KindPush, "page-1", 2, "stored")
-	tr.Record(KindPublish, "page-2", -1, "v0")
 
-	s, err := NewAdminServer("127.0.0.1:0", reg, tr)
+	// Three traces: page-1 is attributed on the root span of one trace
+	// and on a child span of another; page-2 on a third.
+	spans := NewSpanCollector(CollectorOptions{})
+	pageTrace := func(root, child, page string, onChild bool) TraceID {
+		ctx, rsp := StartSpan(WithSpanCollector(context.Background(), spans), root)
+		_, csp := StartSpan(ctx, child)
+		if onChild {
+			csp.SetAttr("page", page)
+		} else {
+			rsp.SetAttr("page", page)
+		}
+		csp.End()
+		rsp.End()
+		return rsp.Context().TraceID
+	}
+	published := pageTrace("broker.publish", "broker.match", "page-1", false)
+	pushed := pageTrace("transport.client.notify", "proxy.push", "page-1", true)
+	pageTrace("broker.publish", "broker.match", "page-2", false)
+
+	s, err := NewAdminServer("127.0.0.1:0", reg, WithSpans(spans))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,37 +76,39 @@ func TestAdminServerMetricsAndTrace(t *testing.T) {
 		t.Errorf("/metrics?text=1 status %d body %q", code, body)
 	}
 
-	code, body = adminGet(t, base+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/trace status %d", code)
+	listed := func(query string) map[TraceID]bool {
+		t.Helper()
+		code, body := adminGet(t, base+"/traces"+query)
+		if code != http.StatusOK {
+			t.Fatalf("/traces%s status %d", query, code)
+		}
+		var listing struct {
+			Traces []struct {
+				TraceID TraceID `json:"traceId"`
+			} `json:"traces"`
+		}
+		if err := json.Unmarshal(body, &listing); err != nil {
+			t.Fatalf("/traces%s not JSON: %v", query, err)
+		}
+		ids := make(map[TraceID]bool)
+		for _, tr := range listing.Traces {
+			ids[tr.TraceID] = true
+		}
+		return ids
 	}
-	var events []TraceEvent
-	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatalf("/trace not JSON: %v", err)
+	if got := listed(""); len(got) != 3 {
+		t.Errorf("/traces listed %d traces, want 3", len(got))
 	}
-	if len(events) != 3 {
-		t.Errorf("/trace returned %d events, want 3", len(events))
+	if got := listed("?page=page-1"); len(got) != 2 || !got[published] || !got[pushed] {
+		t.Errorf("/traces?page=page-1 = %v, want exactly the publish and push traces", got)
 	}
-
-	code, body = adminGet(t, base+"/trace?page=page-1&n=1")
-	if code != http.StatusOK {
-		t.Fatalf("/trace filtered status %d", code)
-	}
-	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Kind != KindPush {
-		t.Errorf("filtered trace = %+v, want single push event", events)
-	}
-
-	code, _ = adminGet(t, base+"/trace?n=bogus")
-	if code != http.StatusBadRequest {
-		t.Errorf("bad n should 400, got %d", code)
+	if got := listed("?page=page-9"); len(got) != 0 {
+		t.Errorf("/traces?page=page-9 = %v, want none", got)
 	}
 }
 
 func TestAdminServerPprof(t *testing.T) {
-	s, err := NewAdminServer("127.0.0.1:0", nil, nil)
+	s, err := NewAdminServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +122,19 @@ func TestAdminServerPprof(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("goroutine profile status %d", code)
 	}
-	// Nil registry/tracer endpoints still answer.
+	// Endpoints without a registry or span collector still answer.
 	code, _ = adminGet(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Errorf("/metrics with nil registry status %d", code)
 	}
-	code, _ = adminGet(t, base+"/trace")
+	code, _ = adminGet(t, base+"/traces?page=p1")
 	if code != http.StatusOK {
-		t.Errorf("/trace with nil tracer status %d", code)
+		t.Errorf("/traces without a collector status %d", code)
 	}
 }
 
 func TestAdminServerBadAddr(t *testing.T) {
-	if _, err := NewAdminServer("256.256.256.256:1", nil, nil); err == nil {
+	if _, err := NewAdminServer("256.256.256.256:1", nil); err == nil {
 		t.Error("bad address should error")
 	}
 }

@@ -37,7 +37,7 @@ func getMetrics(t *testing.T, addr, accept, query string) (string, string) {
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("neg.count").Add(9)
-	srv, err := NewAdminServer("127.0.0.1:0", reg, nil)
+	srv, err := NewAdminServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 }
 
 func TestAdminHandleAfterStart(t *testing.T) {
-	srv, err := NewAdminServer("127.0.0.1:0", nil, nil)
+	srv, err := NewAdminServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAdminHandleAfterStart(t *testing.T) {
 }
 
 func TestReadyTransitions(t *testing.T) {
-	srv, err := NewAdminServer("127.0.0.1:0", nil, nil)
+	srv, err := NewAdminServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

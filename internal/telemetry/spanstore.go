@@ -46,6 +46,27 @@ type TraceData struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
+// HasAttr reports whether the span carries the attribute key=value.
+func (sd SpanData) HasAttr(key, value string) bool {
+	for _, a := range sd.Attrs {
+		if a.Key == key && a.Value == value {
+			return true
+		}
+	}
+	return false
+}
+
+// HasAttr reports whether any span of the trace carries the attribute
+// key=value.
+func (td *TraceData) HasAttr(key, value string) bool {
+	for _, sd := range td.Spans {
+		if sd.HasAttr(key, value) {
+			return true
+		}
+	}
+	return false
+}
+
 // CollectorStats counts the collector's traffic and shedding.
 type CollectorStats struct {
 	SpansStarted   uint64 `json:"spansStarted"`

@@ -1,7 +1,8 @@
 // Package telemetry is the measurement substrate of the system: a
 // lock-cheap metrics registry (atomic counters, gauges and fixed-bucket
-// log-scale histograms), a bounded ring-buffer event tracer, and an HTTP
-// admin endpoint exposing live snapshots plus pprof.
+// log-scale histograms), span-based distributed tracing with a bounded
+// collector, and an HTTP admin endpoint exposing live snapshots plus
+// pprof.
 //
 // The registry is designed for hot paths: metric handles are resolved
 // once (a mutex-guarded map lookup at registration time) and then

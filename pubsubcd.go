@@ -194,19 +194,14 @@ func Simulate(w *Workload, f StrategyFactory, opts SimOptions) (*SimResult, erro
 	return sim.Run(w, f, opts)
 }
 
-// Telemetry (metrics registry, latency histograms, event tracing).
+// Telemetry (metrics registry, latency histograms, span tracing).
 type (
 	// MetricsRegistry is a lock-cheap registry of named counters,
 	// gauges and histograms, snapshot-able without stopping writers.
 	MetricsRegistry = telemetry.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = telemetry.Snapshot
-	// EventTracer is a bounded ring buffer of causality events
-	// (publish→match→push→access), taggable by page ID.
-	EventTracer = telemetry.Tracer
-	// TraceEvent is one recorded tracer event.
-	TraceEvent = telemetry.TraceEvent
-	// AdminServer serves /metrics, /trace, /traces, /healthz, /readyz
+	// AdminServer serves /metrics, /traces, /trace/{id}, /healthz, /readyz
 	// and /debug/pprof over HTTP.
 	AdminServer = telemetry.AdminServer
 	// AdminOption configures NewAdminServer (span traces, health
@@ -256,9 +251,8 @@ type (
 // Telemetry constructors and helpers.
 var (
 	NewMetricsRegistry = telemetry.NewRegistry
-	NewEventTracer     = telemetry.NewTracer
 	// NewAdminServer starts the HTTP admin endpoint on addr; the
-	// registry and tracer may each be nil to disable their routes' data.
+	// registry may be nil to serve empty metrics.
 	NewAdminServer = telemetry.NewAdminServer
 	// LatencyBuckets, SizeBuckets and CountBuckets are the standard
 	// log-scale histogram layouts.
@@ -328,7 +322,7 @@ type (
 	// serves.
 	BrokerProxyStats = broker.ProxyStats
 	// RemoteLink bridges a local broker into a remote broker over the
-	// resilient client (a federation link that survives peer restarts).
+	// resilient client, surviving peer restarts.
 	RemoteLink = broker.RemoteLink
 
 	// WireCodec encodes and decodes transport frames. Implementations
@@ -433,7 +427,7 @@ type (
 	AdmissionConfig = broker.AdmissionConfig
 	// Breaker is a three-state circuit breaker (closed, open,
 	// half-open with a single probe), as used on cluster member links
-	// and federation uplinks.
+	// and remote-link uplinks.
 	Breaker = broker.Breaker
 	// BreakerState is a Breaker's current state.
 	BreakerState = broker.BreakerState
@@ -601,25 +595,15 @@ func NewProxy(id int, b *Broker, s Strategy, cost float64, opts ...ProxyOption) 
 	return broker.NewProxy(id, b, s, cost, opts...)
 }
 
-// NewRemoteLink bridges a local broker (or federation node) into a
-// remote broker over TCP: it subscribes remotely for the given
-// interests and republishes matching pages locally. Built on the
+// NewRemoteLink bridges a local broker into a remote broker over TCP:
+// it subscribes remotely for the given interests and republishes
+// matching pages locally. Built on the
 // resilient client, the link recovers automatically when the remote
 // peer restarts.
 var NewRemoteLink = broker.NewRemoteLink
 
 // NotifierFunc adapts a function into a broker notifier.
 type NotifierFunc = broker.NotifierFunc
-
-// FederationNode is one broker of a federated (distributed) broker
-// overlay with Siena-style subscription forwarding.
-type FederationNode = broker.Node
-
-// NewFederationNode creates a federation node wrapping a fresh broker.
-func NewFederationNode(name string) *FederationNode { return broker.NewNode(name) }
-
-// ConnectNodes links two federation nodes (the overlay must stay a tree).
-var ConnectNodes = broker.Connect
 
 // Experiments (the paper's evaluation).
 type (
