@@ -30,6 +30,16 @@ import (
 // byte slices as before, so the steady-state fan-out path stays
 // allocation-free.
 //
+// On a connection whose peer advertised capCoalesce, the flusher also
+// coalesces at drain time: the queued notifications directly behind the
+// one it pops that come from the same publish (same page, version,
+// size, trace context and ingress instant) leave in the same notify
+// frame, their subscription IDs in Message.MoreSubIDs. A publish that
+// matched N subscriptions on the connection then costs one frame, not
+// N. Only what is already queued merges — there is no timer — and the
+// ring itself stays per-notification, so the slow-consumer policies,
+// gap counts and pending-bytes accounting do not change.
+//
 // When the notify queue is full the connection's SlowConsumerPolicy
 // decides: block the publisher briefly and sever on timeout, drop the
 // oldest queued notification and mark the gap on the wire, or sever
@@ -90,7 +100,8 @@ func putEncodeBuf(b []byte) {
 // notification did not come from a stamped publish) — the flusher stamps
 // the frame's PublishedAt field with the elapsed time since it at encode
 // time, so the wire value covers every queueing delay up to the flush.
-// enq is the enqueue instant, the zero of the enqueue→flush stage timer.
+// enq is the enqueue instant, the zero of the enqueue→flush stage timer;
+// it is stamped only while that timer is attached.
 type queuedNotify struct {
 	n     Notification
 	trace string
@@ -117,12 +128,13 @@ type connWriter struct {
 	onAction     func(action string, n int64)
 	onSever      func() // sever-and-quarantine hook
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	codec Codec
-	limit int // outbound frame-size limit (0 = unlimited)
-	pend  []byte
-	spare []byte // the buffer not currently filling; nil while in flight
+	mu       sync.Mutex
+	cond     *sync.Cond
+	codec    Codec
+	limit    int  // outbound frame-size limit (0 = unlimited)
+	coalesce bool // peer decodes multi-subscription notify frames
+	pend     []byte
+	spare    []byte // the buffer not currently filling; nil while in flight
 
 	ring      []queuedNotify // notify lane, a growable ring up to maxPending bytes
 	head      int
@@ -186,16 +198,18 @@ func (cw *connWriter) setFlushStage(h *telemetry.Histogram) {
 }
 
 // setCodec switches the outbound encoding (and frame limit) after a
-// successful negotiation. Control frames already appended were encoded
-// with the previous codec and go out unchanged; queued notifications
-// encode at drain time with whatever codec is then current (they can
-// only exist after a subscribe, which postdates negotiation).
-func (cw *connWriter) setCodec(c Codec, limit int) {
+// successful negotiation, and turns notify coalescing on when the peer
+// advertised it. Control frames already appended were encoded with the
+// previous codec and go out unchanged; queued notifications encode at
+// drain time with whatever codec is then current (they can only exist
+// after a subscribe, which postdates negotiation).
+func (cw *connWriter) setCodec(c Codec, limit int, coalesce bool) {
 	cw.mu.Lock()
 	cw.codec = c
 	if limit > 0 {
 		cw.limit = limit
 	}
+	cw.coalesce = coalesce
 	cw.mu.Unlock()
 }
 
@@ -266,7 +280,7 @@ func (cw *connWriter) enqueueNotify(n Notification, trace string, pub time.Time)
 		switch cw.policy {
 		case SlowConsumerDropOldest:
 			for cw.count > 0 && cw.ringBytes+est > cw.maxPending {
-				cw.dropHeadLocked()
+				cw.dropLocked(1)
 			}
 		case SlowConsumerSever:
 			cw.severLocked()
@@ -302,7 +316,11 @@ func (cw *connWriter) enqueueNotify(n Notification, trace string, pub time.Time)
 		return errWriterClosed
 	}
 	wasIdle := cw.count == 0 && cw.gap == 0 && len(cw.pend) == 0
-	cw.pushLocked(queuedNotify{n: n, trace: trace, est: est, pub: pub, enq: time.Now()})
+	qn := queuedNotify{n: n, trace: trace, est: est, pub: pub}
+	if cw.stageFlush != nil {
+		qn.enq = time.Now()
+	}
+	cw.pushLocked(qn)
 	if cw.pendingTotal != nil {
 		cw.pendingTotal.Add(est)
 	}
@@ -347,28 +365,114 @@ func (cw *connWriter) pushLocked(qn queuedNotify) {
 	cw.ringBytes += qn.est
 }
 
-// popLocked removes and returns the oldest queued notification,
-// releasing its accounting. Callers check count > 0.
-func (cw *connWriter) popLocked() queuedNotify {
-	qn := cw.ring[cw.head]
-	cw.ring[cw.head] = queuedNotify{} // drop string refs
-	cw.head = (cw.head + 1) % len(cw.ring)
-	cw.count--
-	cw.ringBytes -= qn.est
-	if cw.pendingTotal != nil {
-		cw.pendingTotal.Add(-qn.est)
+// popRunLocked removes the n oldest queued notifications, releasing
+// their accounting in one step. Callers check count >= n.
+func (cw *connWriter) popRunLocked(n int) {
+	var est int64
+	for i := 0; i < n; i++ {
+		est += cw.ring[cw.head].est
+		cw.ring[cw.head] = queuedNotify{} // drop string refs
+		cw.head = (cw.head + 1) % len(cw.ring)
 	}
-	return qn
+	cw.count -= n
+	cw.ringBytes -= est
+	if cw.pendingTotal != nil {
+		cw.pendingTotal.Add(-est)
+	}
 }
 
-// dropHeadLocked evicts the oldest queued notification under the
-// drop-oldest policy and records the wire-visible gap.
-func (cw *connWriter) dropHeadLocked() {
-	cw.popLocked()
-	cw.gap++
+// dropLocked evicts the n oldest queued notifications and records the
+// wire-visible gap: the drop-oldest policy's evictions, and
+// notifications whose frame cannot be sent.
+func (cw *connWriter) dropLocked(n int) {
+	cw.popRunLocked(n)
+	cw.gap += int64(n)
 	if cw.onAction != nil {
-		cw.onAction(slowActionDropped, 1)
+		cw.onAction(slowActionDropped, int64(n))
 	}
+}
+
+// runLocked counts the queued notifications, from the ring head on,
+// that come from the head's publish: same page, version, size, trace
+// context and ingress instant. Callers check count > 0.
+func (cw *connWriter) runLocked() int {
+	h := &cw.ring[cw.head]
+	n := 1
+	for ; n < cw.count; n++ {
+		q := &cw.ring[(cw.head+n)%len(cw.ring)]
+		if q.n.PageID != h.n.PageID || q.n.Version != h.n.Version || q.n.Size != h.n.Size ||
+			q.trace != h.trace || !q.pub.Equal(h.pub) {
+			break
+		}
+	}
+	return n
+}
+
+// appendNotifyLocked appends one notify frame for the notification at
+// the ring head to buf and pops what the frame carries: the head alone,
+// or, when coalescing, the head's run (runLocked), cut short so the
+// frame stays within the frame limit and defaultMaxBatch. em is the
+// flusher's reusable envelope; its MoreSubIDs array is reused across
+// frames. A notification whose
+// frame cannot be sent — it fails to encode, or exceeds the frame limit
+// even alone — is dropped and counted in the gap, so the receiver's next
+// gap marker accounts for it.
+func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
+	head := &cw.ring[cw.head]
+	run := 1
+	if cw.coalesce {
+		run = cw.runLocked()
+	}
+	em.notifScratch = head.n
+	em.Trace = head.trace
+	// PublishedAt is stamped at encode time on this (the broker's)
+	// monotonic clock, so it covers matching, fan-out and every
+	// queueing delay, and can never go negative on any receiver.
+	em.PublishedAt = 0
+	if !head.pub.IsZero() {
+		em.PublishedAt = time.Since(head.pub).Nanoseconds()
+	}
+	bound := defaultMaxBatch
+	if cw.limit > 0 && cw.limit < bound {
+		bound = cw.limit
+	}
+	start := len(buf)
+	for {
+		em.MoreSubIDs = em.MoreSubIDs[:0]
+		for i := 1; i < run; i++ {
+			em.MoreSubIDs = append(em.MoreSubIDs, cw.ring[(cw.head+i)%len(cw.ring)].n.SubscriptionID)
+		}
+		nb, err := cw.codec.AppendFrame(buf, em)
+		if nb != nil {
+			buf = nb[:start]
+		}
+		if err != nil {
+			cw.dropLocked(run)
+			return buf
+		}
+		size := len(nb) - start
+		if (cw.limit <= 0 || size <= cw.limit) && (run == 1 || size <= defaultMaxBatch) {
+			buf = nb
+			break
+		}
+		if run == 1 {
+			cw.dropLocked(1)
+			return buf
+		}
+		// Frame size is close to linear in the run length: shrink in
+		// proportion and encode again.
+		run = max(1, min(run-1, run*bound/size))
+	}
+	if cw.stageFlush != nil {
+		now := time.Now()
+		for i := 0; i < run; i++ {
+			if enq := cw.ring[(cw.head+i)%len(cw.ring)].enq; !enq.IsZero() {
+				cw.stageFlush.Observe(now.Sub(enq).Nanoseconds())
+			}
+		}
+	}
+	cw.popRunLocked(run)
+	return buf
 }
 
 // severLocked makes the writer's error sticky and closes the
@@ -420,45 +524,22 @@ func (cw *connWriter) flushLoop() {
 		if cw.pendingTotal != nil && len(buf) > 0 {
 			cw.pendingTotal.Add(-int64(len(buf)))
 		}
-		if cw.gap > 0 {
-			// A notify frame with a Gap count and no Notification: the
-			// wire-visible marker for dropped deliveries. Gap frames are
-			// rare (one per overload episode per flush), so the extra
-			// envelope allocation is irrelevant.
-			gm := Message{Type: msgNotify, Gap: cw.gap}
-			if nb, err := cw.codec.AppendFrame(buf, &gm); err == nil {
-				buf = nb
-			}
-			cw.gap = 0
-		}
-		for cw.count > 0 && len(buf) < defaultMaxBatch {
-			qn := cw.popLocked()
-			em.notifScratch = qn.n
-			em.Trace = qn.trace
-			em.Gap = 0
-			// PublishedAt is stamped at encode time on this (the broker's)
-			// monotonic clock, so it covers matching, fan-out and every
-			// queueing delay, and can never go negative on any receiver.
-			em.PublishedAt = 0
-			if !qn.pub.IsZero() {
-				em.PublishedAt = time.Since(qn.pub).Nanoseconds()
-			}
-			if cw.stageFlush != nil && !qn.enq.IsZero() {
-				cw.stageFlush.Observe(time.Since(qn.enq).Nanoseconds())
-			}
-			start := len(buf)
-			nb, err := cw.codec.AppendFrame(buf, &em)
-			if err != nil {
-				if nb != nil {
-					buf = nb[:start]
+		for {
+			if cw.gap > 0 {
+				// A notify frame with a Gap count and no Notification: the
+				// wire-visible marker for dropped deliveries. Gap frames
+				// are rare (one per overload episode per flush), so the
+				// extra envelope allocation is irrelevant.
+				gm := Message{Type: msgNotify, Gap: cw.gap}
+				if nb, err := cw.codec.AppendFrame(buf, &gm); err == nil {
+					buf = nb
 				}
-				continue // an unencodable notify is dropped, not fatal
+				cw.gap = 0
 			}
-			if cw.limit > 0 && len(nb)-start > cw.limit {
-				buf = nb[:start]
-				continue
+			if cw.count == 0 || len(buf) >= defaultMaxBatch {
+				break
 			}
-			buf = nb
+			buf = cw.appendNotifyLocked(buf, &em)
 		}
 		cw.mu.Unlock()
 

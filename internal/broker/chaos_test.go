@@ -75,6 +75,11 @@ func TestChaosBrokerRestartMidTraffic(t *testing.T) {
 			publishUntilAccepted(t, pub, "stream", version, []string{"chaos"})
 		}
 		s = restartServer(t, s, b)
+		// The publisher proves its reconnect by getting the next publish
+		// accepted; the subscriber must be back too before the next
+		// restart, or two restarts can fold into one reconnect.
+		reconnects := subReg.Counter("transport.client.reconnects")
+		waitFor(t, "subscriber reconnect after the restart", func() bool { return reconnects.Value() > int64(round) })
 	}
 
 	// Both clients must recover: wait until the subscriber's registry is

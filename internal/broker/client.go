@@ -102,7 +102,8 @@ type clientConn struct {
 	codec     Codec
 	codecName string
 	maxFrame  int
-	rbuf      []byte // read-loop frame buffer, reused across frames
+	rbuf      []byte  // read-loop frame buffer, reused across frames
+	ids       []int64 // read-loop subscription-ID scratch, reused across frames
 
 	done     chan struct{}
 	lastRead atomic.Int64 // UnixNano of the last successful read
@@ -252,7 +253,9 @@ func (c *Client) negotiate(cc *clientConn) error {
 	if len(prefs) == 1 && prefs[0].Name() == codecJSON {
 		return nil
 	}
-	hello := Message{Type: msgHello, Codecs: codecNames(prefs), MaxFrame: c.cfg.maxFrame}
+	// readLoop expands coalesced notify frames, so every hello offers
+	// capCoalesce.
+	hello := Message{Type: msgHello, Codecs: codecNames(prefs), MaxFrame: c.cfg.maxFrame, Caps: []string{capCoalesce}}
 	// The exchange is bounded by the dial timeout: negotiation is part
 	// of connection establishment.
 	_ = cc.conn.SetReadDeadline(time.Now().Add(c.cfg.dialTimeout))
@@ -288,7 +291,7 @@ func (c *Client) negotiate(cc *clientConn) error {
 		cc.maxFrame = resp.MaxFrame
 	}
 	cc.codec, cc.codecName = sel, resp.Codec
-	cc.w.setCodec(sel, cc.maxFrame)
+	cc.w.setCodec(sel, cc.maxFrame, false)
 	return nil
 }
 
@@ -536,9 +539,10 @@ func (c *Client) readLoop(cc *clientConn) {
 		switch m.Type {
 		case msgNotify:
 			if m.Gap > 0 {
-				// A gap marker: the broker's drop-oldest policy evicted
-				// this many notifications bound for us. Surface the hole
-				// instead of letting the stream silently lie.
+				// A gap marker: the broker dropped this many
+				// notifications bound for us (drop-oldest evictions, or
+				// frames it could not send). Surface the hole instead of
+				// letting the stream silently lie.
 				if cm := c.metrics; cm != nil {
 					cm.notifyGaps.Add(m.Gap)
 				}
@@ -546,44 +550,8 @@ func (c *Client) readLoop(cc *clientConn) {
 					c.cfg.onGap(m.Gap)
 				}
 			}
-			if m.PublishedAt > 0 && m.Notification != nil {
-				if cm := c.metrics; cm != nil {
-					h := cm.deliveryLatency.With(cc.codecName)
-					observed := false
-					if m.Trace != "" {
-						if sc, err := telemetry.ParseSpanContext(m.Trace); err == nil {
-							h.ObserveExemplar(m.PublishedAt, sc.TraceID)
-							observed = true
-						}
-					}
-					if !observed {
-						h.Observe(m.PublishedAt)
-					}
-				}
-			}
-			if (c.cfg.notify != nil || c.cfg.notifyCtx != nil) && m.Notification != nil {
-				n := *m.Notification
-				c.mu.Lock()
-				if cid, ok := c.byServer[n.SubscriptionID]; ok {
-					n.SubscriptionID = cid
-				}
-				c.mu.Unlock()
-				if c.cfg.notifyCtx != nil {
-					nctx := c.notifyContext(m.Trace)
-					if m.PublishedAt > 0 {
-						// Re-base the upstream broker's elapsed latency
-						// onto this process's monotonic clock, so a relay
-						// hop (a cluster edge node forwarding the notify
-						// to its own subscriber) accumulates the budget
-						// into the next frame's PublishedAt instead of
-						// resetting it. Duration arithmetic only — no
-						// cross-machine timestamp is ever compared.
-						nctx = withPublishIngress(nctx, time.Now().Add(-time.Duration(m.PublishedAt)))
-					}
-					c.cfg.notifyCtx(nctx, n)
-				} else {
-					c.cfg.notify(n)
-				}
+			if m.Notification != nil {
+				c.deliver(cc, &m)
 			}
 		case msgResponse:
 			if m.Ring != 0 {
@@ -610,6 +578,62 @@ func (c *Client) readLoop(cc *clientConn) {
 			}
 			c.mu.Unlock()
 		}
+	}
+}
+
+// deliver hands one notify frame to the notification callbacks: one
+// call per subscription the frame carries, Notification.SubscriptionID
+// first and then MoreSubIDs, in order. The per-frame work — mapping
+// server IDs to client IDs under c.mu, building the notify context,
+// re-basing PublishedAt — happens once per frame; the delivery-latency
+// histogram still gets one sample per notification.
+func (c *Client) deliver(cc *clientConn, m *Message) {
+	count := int64(1 + len(m.MoreSubIDs))
+	if cm := c.metrics; cm != nil && m.PublishedAt > 0 {
+		h := cm.deliveryLatency.With(cc.codecName)
+		if m.Trace != "" {
+			if sc, err := telemetry.ParseSpanContext(m.Trace); err == nil {
+				h.ObserveExemplar(m.PublishedAt, sc.TraceID)
+				count--
+			}
+		}
+		h.ObserveN(m.PublishedAt, count)
+	}
+	if c.cfg.notify == nil && c.cfg.notifyCtx == nil {
+		return
+	}
+	ids := append(append(cc.ids[:0], m.Notification.SubscriptionID), m.MoreSubIDs...)
+	cc.ids = ids
+	c.mu.Lock()
+	for i, sid := range ids {
+		if cid, ok := c.byServer[sid]; ok {
+			ids[i] = cid
+		}
+	}
+	c.mu.Unlock()
+	n := *m.Notification
+	if c.cfg.notifyCtx == nil {
+		for _, id := range ids {
+			n.SubscriptionID = id
+			c.cfg.notify(n)
+		}
+		return
+	}
+	nctx := c.notifyContext(m.Trace)
+	if m.PublishedAt > 0 {
+		// Re-base the upstream broker's elapsed latency onto this
+		// process's monotonic clock, so a relay hop (a cluster edge node
+		// forwarding the notify to its own subscribers) accumulates the
+		// budget into the next frame's PublishedAt instead of resetting
+		// it — and every notification of the frame shares one ingress
+		// instant, so the relay's writer can coalesce them again.
+		// Duration arithmetic only — no cross-machine timestamp is ever
+		// compared.
+		nctx = withPublishIngress(nctx, time.Now().Add(-time.Duration(m.PublishedAt)))
+	}
+	for _, id := range ids {
+		n.SubscriptionID = id
+		c.cfg.notifyCtx(nctx, n)
 	}
 }
 

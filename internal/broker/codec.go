@@ -53,6 +53,14 @@ type Message struct {
 	SubID   int64  `json:"subId,omitempty"`
 	// Notification payload.
 	Notification *Notification `json:"notification,omitempty"`
+	// MoreSubIDs, on a notify frame, lists further subscriptions on this
+	// connection that the same notification matched: the frame stands
+	// for 1+len(MoreSubIDs) notifications that differ only in their
+	// SubscriptionID (Notification.SubscriptionID first, then these in
+	// order). A server sends it only to peers whose hello advertised
+	// capCoalesce: a peer that predates the field would skip it and
+	// silently lose every notification but the first.
+	MoreSubIDs []int64 `json:"moreSubIds,omitempty"`
 	// Cluster routing headers. Ring is the sender's ring version (0 =
 	// not clustered); a clustered backend rejects requests routed with
 	// a stale view so the sender re-resolves ownership. Part is the
@@ -94,10 +102,13 @@ type Message struct {
 	// Negotiation fields ("hello" requests and their responses).
 	// Codecs is the client's codec names in preference order; Codec the
 	// server's selection; MaxFrame the sender's frame-size limit, with
-	// the response carrying the negotiated min of both.
+	// the response carrying the negotiated min of both. Caps lists the
+	// optional wire behaviours the client can decode (capCoalesce); the
+	// server turns on the ones it knows for that connection only.
 	Codecs   []string `json:"codecs,omitempty"`
 	MaxFrame int      `json:"maxFrame,omitempty"`
 	Codec    string   `json:"codec,omitempty"`
+	Caps     []string `json:"caps,omitempty"`
 
 	// notifScratch lets the notify fan-out path point Notification at
 	// storage inside the (pooled) Message instead of a fresh heap
@@ -151,6 +162,8 @@ func (e *FrameTooLargeError) Error() string {
 // still framed; DecodeFrame parses a payload into m, overwriting it.
 // Decoded messages must own their memory — no field may alias payload,
 // because the transport reuses the read buffer for the next frame.
+// A codec must carry every exported Message field, MoreSubIDs included:
+// a notify frame that loses it loses notifications.
 //
 // AppendFrame appends one complete encoded frame (framing included) to
 // dst. Encoding happens at append time, so a connection can switch
@@ -167,6 +180,11 @@ const (
 	codecJSON   = "json"
 	codecBinary = "binary"
 )
+
+// capCoalesce is the hello capability that lets a server coalesce the
+// notifications one publish matched on a connection into a single
+// notify frame (Message.MoreSubIDs).
+const capCoalesce = "coalesce"
 
 // JSONCodec returns the line-delimited JSON codec: one JSON object per
 // newline-terminated line. It is every connection's initial codec and

@@ -80,6 +80,8 @@ const (
 	fDeadline   = 23 // zigzag varint (remaining budget, milliseconds)
 	fGap        = 24 // zigzag varint (notifications dropped before this frame)
 	fPubAt      = 25 // zigzag varint (broker-side publish→encode latency, ns)
+	fMoreSubIDs = 26 // bytes: packed zigzag varints (coalesced subscriptions)
+	fCap        = 27 // bytes, repeated (hello capability)
 )
 
 const (
@@ -111,6 +113,23 @@ func appendStringField(dst []byte, id uint64, v string) []byte {
 	dst = appendTag(dst, id, wtBytes)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	return append(dst, v...)
+}
+
+// appendPackedZigzagField writes vs as one length-delimited field of
+// back-to-back zigzag varints: one tag and one length for the whole
+// list instead of a tag per element.
+func appendPackedZigzagField(dst []byte, id uint64, vs []int64) []byte {
+	var scratch [binary.MaxVarintLen64]byte
+	size := 0
+	for _, v := range vs {
+		size += binary.PutVarint(scratch[:], v)
+	}
+	dst = appendTag(dst, id, wtBytes)
+	dst = binary.AppendUvarint(dst, uint64(size))
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, v)
+	}
+	return dst
 }
 
 func (binaryCodec) AppendFrame(dst []byte, m *Message) ([]byte, error) {
@@ -200,6 +219,9 @@ func appendBinaryPayload(dst []byte, m *Message) ([]byte, error) {
 			dst = appendZigzagField(dst, fNotifSubID, n.SubscriptionID)
 		}
 	}
+	if len(m.MoreSubIDs) > 0 {
+		dst = appendPackedZigzagField(dst, fMoreSubIDs, m.MoreSubIDs)
+	}
 	for _, name := range m.Codecs {
 		dst = appendStringField(dst, fCodecName, name)
 	}
@@ -208,6 +230,9 @@ func appendBinaryPayload(dst []byte, m *Message) ([]byte, error) {
 	}
 	if m.Codec != "" {
 		dst = appendStringField(dst, fCodecSel, m.Codec)
+	}
+	for _, c := range m.Caps {
+		dst = appendStringField(dst, fCap, c)
 	}
 	if code == 0 && m.Type != "" {
 		dst = appendStringField(dst, fType, m.Type)
@@ -250,7 +275,11 @@ func zigzag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
+// DecodeFrame reuses the backing array of m's previous MoreSubIDs, so
+// a read loop that decodes every frame into one Message expands
+// coalesced notify frames without allocating.
 func (binaryCodec) DecodeFrame(payload []byte, m *Message) error {
+	more := m.MoreSubIDs[:0]
 	*m = Message{}
 	if len(payload) == 0 {
 		return errEmptyFrame
@@ -335,6 +364,18 @@ func (binaryCodec) DecodeFrame(payload []byte, m *Message) error {
 				m.Codecs = append(m.Codecs, string(v))
 			case fCodecSel:
 				m.Codec = string(v)
+			case fCap:
+				m.Caps = append(m.Caps, string(v))
+			case fMoreSubIDs:
+				for len(v) > 0 {
+					u, n := binary.Uvarint(v)
+					if n <= 0 {
+						return errBadField
+					}
+					more = append(more, zigzag(u))
+					v = v[n:]
+				}
+				m.MoreSubIDs = more
 			case fType:
 				if m.Type == "" {
 					m.Type = string(v)

@@ -14,12 +14,14 @@ import (
 
 // The publish→fan-out benchmark behind BENCH_broker.json: one
 // publisher round-trips publishes through a real server while raw
-// subscriber connections (8 conns × 8 subscriptions each = 64 notify
-// frames per publish) drain the fan-out without decoding, so the
-// measured cost is the transport's — encode, batch, write — not the
-// test's. The JSON and binary variants differ only in the negotiated
-// codec; comparing them is the headline number for the binary wire
-// protocol work.
+// subscriber connections (16 conns × 512 subscriptions each = 8 192
+// notifications per publish) drain the fan-out without decoding, so
+// the measured cost is the transport's — encode, batch, write — not
+// the test's. The JSON and binary variants differ only in the
+// negotiated codec; comparing them is the headline number for the
+// binary wire protocol work. Their subscribers do not advertise
+// capCoalesce, so every notification is its own frame; the coalesced
+// variant differs from the binary one only in advertising it.
 
 const (
 	benchFanoutConns = 16
@@ -27,11 +29,12 @@ const (
 )
 
 // startSubscriberConn dials addr raw, negotiates the given codec (a
-// JSON hello, exactly as a real client), registers subs subscriptions
-// and then drains everything the server sends without decoding it.
-func startSubscriberConn(b *testing.B, addr string, c Codec, subs int) net.Conn {
+// JSON hello, exactly as a real client, offering caps), registers subs
+// subscriptions and then drains everything the server sends without
+// decoding it.
+func startSubscriberConn(b *testing.B, addr string, c Codec, subs int, caps ...string) net.Conn {
 	b.Helper()
-	conn, br := setupSubscriberConn(b, addr, c, subs)
+	conn, br := setupSubscriberConn(b, addr, c, subs, caps...)
 	go func() { _, _ = io.Copy(io.Discard, br) }()
 	return conn
 }
@@ -39,7 +42,7 @@ func startSubscriberConn(b *testing.B, addr string, c Codec, subs int) net.Conn 
 // setupSubscriberConn is startSubscriberConn without the drain: it
 // hands the connection back subscribed and negotiated, and the caller
 // decides how (fast or slow) to read the fan-out.
-func setupSubscriberConn(b *testing.B, addr string, c Codec, subs int) (net.Conn, *bufio.Reader) {
+func setupSubscriberConn(b *testing.B, addr string, c Codec, subs int, caps ...string) (net.Conn, *bufio.Reader) {
 	b.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -63,7 +66,7 @@ func setupSubscriberConn(b *testing.B, addr string, c Codec, subs int) (net.Conn
 		return m
 	}
 	if c.Name() != codecJSON {
-		frame, err := enc.AppendFrame(nil, &Message{Type: msgHello, Seq: 1, Codecs: []string{c.Name()}})
+		frame, err := enc.AppendFrame(nil, &Message{Type: msgHello, Seq: 1, Codecs: []string{c.Name()}, Caps: caps})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +108,7 @@ func warmFanout(b *testing.B, pub *Client, body []byte) {
 	}
 }
 
-func benchmarkBrokerFanout(b *testing.B, c Codec) {
+func benchmarkBrokerFanout(b *testing.B, c Codec, caps ...string) {
 	bk := New()
 	s, err := NewServer(bk, "127.0.0.1:0")
 	if err != nil {
@@ -113,7 +116,7 @@ func benchmarkBrokerFanout(b *testing.B, c Codec) {
 	}
 	defer s.Close()
 	for i := 0; i < benchFanoutConns; i++ {
-		conn := startSubscriberConn(b, s.Addr(), c, benchSubsPerConn)
+		conn := startSubscriberConn(b, s.Addr(), c, benchSubsPerConn, caps...)
 		defer conn.Close()
 	}
 	ctx := context.Background()
@@ -150,6 +153,13 @@ func benchmarkBrokerFanout(b *testing.B, c Codec) {
 
 func BenchmarkBrokerFanoutJSON(b *testing.B)   { benchmarkBrokerFanout(b, JSONCodec()) }
 func BenchmarkBrokerFanoutBinary(b *testing.B) { benchmarkBrokerFanout(b, BinaryCodec()) }
+
+// BenchmarkBrokerFanoutCoalesced is the binary fan-out with subscribers
+// that advertise capCoalesce: each connection's 512 notifications of a
+// publish leave as one multi-subscription frame instead of 512.
+func BenchmarkBrokerFanoutCoalesced(b *testing.B) {
+	benchmarkBrokerFanout(b, BinaryCodec(), capCoalesce)
+}
 
 // BenchmarkSlowConsumerFanout is the overload-control gate: the same
 // binary fan-out as BenchmarkBrokerFanoutBinary, with one extra

@@ -33,6 +33,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("\x09\x27\x04json"))     // hello offering json
 	f.Add([]byte("\xff\x2d\x05weird"))    // unknown code, fType field
 	f.Add([]byte("\x03\x0f\xff\xff\xff")) // truncated length-delimited field
+	// Coalesced notify: page "p", subscription 7, then 8, -9 and 300 in
+	// the packed field 26 (zigzag varints 16, 17, 0xd8 0x04).
+	f.Add([]byte("\x06\x1f\x01p$\x0e5\x04\x10\x11\xd8\x04"))
+	f.Add([]byte(`{"type":"notify","notification":{"pageId":"p","subscriptionId":7},"moreSubIds":[8,-9,300]}`))
 
 	codecs := []Codec{JSONCodec(), BinaryCodec()}
 	f.Fuzz(func(t *testing.T, data []byte) {

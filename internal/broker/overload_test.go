@@ -449,13 +449,17 @@ func TestSlowConsumerDropOldestGapMarker(t *testing.T) {
 	defer s.Close()
 
 	ctx := context.Background()
+	type delivery struct {
+		sub     int64
+		version int
+	}
 	var mu sync.Mutex
-	delivered := make(map[int]bool)
+	delivered := make(map[delivery]bool)
 	var gaps atomic.Int64
 	cl, err := Dial(ctx, s.Addr(),
 		WithNotify(func(n Notification) {
 			mu.Lock()
-			delivered[n.Version] = true
+			delivered[delivery{n.SubscriptionID, n.Version}] = true
 			mu.Unlock()
 		}),
 		WithNotifyGap(func(missed int64) { gaps.Add(missed) }),
@@ -464,42 +468,61 @@ func TestSlowConsumerDropOldestGapMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Subscribe(ctx, 1, []string{"gap"}, nil); err != nil {
-		t.Fatal(err)
+	// Several subscriptions on one connection: the client advertises
+	// coalescing, so a publish's notifications share frames, while the
+	// notify lane, the evictions and the gap counts stay per
+	// notification.
+	const subs = 4
+	var subIDs []int64
+	for i := 0; i < subs; i++ {
+		id, err := cl.Subscribe(ctx, i+1, []string{"gap"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subIDs = append(subIDs, id)
 	}
 
-	// Choke the server->client direction only, after the subscribe ack
-	// is already home. Each notify frame carries the ~2 KiB page ID, so
-	// a 4 KiB notify lane holds at most one: the burst below must evict.
+	// Choke the server->client direction only, after the subscribe acks
+	// are already home. Each notification is charged ~250 bytes for its
+	// page ID, so a 4 KiB notify lane holds four publishes' worth: the
+	// burst below must evict.
 	fn.SetThrottle(0, 1024)
-	pageID := "gap-" + strings.Repeat("x", 2000)
+	pageID := "gap-" + strings.Repeat("x", 200)
 	const publishes = 60
+	acked := 0
 	for v := 1; v <= publishes; v++ {
-		if _, err := b.Publish(Content{ID: pageID, Version: v, Topics: []string{"gap"}, Body: []byte("b")}); err != nil {
+		matched, err := b.Publish(Content{ID: pageID, Version: v, Topics: []string{"gap"}, Body: []byte("b")})
+		if err != nil {
 			t.Fatalf("publish v%d: %v", v, err)
 		}
+		acked += matched
 	}
 	fn.SetThrottle(0, 0)
+	if acked != subs*publishes {
+		t.Fatalf("publishes matched %d notifications, want %d", acked, subs*publishes)
+	}
 
-	// Conservation: every published version was either delivered or
-	// honestly accounted for by a wire-visible gap marker.
-	waitFor(t, "gap markers and deliveries to account for every publish", func() bool {
+	// Conservation, per notification: every acked notification was
+	// either delivered or honestly accounted for by a wire-visible gap
+	// marker.
+	waitFor(t, "gap markers and deliveries to account for every notification", func() bool {
 		mu.Lock()
 		n := len(delivered)
 		mu.Unlock()
-		return gaps.Load()+int64(n) == publishes
+		return gaps.Load()+int64(n) == int64(acked)
 	})
 	if gaps.Load() == 0 {
-		t.Fatal("expected a non-zero gap with a 4 KiB lane and a 60-frame burst")
+		t.Fatal("expected a non-zero gap with a 4 KiB lane and a 240-notification burst")
 	}
 	mu.Lock()
-	sawNewest := delivered[publishes]
-	mu.Unlock()
-	if !sawNewest {
-		t.Fatal("drop-oldest must keep the newest version for the slow consumer")
+	for _, id := range subIDs {
+		if !delivered[delivery{id, publishes}] {
+			t.Errorf("drop-oldest must keep the newest version for subscription %d", id)
+		}
 	}
-	if got := reg.Snapshot().Counters[`overload.slow_consumer{action="dropped"}`]; got == 0 {
-		t.Fatal("server must count drop-oldest evictions")
+	mu.Unlock()
+	if got := reg.Snapshot().Counters[`overload.slow_consumer{action="dropped"}`]; got != gaps.Load() {
+		t.Fatalf("server dropped counter = %d, want the client's gap total %d", got, gaps.Load())
 	}
 	if got := creg.Snapshot().Counters["transport.client.notify_gaps"]; got != gaps.Load() {
 		t.Fatalf("client gap counter = %d, want %d", got, gaps.Load())

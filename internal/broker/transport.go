@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -676,7 +677,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			if sel != nil {
 				codec, maxFrame = sel, limit
-				cw.setCodec(sel, limit)
+				cw.setCodec(sel, limit, slices.Contains(m.Caps, capCoalesce))
 				if sm != nil {
 					if c, ok := sm.negotiated[sel.Name()]; ok {
 						c.Inc()

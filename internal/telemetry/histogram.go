@@ -73,14 +73,21 @@ func (h *Histogram) bucketIndex(v int64) int {
 }
 
 // Observe records a sample. Negative samples are clamped to 0.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value v at the cost of one.
+// Negative samples are clamped to 0; n <= 0 records nothing.
+func (h *Histogram) ObserveN(v, n int64) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
 	lo := h.bucketIndex(v)
-	h.counts[lo].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[lo].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 }
 
 // ObserveExemplar records a sample and, when tid is non-zero, stores it

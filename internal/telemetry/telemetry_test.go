@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 				t.Errorf("sample %d: bucket %d count = %d, want %d", tc.sample, i, c, want)
 			}
 		}
+	}
+}
+
+// ObserveN(v, n) must leave the histogram exactly as n Observe(v) calls.
+func TestHistogramObserveNMatchesRepeatedObserve(t *testing.T) {
+	bounds := []int64{10, 100, 1000}
+	batched, single := NewHistogram(bounds), NewHistogram(bounds)
+	for _, s := range []struct{ v, n int64 }{{50, 3}, {-1, 2}, {5000, 1}, {7, 0}} {
+		batched.ObserveN(s.v, s.n)
+		for i := int64(0); i < s.n; i++ {
+			single.Observe(s.v)
+		}
+	}
+	if got, want := batched.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveN snapshot %+v, want %+v", got, want)
 	}
 }
 

@@ -80,6 +80,7 @@ func main() {
 	writeSeed(bdir, "wrong_field_type", []byte(`{"type":"publish","version":"not-an-int"}`))
 	writeSeed(bdir, "truncated_json", []byte(`{"type":"subscribe","topics":["ne`))
 	writeSeed(bdir, "deep_nesting", []byte(`{"type":{"type":{"type":{}}}}`))
+	writeSeed(bdir, "notify_coalesced", []byte(`{"type":"notify","notification":{"pageId":"p","version":2,"size":11,"subscriptionId":7},"moreSubIds":[8,-9,300],"publishedAt":1500}`))
 
 	// Binary-codec seeds: real frames (minus the length prefix the
 	// reader strips) built with the codec itself, plus corrupted
@@ -96,6 +97,7 @@ func main() {
 	writeSeed(bdir, "bin_subscribe", binSub)
 	writeSeed(bdir, "bin_publish", binFrame(&broker.Message{Type: "publish", Seq: 3, ID: "page-1", Version: 4, Topics: []string{"a"}, BodyRaw: []byte("hello world")}))
 	writeSeed(bdir, "bin_notify", binFrame(&broker.Message{Type: "notify", Notification: &broker.Notification{PageID: "p", Version: 2, Size: 11, SubscriptionID: 7}}))
+	writeSeed(bdir, "bin_notify_coalesced", binFrame(&broker.Message{Type: "notify", PublishedAt: 1500, Notification: &broker.Notification{PageID: "p", Version: 2, Size: 11, SubscriptionID: 7}, MoreSubIDs: []int64{8, -9, 300}}))
 	writeSeed(bdir, "bin_hello", binFrame(&broker.Message{Type: "hello", Seq: 1, Codecs: []string{"binary", "json"}, MaxFrame: 1 << 20}))
 	writeSeed(bdir, "bin_response_error", binFrame(&broker.Message{Type: "response", Seq: 3, Error: "boom"}))
 	writeSeed(bdir, "bin_truncated", binSub[:len(binSub)/2])
