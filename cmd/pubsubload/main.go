@@ -33,7 +33,6 @@ import (
 	"pubsubcd/internal/sim"
 	"pubsubcd/internal/telemetry"
 	"pubsubcd/internal/telemetry/fleet"
-	"pubsubcd/internal/topology"
 	"pubsubcd/internal/workload"
 )
 
@@ -135,16 +134,9 @@ func run(ctx context.Context, cfg config, progress io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("generate workload: %w", err)
 	}
-	ev := w.Events()
-	caps := ev.CacheCapacities(cfg.capacity)
 	simOpts := sim.DefaultOptions()
 	simOpts.CapacityFraction = cfg.capacity
 	simOpts.Beta = cfg.beta
-	costs, err := topology.FetchCosts(wcfg.Servers, simOpts.TopologySeed)
-	if err != nil {
-		return nil, fmt.Errorf("fetch costs: %w", err)
-	}
-	simOpts.FetchCosts = costs
 
 	var factories []core.Factory
 	for _, name := range strings.Split(cfg.strategies, ",") {
@@ -197,14 +189,13 @@ func run(ctx context.Context, cfg config, progress io.Writer) (*Report, error) {
 		ns := fmt.Sprintf("s%d-%s", i, sanitizeNS(f.Name))
 		fmt.Fprintf(progress, "pubsubload: replaying %s (%d proxies, %d publications, %d requests)\n",
 			f.Name, wcfg.Servers, len(w.Publications), len(w.Requests))
-		rr, err := replayStrategy(ctx, w, ev, f, caps, costs, reg, ns, replayOptions{
+		rr, err := replayStrategy(ctx, w, f, simOpts, reg, ns, replayOptions{
 			addrs:    addrs,
 			duration: cfg.duration,
 			warmup:   cfg.warmup,
 			subConns: cfg.subConns,
 			pushWait: cfg.pushWait,
 			maxBody:  cfg.maxBody,
-			beta:     cfg.beta,
 			dial:     dial,
 		})
 		if err != nil {
@@ -215,16 +206,16 @@ func run(ctx context.Context, cfg config, progress io.Writer) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim %s: %w", f.Name, err)
 		}
-		liveHR := rr.tally.hitRatio()
-		liveTraffic := rr.tally.trafficBytes(true)
+		live := rr.result
+		liveTraffic := live.TotalTrafficBytes(sim.PushWhenNecessary)
 		simTraffic := sr.TotalTrafficBytes(sim.PushWhenNecessary)
 		report.Strategies = append(report.Strategies, StrategyParity{
 			Strategy:         f.Name,
-			LiveRequests:     rr.tally.requests.Load(),
-			LiveHits:         rr.tally.hits.Load(),
-			LiveHitRatio:     liveHR,
+			LiveRequests:     live.Requests,
+			LiveHits:         live.Hits,
+			LiveHitRatio:     live.HitRatio(),
 			SimHitRatio:      sr.HitRatio(),
-			HitRatioDelta:    absF(liveHR - sr.HitRatio()),
+			HitRatioDelta:    absF(live.HitRatio() - sr.HitRatio()),
 			LiveTrafficBytes: liveTraffic,
 			SimTrafficBytes:  simTraffic,
 			TrafficDelta:     relDelta(liveTraffic, simTraffic),

@@ -87,6 +87,8 @@ func startSoakCluster(t *testing.T) (addrs, scrape []string) {
 // tiny seeded workload against a live 3-node cluster for two catalog
 // strategies, reconcile against the simulator on the same seed, and
 // require parity within tolerance plus wire-level latency samples.
+// GD* is access-only; SUB places at push time, so its offers run
+// through the arrival gate.
 func TestSoakParityAgainstCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e soak; skipped in -short")
@@ -100,7 +102,7 @@ func TestSoakParityAgainstCluster(t *testing.T) {
 		addrs:       strings.Join(addrs, ","),
 		scrape:      strings.Join(scrape, ","),
 		metricsAddr: "127.0.0.1:0",
-		strategies:  "GD*,LRU",
+		strategies:  "GD*,SUB",
 		trace:       "NEWS",
 		scale:       300,
 		seed:        1,
@@ -130,6 +132,13 @@ func TestSoakParityAgainstCluster(t *testing.T) {
 		}
 		if s.PushesMissed > 0 {
 			t.Errorf("%s: %d pushes missed on a healthy loopback cluster", s.Strategy, s.PushesMissed)
+		}
+		// Live and sim share one accounting path, so with every push
+		// delivered the outcomes must agree exactly, not just within
+		// tolerance.
+		if s.PushesMissed == 0 && (s.HitRatioDelta != 0 || s.TrafficDelta != 0) {
+			t.Errorf("%s: live diverged from sim with nothing lost on the wire: hit delta %g, traffic delta %g",
+				s.Strategy, s.HitRatioDelta, s.TrafficDelta)
 		}
 		if !s.HitOK || !s.TrafficOK {
 			t.Errorf("%s: parity breach: hit delta %.4f (tol %.2f), traffic delta %.4f (tol %.2f)",
@@ -178,7 +187,8 @@ func TestSoakParityAgainstCluster(t *testing.T) {
 	// The text rendering mentions each strategy and the verdict.
 	var sb strings.Builder
 	report.WriteText(&sb)
-	for _, want := range []string{"GD*", "LRU", "PASS", "delivery latency"} {
+	t.Logf("parity report:\n%s", sb.String())
+	for _, want := range []string{"GD*", "SUB", "PASS", "delivery latency"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, sb.String())
 		}

@@ -1,28 +1,25 @@
 // Live replay engine: drives one strategy's soak against a running
 // broker (or cluster) by replaying the generated workload over the
-// wire while mirroring the simulator's replay loop bit-for-bit on the
-// accounting side.
+// wire through the simulator's own per-proxy shards (sim.NewReplay).
 //
 // The mapping from simulated events to wire traffic:
 //
 //   - Every workload publication becomes a real Publish on a dedicated
 //     publisher connection; the broker's matching engine routes it to
 //     subscribers exactly as the simulator's EventView pre-routed it.
-//   - A proxy's publication event gates on the corresponding
-//     notification actually arriving over the wire (within -push-wait)
-//     before offering the page to its strategy instance — so under
-//     chaos, lost notifications become visible parity divergence
+//   - Under a push scheme, a proxy's publication event waits for the
+//     corresponding notification to arrive over the wire (within
+//     -push-wait) before offering the page to the proxy's shard — so
+//     under chaos, lost notifications become visible parity divergence
 //     instead of silently replaying the simulator.
-//   - A proxy's request event consults its strategy instance; a miss
+//   - A proxy's request event goes through the proxy's shard; a miss
 //     triggers a real Fetch over the proxy's subscriber connection,
 //     generating genuine origin traffic on the wire.
 //
-// Accounting (liveTally) mirrors internal/sim's shardTally totals:
-// always-push counts every offered publication, push-when-necessary
-// only stored ones, and every miss counts a fetched page. Bodies on
-// the wire are capped at -max-body bytes, but tallies use the logical
-// page size — the same quantity the simulator accounts — so parity
-// comparisons are body-cap independent.
+// The shards keep the accounting, so the live outcome is a *sim.Result
+// from the same tally the simulator merges. Bodies on the wire are
+// capped at -max-body bytes, but the tally uses the logical page size,
+// so parity comparisons are body-cap independent.
 package main
 
 import (
@@ -37,63 +34,10 @@ import (
 
 	"pubsubcd/internal/broker"
 	"pubsubcd/internal/core"
+	"pubsubcd/internal/sim"
 	"pubsubcd/internal/telemetry"
 	"pubsubcd/internal/workload"
 )
-
-// liveTally accumulates the replay outcome totals that the parity
-// report compares against the simulator. Fields are atomic so the
-// per-proxy pacer goroutines can tally concurrently.
-type liveTally struct {
-	requests       atomic.Int64
-	hits           atomic.Int64
-	pushedPagesAP  atomic.Int64
-	pushedBytesAP  atomic.Int64
-	pushedPagesPWN atomic.Int64
-	pushedBytesPWN atomic.Int64
-	fetchedPages   atomic.Int64
-	fetchedBytes   atomic.Int64
-}
-
-// push mirrors shardTally.push: always-push counts every offer,
-// push-when-necessary only offers the strategy actually stored.
-func (t *liveTally) push(size int64, stored bool) {
-	t.pushedPagesAP.Add(1)
-	t.pushedBytesAP.Add(size)
-	if stored {
-		t.pushedPagesPWN.Add(1)
-		t.pushedBytesPWN.Add(size)
-	}
-}
-
-// request mirrors shardTally.request's totals: a miss is a fetch from
-// the publisher.
-func (t *liveTally) request(size int64, hit bool) {
-	t.requests.Add(1)
-	if hit {
-		t.hits.Add(1)
-		return
-	}
-	t.fetchedPages.Add(1)
-	t.fetchedBytes.Add(size)
-}
-
-func (t *liveTally) hitRatio() float64 {
-	r := t.requests.Load()
-	if r == 0 {
-		return 0
-	}
-	return float64(t.hits.Load()) / float64(r)
-}
-
-// trafficBytes mirrors Result.TotalTrafficBytes for the given scheme.
-func (t *liveTally) trafficBytes(pwn bool) int64 {
-	pushed := t.pushedBytesAP.Load()
-	if pwn {
-		pushed = t.pushedBytesPWN.Load()
-	}
-	return pushed + t.fetchedBytes.Load()
-}
 
 // arrivalSet records which (page, version) notifications have arrived
 // over the wire and lets pacer goroutines wait for a specific one with
@@ -166,7 +110,6 @@ type replayOptions struct {
 	subConns int
 	pushWait time.Duration
 	maxBody  int64
-	beta     float64
 	// dial overrides the client dial (the faultnet seam); nil uses the
 	// default dialer.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -174,7 +117,8 @@ type replayOptions struct {
 
 // replayResult is one strategy's live outcome.
 type replayResult struct {
-	tally         liveTally
+	// result is the shards' merged tally; set once the replay ends.
+	result        *sim.Result
 	pushesMissed  atomic.Int64
 	fetchErrors   atomic.Int64
 	publishErrors atomic.Int64
@@ -182,22 +126,17 @@ type replayResult struct {
 }
 
 // replayStrategy runs the full soak for one strategy: fresh clients,
-// warm-up, open-loop paced replay, teardown. ns namespaces topics and
-// page IDs so sequential strategy runs never collide on the broker's
-// per-page version monotonicity.
-func replayStrategy(ctx context.Context, w *workload.Workload, ev *workload.EventView, f core.Factory, caps []int64, costs []float64, reg *telemetry.Registry, ns string, o replayOptions) (*replayResult, error) {
+// warm-up, open-loop paced replay, teardown. The shards are built from
+// simOpts exactly as sim.Run builds them; reg receives their sim.*
+// counters and the clients' transport metrics. ns namespaces topics
+// and page IDs so sequential strategy runs never collide on the
+// broker's per-page version monotonicity.
+func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, simOpts sim.Options, reg *telemetry.Registry, ns string, o replayOptions) (*replayResult, error) {
 	servers := w.Config.Servers
-	var sm *core.StrategyMetrics
-	if reg != nil {
-		sm = core.NewStrategyMetricsLabeled(reg, "live.strategy", f.Name)
-	}
-	strategies := make([]core.Strategy, servers)
-	for i := range strategies {
-		s, err := f.New(core.Params{Capacity: caps[i], Beta: o.beta, Metrics: sm})
-		if err != nil {
-			return nil, fmt.Errorf("strategy %s proxy %d: %w", f.Name, i, err)
-		}
-		strategies[i] = s
+	simOpts.Telemetry = reg
+	replay, err := sim.NewReplay(w, f, simOpts)
+	if err != nil {
+		return nil, err
 	}
 
 	rr := &replayResult{}
@@ -343,20 +282,18 @@ func replayStrategy(ctx context.Context, w *workload.Workload, ev *workload.Even
 		}
 	}()
 
+	// Access-only schemes take no push offer, so their proxies do not
+	// wait for the notification either.
 	usesPush := f.UsesPush()
-	for p := 0; p < servers; p++ {
-		p := p
+	for p, sh := range replay.Shards {
+		conn := conns[p%nconn]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			strat := strategies[p]
-			conn := conns[p%nconn]
-			for _, e := range ev.Streams[p] {
+			for _, e := range sh.Events() {
 				if !sleepUntil(ctx, wallOf(e.Time)) {
 					return
 				}
-				page := &w.Pages[e.Page]
-				meta := core.PageMeta{ID: int(e.Page), Size: page.Size, Cost: costs[p]}
 				if !e.Request {
 					if !usesPush {
 						continue
@@ -369,13 +306,10 @@ func replayStrategy(ctx context.Context, w *workload.Workload, ev *workload.Even
 						rr.pushesMissed.Add(1)
 						continue
 					}
-					stored := strat.Push(meta, int(e.Version), int(e.Subs))
-					rr.tally.push(page.Size, stored)
+					sh.Offer(e)
 					continue
 				}
-				hit, _ := strat.Request(meta, int(e.Version), int(e.Subs))
-				rr.tally.request(page.Size, hit)
-				if !hit {
+				if !sh.Request(e) {
 					// A miss is origin traffic: fetch the page for
 					// real so the soak exercises the request path.
 					fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -388,6 +322,7 @@ func replayStrategy(ctx context.Context, w *workload.Workload, ev *workload.Even
 		}()
 	}
 	wg.Wait()
+	rr.result = replay.Result()
 	if err := ctx.Err(); err != nil {
 		return rr, err
 	}

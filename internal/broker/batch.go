@@ -123,7 +123,6 @@ type connWriter struct {
 	// Notify-lane configuration, set once before the first enqueue.
 	policy       SlowConsumerPolicy
 	maxPending   int64         // notify-lane byte bound
-	blockTimeout time.Duration // block policy grace before severing
 	pendingTotal *atomic.Int64 // server-wide pending-bytes gauge (nil ok)
 	onAction     func(action string, n int64)
 	onSever      func() // sever-and-quarantine hook
@@ -161,7 +160,6 @@ func newConnWriter(conn net.Conn, codec Codec, limit int, writeTimeout time.Dura
 		codec:        codec,
 		limit:        limit,
 		maxPending:   defaultMaxBatch,
-		blockTimeout: defaultBlockTimeout,
 		pend:         getEncodeBuf(),
 		spare:        getEncodeBuf(),
 		done:         make(chan struct{}),
@@ -172,16 +170,13 @@ func newConnWriter(conn net.Conn, codec Codec, limit int, writeTimeout time.Dura
 }
 
 // configureNotifyLane sets the slow-consumer policy and hooks before
-// the connection serves traffic. maxPending <= 0 and blockTimeout <= 0
-// keep their defaults; pendingTotal, onAction and onSever may be nil.
-func (cw *connWriter) configureNotifyLane(policy SlowConsumerPolicy, maxPending int64, blockTimeout time.Duration, pendingTotal *atomic.Int64, onAction func(string, int64), onSever func()) {
+// the connection serves traffic. maxPending <= 0 keeps the default;
+// pendingTotal, onAction and onSever may be nil.
+func (cw *connWriter) configureNotifyLane(policy SlowConsumerPolicy, maxPending int64, pendingTotal *atomic.Int64, onAction func(string, int64), onSever func()) {
 	cw.mu.Lock()
 	cw.policy = policy
 	if maxPending > 0 {
 		cw.maxPending = maxPending
-	}
-	if blockTimeout > 0 {
-		cw.blockTimeout = blockTimeout
 	}
 	cw.pendingTotal = pendingTotal
 	cw.onAction = onAction
@@ -263,7 +258,7 @@ func (cw *connWriter) send(m *Message) error {
 // enqueueNotify queues one notification for delivery. When the notify
 // lane is at capacity the connection's slow-consumer policy applies:
 //
-//   - SlowConsumerBlock: wait up to blockTimeout for the flusher to
+//   - SlowConsumerBlock: wait up to defaultBlockTimeout for the flusher to
 //     drain; a consumer still stalled after the grace is severed.
 //   - SlowConsumerDropOldest: evict the oldest queued notification and
 //     record the gap; the next flush carries a gap-marker frame.
@@ -291,7 +286,7 @@ func (cw *connWriter) enqueueNotify(n Notification, trace string, pub time.Time)
 				cw.onSever()
 			}
 		default: // SlowConsumerBlock
-			deadline := time.Now().Add(cw.blockTimeout)
+			deadline := time.Now().Add(defaultBlockTimeout)
 			if cw.onAction != nil {
 				cw.onAction(slowActionBlocked, 1)
 			}

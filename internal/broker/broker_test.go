@@ -167,6 +167,49 @@ func TestProxyPushThenRequestHits(t *testing.T) {
 	}
 }
 
+// pushSubsRecorder wraps a strategy and records the subscription count
+// each Push offer carries.
+type pushSubsRecorder struct {
+	core.Strategy
+	subs []int
+}
+
+func (r *pushSubsRecorder) Push(meta core.PageMeta, version, subs int) bool {
+	r.subs = append(r.subs, subs)
+	return r.Strategy.Push(meta, version, subs)
+}
+
+// TestProxyPushPassesPublishMatchedCount pins the subscription count a
+// proxy hands its strategy: each version's push carries that publish's
+// matched count, as the simulator's event streams do, not a running
+// sum across versions.
+func TestProxyPushPassesPublishMatchedCount(t *testing.T) {
+	b := New()
+	inner, err := core.NewSG2(core.Params{Capacity: 1 << 20, Beta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &pushSubsRecorder{Strategy: inner}
+	p, err := NewProxy(0, b, rec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := b.Subscribe(match.Subscription{Proxy: 0, Topics: []string{"news"}}, NotifierFunc(func(Notification) {})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 1; v <= 3; v++ {
+		if _, err := b.Publish(Content{ID: "story", Version: v, Topics: []string{"news"}, Body: []byte("content")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fmt.Sprint(rec.subs), "[2 2 2]"; got != want {
+		t.Errorf("strategy Push subs = %s, want %s", got, want)
+	}
+}
+
 func TestProxyMissFetchesAndCaches(t *testing.T) {
 	b := New()
 	p := newTestProxy(t, b, 0)

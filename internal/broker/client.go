@@ -130,10 +130,9 @@ type clientSub struct {
 
 // Client is a TCP client for a broker Server.
 type Client struct {
-	addr         string
-	cfg          clientConfig
-	writeTimeout time.Duration
-	metrics      *clientMetrics
+	addr    string
+	cfg     clientConfig
+	metrics *clientMetrics
 
 	mu             sync.Mutex
 	cur            *clientConn
@@ -178,18 +177,17 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 	}
 	cfg.resolve()
 	c := &Client{
-		addr:         addr,
-		cfg:          cfg,
-		writeTimeout: defaultTimeout(cfg.writeTimeout, DefaultWriteTimeout),
-		metrics:      newClientMetrics(cfg.telemetry),
-		connWait:     make(chan struct{}),
-		pending:      make(map[uint64]chan Message),
-		subs:         make(map[int64]*clientSub),
-		byServer:     make(map[int64]int64),
-		closeCh:      make(chan struct{}),
-		done:         make(chan struct{}),
-		rng:          rand.New(rand.NewSource(cfg.backoff.Seed)),
-		overloadRng:  rand.New(rand.NewSource(cfg.backoff.Seed + 1)),
+		addr:        addr,
+		cfg:         cfg,
+		metrics:     newClientMetrics(cfg.telemetry),
+		connWait:    make(chan struct{}),
+		pending:     make(map[uint64]chan Message),
+		subs:        make(map[int64]*clientSub),
+		byServer:    make(map[int64]int64),
+		closeCh:     make(chan struct{}),
+		done:        make(chan struct{}),
+		rng:         rand.New(rand.NewSource(cfg.backoff.Seed)),
+		overloadRng: rand.New(rand.NewSource(cfg.backoff.Seed + 1)),
 	}
 	conn, err := cfg.dialFunc(ctx, addr)
 	if err != nil {
@@ -224,7 +222,7 @@ func (c *Client) startConn(conn net.Conn) (*clientConn, error) {
 		done:      make(chan struct{}),
 		stopHB:    make(chan struct{}),
 	}
-	cc.w = newConnWriter(conn, cc.codec, cc.maxFrame, c.writeTimeout, bytesOut, timeouts, flushes)
+	cc.w = newConnWriter(conn, cc.codec, cc.maxFrame, DefaultWriteTimeout, bytesOut, timeouts, flushes)
 	cc.lastRead.Store(time.Now().UnixNano())
 	if err := c.negotiate(cc); err != nil {
 		cc.w.closeFlush(0)

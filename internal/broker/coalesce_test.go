@@ -197,7 +197,7 @@ func wedgeWriter(t *testing.T, c Codec, limit int, coalesce bool) (*connWriter, 
 	t.Helper()
 	sp, cp := net.Pipe()
 	cw := newConnWriter(sp, c, limit, 30*time.Second, nil, nil, nil)
-	cw.configureNotifyLane(SlowConsumerBlock, 1<<30, 0, nil, nil, nil)
+	cw.configureNotifyLane(SlowConsumerBlock, 1<<30, nil, nil, nil)
 	cw.setCodec(c, limit, coalesce)
 	t.Cleanup(func() {
 		_ = sp.Close()

@@ -345,12 +345,6 @@ func WithProxySnapshotInterval(d time.Duration) ProxyOption {
 	return func(c *proxyConfig) { c.snapshotInterval = d }
 }
 
-// WithProxyJournalFS overrides the proxy journal's filesystem for
-// fault injection.
-func WithProxyJournalFS(fs journal.FS) ProxyOption {
-	return func(c *proxyConfig) { c.fs = fs }
-}
-
 // proxyRecord is one journaled cache change; "admit" records double
 // as snapshot entries.
 type proxyRecord struct {
@@ -374,7 +368,6 @@ func (p *Proxy) openProxyJournal(cfg *proxyConfig) error {
 	start := time.Now()
 	j, err := journal.Open(filepath.Join(cfg.dataDir, fmt.Sprintf("proxy%d", p.id)), journal.Options{
 		Fsync:        cfg.fsync,
-		FS:           cfg.fs,
 		Telemetry:    cfg.telemetry,
 		MetricPrefix: fmt.Sprintf("proxy%d.journal", p.id),
 	})

@@ -27,7 +27,6 @@ type serverConfig struct {
 	// Overload plane.
 	slowPolicy        SlowConsumerPolicy
 	maxPendingPerConn int64           // notify-queue byte bound per conn; 0 = default
-	blockTimeout      time.Duration   // block-policy grace; 0 = default
 	quarantine        time.Duration   // sever-policy quarantine; 0 = default, negative = disabled
 	admission         AdmissionConfig // zero value = admission control off
 }
@@ -102,7 +101,7 @@ func WithMaxFrame(n int) ServerOption {
 // WithSlowConsumerPolicy selects what happens to a connection whose
 // bounded notify queue overflows — i.e. a subscriber reading slower
 // than the broker fans out. The default is SlowConsumerBlock: wait up
-// to the block timeout (WithSlowConsumerBlockTimeout), then sever.
+// 5s for the queue to drain, then sever.
 // Whatever the policy, control frames (responses, heartbeat pongs)
 // bypass the notify queue entirely, so a deep backlog can never
 // suppress liveness traffic.
@@ -115,13 +114,6 @@ func WithSlowConsumerPolicy(p SlowConsumerPolicy) ServerOption {
 // 0 keeps the default (256 KiB).
 func WithMaxPendingPerConn(bytes int64) ServerOption {
 	return func(c *serverConfig) { c.maxPendingPerConn = bytes }
-}
-
-// WithSlowConsumerBlockTimeout sets the grace SlowConsumerBlock
-// extends to a stalled consumer before severing it. 0 keeps the
-// default (5s).
-func WithSlowConsumerBlockTimeout(d time.Duration) ServerOption {
-	return func(c *serverConfig) { c.blockTimeout = d }
 }
 
 // WithQuarantine sets how long SlowConsumerSever rejects reconnects
@@ -139,12 +131,11 @@ func WithAdmissionControl(cfg AdmissionConfig) ServerOption {
 
 // clientConfig is the resolved client configuration.
 type clientConfig struct {
-	notify       func(Notification)
-	notifyCtx    func(context.Context, Notification)
-	onGap        func(missed int64)
-	writeTimeout time.Duration
-	telemetry    *telemetry.Registry
-	spans        *telemetry.SpanCollector
+	notify    func(Notification)
+	notifyCtx func(context.Context, Notification)
+	onGap     func(missed int64)
+	telemetry *telemetry.Registry
+	spans     *telemetry.SpanCollector
 
 	reconnect     bool
 	backoff       BackoffPolicy
@@ -246,12 +237,6 @@ func WithNotifyGap(fn func(missed int64)) ClientOption {
 // carry the sender's trace. Nil disables tracing.
 func WithClientTracer(sc *telemetry.SpanCollector) ClientOption {
 	return func(c *clientConfig) { c.spans = sc }
-}
-
-// WithClientWriteTimeout bounds each request write. 0 means
-// DefaultWriteTimeout; negative disables.
-func WithClientWriteTimeout(d time.Duration) ClientOption {
-	return func(c *clientConfig) { c.writeTimeout = d }
 }
 
 // WithClientTelemetry wires the client's transport metrics

@@ -122,7 +122,6 @@ type proxyConfig struct {
 	dataDir          string
 	fsync            journal.FsyncPolicy
 	snapshotInterval time.Duration
-	fs               journal.FS
 }
 
 // ProxyOption configures a Proxy.
@@ -237,7 +236,7 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.PushesSeen++
-	p.subs[c.ID] += matched
+	p.subs[c.ID] = matched
 	p.observeVersion(c.ID, c.Version)
 	meta := core.PageMeta{ID: p.numericID(c.ID), Size: bodySize(c.Body), Cost: p.cost}
 	if stored := p.strategy.Push(meta, c.Version, p.subs[c.ID]); stored {

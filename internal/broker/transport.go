@@ -254,7 +254,6 @@ type Server struct {
 	// and (when configured) the admission controller watching it.
 	slowPolicy    SlowConsumerPolicy
 	maxPerConn    int64
-	blockTimeout  time.Duration
 	quarantineFor time.Duration
 	pending       atomic.Int64
 	admission     *admissionController
@@ -311,7 +310,6 @@ func NewServer(b Backend, addr string, opts ...ServerOption) (*Server, error) {
 		spans:         cfg.spans,
 		slowPolicy:    cfg.slowPolicy,
 		maxPerConn:    cfg.maxPendingPerConn,
-		blockTimeout:  cfg.blockTimeout,
 		quarantineFor: defaultTimeout(cfg.quarantine, DefaultQuarantine),
 		quarantined:   make(map[string]time.Time),
 		conns:         make(map[net.Conn]struct{}),
@@ -582,7 +580,7 @@ func (s *Server) handle(conn net.Conn) {
 		remote := conn.RemoteAddr().String()
 		onSever = func() { s.quarantineAddr(remote) }
 	}
-	cw.configureNotifyLane(s.slowPolicy, s.maxPerConn, s.blockTimeout, &s.pending, onAction, onSever)
+	cw.configureNotifyLane(s.slowPolicy, s.maxPerConn, &s.pending, onAction, onSever)
 	if sm != nil {
 		cw.setFlushStage(sm.stageEnqueueFlush)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"pubsubcd/internal/core"
@@ -54,6 +55,47 @@ func TestParallelismIsDeterministic(t *testing.T) {
 						par.HitRatio(), par.Hits, par.ColdMisses, par.WarmMisses)
 				}
 			})
+		}
+	}
+}
+
+// TestParallelShardDriversMatchRun drives NewReplay's shards the way
+// the live soak does — one goroutine per proxy calling Offer and
+// Request event by event — and requires the merged Result to deeply
+// equal Run's, for a push scheme and an access-only one.
+func TestParallelShardDriversMatchRun(t *testing.T) {
+	w := determinismWorkload(t, workload.TraceNEWS)
+	for _, name := range []string{"SUB", "GD*"} {
+		f, err := core.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(w, f, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplay(w, f, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, sh := range r.Shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, ev := range sh.Events() {
+					if ev.Request {
+						sh.Request(ev)
+					} else {
+						sh.Offer(ev)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := r.Result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: per-event drive diverged from Run: H=%.6f hits=%d vs H=%.6f hits=%d",
+				name, got.HitRatio(), got.Hits, want.HitRatio(), want.Hits)
 		}
 	}
 }

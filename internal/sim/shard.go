@@ -2,21 +2,143 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"pubsubcd/internal/core"
 	"pubsubcd/internal/telemetry"
+	"pubsubcd/internal/topology"
 	"pubsubcd/internal/workload"
 )
 
-// shard is the unit of parallel simulation: one proxy server's strategy
-// instance, its private event stream, its first-request seen-set and its
-// private tally. Shards share only immutable data (the workload's pages
-// and the event view) plus atomic telemetry handles, so any number of
-// shards can replay concurrently and the merged result is bit-identical
-// to a sequential replay.
-type shard struct {
+// Replay is one run's set of per-proxy replay units: the simulator's
+// whole accounting for a strategy on a workload, before any event has
+// been replayed. Run drives its shards on a worker pool; a live harness
+// drives the same shards from the wire, one goroutine per proxy, and
+// both read the outcome through Result, so the two can only differ
+// where the events they were fed differ.
+type Replay struct {
+	// Shards[s] replays proxy server s.
+	Shards []*Shard
+
+	res          *Result // header fields; Result fills in the rest
+	hours        int
+	stratMetrics *core.StrategyMetrics
+}
+
+// NewReplay builds one shard per proxy server of w: a strategy from
+// factory sized at the proxy's share of opts.CapacityFraction, the
+// proxy's fetch cost (opts.FetchCosts, or the Waxman topology seeded
+// by opts.TopologySeed), its event stream from w's EventView, and a
+// private tally. opts.Telemetry, when set, receives the sim.* outcome
+// counters and the sim.strategy view as shards replay;
+// opts.Parallelism and opts.Spans belong to Run and are ignored here.
+func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Replay, error) {
+	if w == nil {
+		return nil, fmt.Errorf("sim: nil workload")
+	}
+	if opts.CapacityFraction <= 0 || opts.CapacityFraction > 1 {
+		return nil, fmt.Errorf("sim: capacity fraction must be in (0, 1], got %g", opts.CapacityFraction)
+	}
+	servers := w.Config.Servers
+	costs := opts.FetchCosts
+	if costs == nil {
+		var err error
+		costs, err = topology.FetchCosts(servers, opts.TopologySeed)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	if len(costs) != servers {
+		return nil, fmt.Errorf("sim: got %d fetch costs for %d servers", len(costs), servers)
+	}
+	view := w.Events()
+	capacities := view.CacheCapacities(opts.CapacityFraction)
+	hours := int(math.Ceil(w.Config.Horizon()))
+	r := &Replay{
+		Shards: make([]*Shard, servers),
+		hours:  hours,
+		res: &Result{
+			Strategy:         factory.Name,
+			Trace:            string(w.Config.Trace()),
+			CapacityFraction: opts.CapacityFraction,
+			Beta:             opts.Beta,
+			SQ:               w.Config.SQ,
+		},
+	}
+	// All proxies share one StrategyMetrics: the handles are atomic, so
+	// the registry exposes a fleet-wide view of placement decisions even
+	// while shards replay concurrently.
+	if opts.Telemetry != nil {
+		r.stratMetrics = core.NewStrategyMetricsLabeled(opts.Telemetry, "sim.strategy", factory.Name)
+	}
+	metrics := newRunMetrics(opts.Telemetry)
+	usesPush := factory.UsesPush()
+	for i := 0; i < servers; i++ {
+		s, err := factory.New(core.Params{Capacity: capacities[i], Beta: opts.Beta, Metrics: r.stratMetrics})
+		if err != nil {
+			return nil, fmt.Errorf("sim: server %d: %w", i, err)
+		}
+		r.Shards[i] = &Shard{
+			server:   i,
+			strategy: s,
+			cost:     costs[i],
+			usesPush: usesPush,
+			pages:    w.Pages,
+			stream:   view.Streams[i],
+			tally:    newShardTally(hours, metrics),
+			hours:    hours,
+			seen:     make([]bool, len(w.Pages)),
+		}
+	}
+	return r, nil
+}
+
+// Result merges the shards' tallies into the run's Result in ascending
+// server order. Every field is an integer sum or a per-server row, so
+// the Result is bit-identical for any schedule the shards replayed on.
+// Call it once, after every shard has finished: the shards' hourly
+// rows move into the Result.
+func (r *Replay) Result() *Result {
+	servers, hours := len(r.Shards), r.hours
+	res := r.res
+	res.HourlyHits = make([]int64, hours)
+	res.HourlyRequests = make([]int64, hours)
+	res.PushedPagesAP = make([]int64, hours)
+	res.PushedPagesPWN = make([]int64, hours)
+	res.FetchedPages = make([]int64, hours)
+	res.PushedBytesAP = make([]int64, hours)
+	res.PushedBytesPWN = make([]int64, hours)
+	res.FetchedBytes = make([]int64, hours)
+	res.PerServerHits = make([]int64, servers)
+	res.PerServerRequests = make([]int64, servers)
+	res.PerServerHourlyHits = make([][]int64, servers)
+	res.PerServerHourlyRequests = make([][]int64, servers)
+	for i, sh := range r.Shards {
+		sh.tally.mergeInto(res, i)
+	}
+	if r.stratMetrics != nil {
+		// Reading OpStats flushes each strategy's pending telemetry
+		// deltas, so the registry is exact when the run returns.
+		for _, sh := range r.Shards {
+			if sp, ok := sh.strategy.(core.StatsProvider); ok {
+				sp.OpStats()
+			}
+		}
+	}
+	return res
+}
+
+// Shard is the unit of replay: one proxy server's strategy instance,
+// its event stream, its first-request seen-set and its private tally.
+// Shards share only immutable data (the workload's pages and the event
+// view) plus atomic telemetry handles, so any number of shards can
+// replay concurrently and the merged result is bit-identical to a
+// sequential replay. One shard must be driven by one goroutine at a
+// time.
+type Shard struct {
 	server   int
 	strategy core.Strategy
 	cost     float64
@@ -30,9 +152,13 @@ type shard struct {
 	seen []bool
 }
 
+// Events returns the shard's event stream in replay order. It is
+// shared with the workload's EventView and must not be mutated.
+func (sh *Shard) Events() []workload.ServerEvent { return sh.stream }
+
 // hourOf clamps an event time to a valid hour index, mirroring the
 // sequential simulator's boundary handling.
-func (sh *shard) hourOf(t float64) int {
+func (sh *Shard) hourOf(t float64) int {
 	h := int(t)
 	if h < 0 {
 		h = 0
@@ -43,37 +169,48 @@ func (sh *shard) hourOf(t float64) int {
 	return h
 }
 
-// run replays this shard's event stream through its strategy.
-func (sh *shard) run() {
-	for _, ev := range sh.stream {
-		page := &sh.pages[ev.Page]
-		if !ev.Request {
-			// A matched publication routed to this proxy.
-			if !sh.usesPush {
-				continue
-			}
-			meta := core.PageMeta{ID: int(ev.Page), Size: page.Size, Cost: sh.cost}
-			stored := sh.strategy.Push(meta, int(ev.Version), int(ev.Subs))
-			sh.tally.push(sh.hourOf(ev.Time), page.Size, stored)
-			continue
-		}
-		meta := core.PageMeta{ID: int(ev.Page), Size: page.Size, Cost: sh.cost}
-		hit, _ := sh.strategy.Request(meta, int(ev.Version), int(ev.Subs))
-		first := !sh.seen[ev.Page]
-		sh.seen[ev.Page] = true
-		sh.tally.request(sh.hourOf(ev.Time), page.Class, page.Size, hit, first)
+// Offer replays a publication event: the page is offered to the
+// proxy's strategy and tallied as a push. Access-only schemes get no
+// offer and nothing is tallied.
+func (sh *Shard) Offer(ev workload.ServerEvent) {
+	if !sh.usesPush {
+		return
 	}
+	size := sh.pages[ev.Page].Size
+	meta := core.PageMeta{ID: int(ev.Page), Size: size, Cost: sh.cost}
+	stored := sh.strategy.Push(meta, int(ev.Version), int(ev.Subs))
+	sh.tally.push(sh.hourOf(ev.Time), size, stored)
 }
 
-// runTraced replays the shard under a sim.shard span (a no-op nil span
-// when tracing is off, so the hot event loop itself stays untouched).
-func (sh *shard) runTraced(ctx context.Context) {
+// Request replays a user request event through the proxy's strategy
+// and tallies it; a miss is a fetch from the publisher. It reports
+// whether the request hit a fresh local copy.
+func (sh *Shard) Request(ev workload.ServerEvent) bool {
+	page := &sh.pages[ev.Page]
+	meta := core.PageMeta{ID: int(ev.Page), Size: page.Size, Cost: sh.cost}
+	hit, _ := sh.strategy.Request(meta, int(ev.Version), int(ev.Subs))
+	first := !sh.seen[ev.Page]
+	sh.seen[ev.Page] = true
+	sh.tally.request(sh.hourOf(ev.Time), page.Class, page.Size, hit, first)
+	return hit
+}
+
+// replay runs the shard's whole event stream under a sim.shard span (a
+// no-op nil span when tracing is off, so the event loop itself stays
+// untouched).
+func (sh *Shard) replay(ctx context.Context) {
 	_, sp := telemetry.StartSpan(ctx, "sim.shard")
 	if sp != nil {
 		sp.SetAttrInt("server", int64(sh.server))
 		sp.SetAttrInt("events", int64(len(sh.stream)))
 	}
-	sh.run()
+	for _, ev := range sh.stream {
+		if ev.Request {
+			sh.Request(ev)
+		} else {
+			sh.Offer(ev)
+		}
+	}
 	sp.End()
 }
 
@@ -81,10 +218,10 @@ func (sh *shard) runTraced(ctx context.Context) {
 // parallelism (≥ 1). Shards are claimed in index order off an atomic
 // cursor; with parallelism 1 this degenerates to an in-order sequential
 // replay on the calling goroutine.
-func runShards(ctx context.Context, shards []*shard, parallelism int) {
+func runShards(ctx context.Context, shards []*Shard, parallelism int) {
 	if parallelism <= 1 {
 		for _, sh := range shards {
-			sh.runTraced(ctx)
+			sh.replay(ctx)
 		}
 		return
 	}
@@ -102,7 +239,7 @@ func runShards(ctx context.Context, shards []*shard, parallelism int) {
 				if i >= len(shards) {
 					return
 				}
-				shards[i].runTraced(ctx)
+				shards[i].replay(ctx)
 			}
 		}()
 	}

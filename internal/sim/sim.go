@@ -18,7 +18,6 @@ import (
 
 	"pubsubcd/internal/core"
 	"pubsubcd/internal/telemetry"
-	"pubsubcd/internal/topology"
 	"pubsubcd/internal/workload"
 )
 
@@ -189,69 +188,20 @@ func (s PushScheme) String() string {
 
 // Run simulates the workload under the named strategy.
 //
-// The run is sharded by proxy: each server's private event stream (from
-// the workload's cached EventView) replays through its own strategy
-// instance on a bounded worker pool of opts.Parallelism goroutines, and
-// the per-shard tallies are merged into the Result in ascending server
-// order. Because shards share no mutable state — publication versions
-// are pre-resolved into the event view — the Result is bit-identical
-// for every parallelism level, including the sequential replay at 1.
+// The run is sharded by proxy (see NewReplay): each server's private
+// event stream replays through its own strategy instance on a bounded
+// worker pool of opts.Parallelism goroutines, and the per-shard tallies
+// are merged into the Result in ascending server order. Because shards
+// share no mutable state — publication versions are pre-resolved into
+// the event view — the Result is bit-identical for every parallelism
+// level, including the sequential replay at 1.
 func Run(w *workload.Workload, factory core.Factory, opts Options) (*Result, error) {
-	if w == nil {
-		return nil, fmt.Errorf("sim: nil workload")
-	}
-	if opts.CapacityFraction <= 0 || opts.CapacityFraction > 1 {
-		return nil, fmt.Errorf("sim: capacity fraction must be in (0, 1], got %g", opts.CapacityFraction)
-	}
 	if opts.Parallelism < 0 {
 		return nil, fmt.Errorf("sim: parallelism must be non-negative, got %d", opts.Parallelism)
 	}
-	servers := w.Config.Servers
-	costs := opts.FetchCosts
-	if costs == nil {
-		var err error
-		costs, err = topology.FetchCosts(servers, opts.TopologySeed)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if len(costs) != servers {
-		return nil, fmt.Errorf("sim: got %d fetch costs for %d servers", len(costs), servers)
-	}
-	view := w.Events()
-	capacities := view.CacheCapacities(opts.CapacityFraction)
-	// All proxies share one StrategyMetrics: the handles are atomic, so
-	// the registry exposes a fleet-wide view of placement decisions even
-	// while shards replay concurrently.
-	var stratMetrics *core.StrategyMetrics
-	if opts.Telemetry != nil {
-		stratMetrics = core.NewStrategyMetricsLabeled(opts.Telemetry, "sim.strategy", factory.Name)
-	}
-	strategies := make([]core.Strategy, servers)
-	for i := range strategies {
-		s, err := factory.New(core.Params{Capacity: capacities[i], Beta: opts.Beta, Metrics: stratMetrics})
-		if err != nil {
-			return nil, fmt.Errorf("sim: server %d: %w", i, err)
-		}
-		strategies[i] = s
-	}
-
-	hours := int(math.Ceil(w.Config.Horizon()))
-	metrics := newRunMetrics(opts.Telemetry)
-	usesPush := factory.UsesPush()
-	shards := make([]*shard, servers)
-	for i := 0; i < servers; i++ {
-		shards[i] = &shard{
-			server:   i,
-			strategy: strategies[i],
-			cost:     costs[i],
-			usesPush: usesPush,
-			pages:    w.Pages,
-			stream:   view.Streams[i],
-			tally:    newShardTally(hours, metrics),
-			hours:    hours,
-			seen:     make([]bool, len(w.Pages)),
-		}
+	r, err := NewReplay(w, factory, opts)
+	if err != nil {
+		return nil, err
 	}
 	parallelism := opts.Parallelism
 	if parallelism == 0 {
@@ -262,43 +212,10 @@ func Run(w *workload.Workload, factory core.Factory, opts Options) (*Result, err
 	if sp != nil {
 		sp.SetAttr("strategy", factory.Name)
 		sp.SetAttr("trace", string(w.Config.Trace()))
-		sp.SetAttrInt("servers", int64(servers))
+		sp.SetAttrInt("servers", int64(len(r.Shards)))
 		sp.SetAttrInt("parallelism", int64(parallelism))
 	}
-	runShards(ctx, shards, parallelism)
+	runShards(ctx, r.Shards, parallelism)
 	sp.End()
-
-	res := &Result{
-		Strategy:                factory.Name,
-		Trace:                   string(w.Config.Trace()),
-		CapacityFraction:        opts.CapacityFraction,
-		Beta:                    opts.Beta,
-		SQ:                      w.Config.SQ,
-		HourlyHits:              make([]int64, hours),
-		HourlyRequests:          make([]int64, hours),
-		PushedPagesAP:           make([]int64, hours),
-		PushedPagesPWN:          make([]int64, hours),
-		FetchedPages:            make([]int64, hours),
-		PushedBytesAP:           make([]int64, hours),
-		PushedBytesPWN:          make([]int64, hours),
-		FetchedBytes:            make([]int64, hours),
-		PerServerHits:           make([]int64, servers),
-		PerServerRequests:       make([]int64, servers),
-		PerServerHourlyHits:     make([][]int64, servers),
-		PerServerHourlyRequests: make([][]int64, servers),
-	}
-	// Deterministic merge: ascending server order, integer sums only.
-	for i := 0; i < servers; i++ {
-		shards[i].tally.mergeInto(res, i)
-	}
-	if stratMetrics != nil {
-		// Reading OpStats flushes each strategy's pending telemetry
-		// deltas, so the registry is exact when the run returns.
-		for _, s := range strategies {
-			if sp, ok := s.(core.StatsProvider); ok {
-				sp.OpStats()
-			}
-		}
-	}
-	return res, nil
+	return r.Result(), nil
 }

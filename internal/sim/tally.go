@@ -140,7 +140,7 @@ func (t *shardTally) request(hour, class int, size int64, hit, first bool) {
 }
 
 // mergeInto folds this shard's accumulators into res as server's
-// contribution. Run merges shards in ascending server order; every
+// contribution. Replay.Result merges shards in ascending server order; every
 // field is an integer sum or a per-server row, so the merged Result is
 // bit-identical for any shard execution schedule.
 func (t *shardTally) mergeInto(res *Result, server int) {

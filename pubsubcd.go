@@ -404,8 +404,6 @@ var (
 	// WithClientTelemetry wires client transport metrics (including
 	// reconnect/retry/resubscribe counters) into a registry.
 	WithClientTelemetry = broker.WithClientTelemetry
-	// WithClientWriteTimeout bounds each request write.
-	WithClientWriteTimeout = broker.WithClientWriteTimeout
 	// WithDialTimeout bounds each reconnection dial attempt.
 	WithDialTimeout = broker.WithDialTimeout
 	// WithDialFunc replaces the TCP dialer (fault injection).
@@ -468,9 +466,6 @@ var (
 	// WithMaxPendingPerConn bounds the notification bytes queued per
 	// connection before the slow-consumer policy applies.
 	WithMaxPendingPerConn = broker.WithMaxPendingPerConn
-	// WithSlowConsumerBlockTimeout sets the block policy's grace
-	// before a stalled consumer is severed.
-	WithSlowConsumerBlockTimeout = broker.WithSlowConsumerBlockTimeout
 	// WithQuarantine sets how long the sever policy rejects
 	// reconnects from a severed subscriber's host.
 	WithQuarantine = broker.WithQuarantine
