@@ -62,8 +62,10 @@ func (d *dm) gdEval(e *dmEntry) float64 {
 }
 
 func (d *dm) subEval(e *dmEntry) float64 {
-	return float64(e.Subs) * e.Cost / float64(e.Size)
+	return subValue(e.Subs, e.Cost, e.Size)
 }
+
+func dmSize(e *dmEntry) int64 { return e.Size }
 
 // Push runs the SUB placement module.
 func (d *dm) Push(p PageMeta, version, subs int) bool {
@@ -92,32 +94,28 @@ func (d *dm) push(p PageMeta, version, subs int) bool {
 	if p.Size > d.capacity {
 		return false
 	}
+	v := subValue(subs, p.Cost, p.Size)
+	if !d.subAdmits(p.Size, v) {
+		return false
+	}
+	for d.free() < p.Size { // the gate leaves only victims below v
+		d.evict(d.subHeap.items[0])
+	}
 	e := &dmEntry{Entry: Entry{
 		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost, Subs: subs,
 		LastAccessSeq: d.seq,
-	}}
-	e.subValue = d.subEval(e)
-	// SUB admission: only entries with smaller subValue are candidates.
-	var below int64
-	for _, x := range d.byID {
-		if x.subValue < e.subValue {
-			below += x.Size
-		}
-	}
-	if d.free()+below < p.Size {
-		return false
-	}
-	for d.free() < p.Size {
-		min := d.subHeap.items[0]
-		if min.subValue >= e.subValue {
-			return false // unreachable after the candidate check
-		}
-		d.evict(min)
-	}
+	}, subValue: v}
 	e.gdValue = d.gdEval(e)
 	d.add(e)
 	d.stats.PushStores++
 	return true
+}
+
+// subAdmits is SUB's admission gate: a page of the given size fits after
+// evicting only entries whose subValue is strictly below v.
+func (d *dm) subAdmits(size int64, v float64) bool {
+	need := size - d.free()
+	return need <= 0 || sumBelow(d.subHeap.items, d.subHeap.value, dmSize, v, need) >= need
 }
 
 // Request runs the GD* caching module.

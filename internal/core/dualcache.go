@@ -36,6 +36,8 @@ type dualCache struct {
 	pc *Store
 	ac *Store
 
+	chosen []*Entry // reclaimable's scratch
+
 	stats   OpStats
 	metrics *StrategyMetrics
 	flushed OpStats
@@ -115,7 +117,7 @@ func (d *dualCache) gdEval(e *Entry) float64 {
 }
 
 func (d *dualCache) subEval(e *Entry) float64 {
-	return float64(e.Subs) * e.Cost / float64(e.Size)
+	return subValue(e.Subs, e.Cost, e.Size)
 }
 
 // Push implements the placing algorithm.
@@ -149,33 +151,28 @@ func (d *dualCache) push(p PageMeta, version, subs int) bool {
 		e.Subs = subs
 		return true
 	}
-	e := &Entry{
-		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost,
-		Subs: subs, LastAccessSeq: d.seq,
-	}
-	e.Value = d.subEval(e)
 	d.stats.PushOffers++
-	// Run SUB on the push cache.
-	if p.Size <= d.pc.Capacity() && d.pc.CanAdmit(p.Size, e.Value) {
-		evicted, ok := d.pc.EvictFor(p.Size, e.Value)
+	v := subValue(subs, p.Cost, p.Size)
+	// Run SUB on the push cache; DC-AP falls back to reclaiming idle AC
+	// storage for the page.
+	if p.Size <= d.pc.Capacity() && d.pc.CanAdmit(p.Size, v) {
+		evicted, ok := d.pc.EvictFor(p.Size, v)
 		d.countEvictions(evicted)
 		if !ok {
 			return false
 		}
-		if d.pc.Add(e) != nil {
-			return false
-		}
-		d.stats.PushStores++
-		return true
-	}
-	if !d.adaptive {
+	} else if !d.adaptive || !d.reclaimFor(p.Size) {
 		return false
 	}
-	if d.reclaimAndStore(e) {
-		d.stats.PushStores++
-		return true
+	e := &Entry{
+		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost,
+		Value: v, Subs: subs, LastAccessSeq: d.seq,
 	}
-	return false
+	if d.pc.Add(e) != nil {
+		return false
+	}
+	d.stats.PushStores++
+	return true
 }
 
 // countEvictions accounts replacement victims.
@@ -186,56 +183,53 @@ func (d *dualCache) countEvictions(evicted []*Entry) {
 	}
 }
 
-// reclaimAndStore implements DC-AP's placing fallback: storage of AC
-// pages unreferenced since the last AC replacement is relabeled PC and
-// used to hold the new page.
-func (d *dualCache) reclaimAndStore(e *Entry) bool {
-	need := e.Size - d.pc.Free()
+// reclaimFor implements DC-AP's placing fallback: storage of AC pages
+// unreferenced since the last AC replacement is relabeled PC so that a
+// page of the given size fits in PC.
+func (d *dualCache) reclaimFor(size int64) bool {
+	need := size - d.pc.Free()
 	if need <= 0 {
 		// SUB failed on value grounds, not space; DC-AP only reassigns
 		// storage, it does not override SUB's value decision.
 		return false
 	}
-	var candidates []*Entry
-	var candBytes int64
-	d.ac.Each(func(x *Entry) bool {
-		if x.LastAccessSeq < d.lastACRepl {
-			candidates = append(candidates, x)
-			candBytes += x.Size
-		}
-		return true
-	})
-	if candBytes < need {
+	chosen, freed := d.reclaimable(need)
+	if freed < need {
 		return false
 	}
-	// Respect DC-LAP's upper bound on the PC fraction. The evicted
-	// candidate set is chosen ascending by AC (GD*) value, so compute
-	// the freed amount first.
-	var freed int64
-	var chosen []*Entry
-	sortEntriesByValue(candidates)
-	for _, c := range candidates {
-		if freed >= need {
-			break
-		}
-		chosen = append(chosen, c)
-		freed += c.Size
-	}
-	newPCFrac := float64(d.pc.Capacity()+freed) / float64(d.capacity)
-	if newPCFrac > d.maxPC {
+	// Respect DC-LAP's upper bound on the PC fraction.
+	if float64(d.pc.Capacity()+freed)/float64(d.capacity) > d.maxPC {
 		return false
 	}
 	for _, c := range chosen {
 		d.ac.Remove(c.ID)
 	}
 	d.countEvictions(chosen)
-	if err := d.ac.SetCapacity(d.ac.Capacity() - freed); err != nil {
-		return false
-	}
-	if err := d.pc.SetCapacity(d.pc.Capacity() + freed); err != nil {
-		return false
-	}
-	return d.pc.Add(e) == nil
+	// Neither can fail: AC just lost freed bytes of pages and PC only
+	// grows.
+	_ = d.ac.SetCapacity(d.ac.Capacity() - freed)
+	_ = d.pc.SetCapacity(d.pc.Capacity() + freed)
+	return true
+}
+
+// reclaimable picks the AC pages DC-AP reclaims for need bytes: among
+// the pages unreferenced since the last AC replacement, the fewest in
+// ascending AC (GD*) order, (Value, ID), whose sizes reach need. It
+// walks AC best-first and stops there, so it visits only the entries
+// below the last one chosen. freed < need means the idle pages together
+// fall short. The slice is reused by the next call.
+func (d *dualCache) reclaimable(need int64) (chosen []*Entry, freed int64) {
+	clear(d.chosen)
+	chosen = d.chosen[:0]
+	d.ac.ascend(func(x *Entry) bool {
+		if x.LastAccessSeq < d.lastACRepl {
+			chosen = append(chosen, x)
+			freed += x.Size
+		}
+		return freed < need
+	})
+	d.chosen = chosen
+	return chosen, freed
 }
 
 // Request implements the locating algorithm.
@@ -262,9 +256,8 @@ func (d *dualCache) request(p PageMeta, version, subs int) (hit, stored bool) {
 		e.Refs++
 		e.Subs = subs
 		e.LastAccessSeq = d.seq
-		// First access: the page moves from PC to AC.
-		d.moveToAC(e)
-		return fresh, true
+		// First access: the page moves from PC to AC, or is dropped.
+		return fresh, d.moveToAC(e)
 	}
 	if e, ok := d.ac.Get(p.ID); ok {
 		fresh := e.Version >= version
@@ -323,8 +316,10 @@ func (d *dualCache) countOutcome(fresh bool) {
 // relabels the storage (growing AC by the page's size); DC-FP moves the
 // page into the existing AC space, evicting as needed. DC-LAP relabels
 // only while the PC fraction stays above its lower bound, falling back to
-// the DC-FP move otherwise.
-func (d *dualCache) moveToAC(e *Entry) {
+// the DC-FP move otherwise. It reports whether the page is resident
+// afterwards: a DC-FP move drops a page larger than all of AC, counted
+// as an eviction.
+func (d *dualCache) moveToAC(e *Entry) bool {
 	d.pc.Remove(e.ID)
 	e.Value = d.gdEval(e)
 	if d.adaptive {
@@ -335,12 +330,15 @@ func (d *dualCache) moveToAC(e *Entry) {
 			_ = d.pc.SetCapacity(d.pc.Capacity() - e.Size)
 			_ = d.ac.SetCapacity(d.ac.Capacity() + e.Size)
 			_ = d.ac.Add(e)
-			return
+			return true
 		}
 	}
 	// DC-FP move: may trigger replacement in AC.
 	if e.Size > d.ac.Capacity() {
-		return // page cannot live in AC; drop it
+		// The page cannot live in AC: drop it.
+		d.stats.Evictions++
+		d.stats.EvictedBytes += e.Size
+		return false
 	}
 	evicted, ok := d.ac.EvictFor(e.Size, math.Inf(1))
 	d.countEvictions(evicted)
@@ -350,22 +348,6 @@ func (d *dualCache) moveToAC(e *Entry) {
 	if len(evicted) > 0 {
 		d.lastACRepl = d.seq
 	}
-	if ok {
-		_ = d.ac.Add(e)
-	}
-}
-
-// sortEntriesByValue sorts ascending by (Value, ID) — insertion sort is
-// fine for the small candidate sets involved.
-func sortEntriesByValue(es []*Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0; j-- {
-			a, b := es[j-1], es[j]
-			if b.Value < a.Value || (b.Value == a.Value && b.ID < a.ID) {
-				es[j-1], es[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	// ok always holds: nothing in AC is valued above +Inf.
+	return ok && d.ac.Add(e) == nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -281,5 +282,92 @@ func TestDCLAPOutperformsNothingSanity(t *testing.T) {
 	}
 	if math.IsNaN(float64(dlHits)) {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestDCLAPDroppedPageNotReportedStored pins the DC-FP fallback of
+// DC-LAP's first access: a PC page larger than all of AC, which cannot
+// be relabeled without breaking the lower bound, is dropped, and the
+// request must say so.
+func TestDCLAPDroppedPageNotReportedStored(t *testing.T) {
+	s := mustStrategy(t, NewDCLAP, Params{Capacity: 10000, Beta: 2})
+	d := dcap(t, s)
+	s.Request(PageMeta{ID: 1, Size: 2500, Cost: 1}, 0, 0)
+	s.Request(PageMeta{ID: 2, Size: 2500, Cost: 10}, 0, 0)
+	s.Request(PageMeta{ID: 3, Size: 2500, Cost: 10}, 0, 0) // evicts page 1; page 2 is idle
+	big := PageMeta{ID: 4, Size: 6000, Cost: 1}
+	if !s.Push(big, 0, 1) {
+		t.Fatal("push should reclaim page 2's storage and store the page")
+	}
+	if d.pc.Capacity() != 7500 || d.ac.Capacity() != 2500 {
+		t.Fatalf("partition pc %d ac %d, want 7500/2500", d.pc.Capacity(), d.ac.Capacity())
+	}
+	before := d.OpStats()
+	hit, stored := s.Request(big, 0, 1)
+	if !hit {
+		t.Fatal("first access of a pushed page must hit")
+	}
+	if stored {
+		t.Fatal("page larger than AC reported stored after its first access")
+	}
+	if _, ok := d.pc.Get(big.ID); ok {
+		t.Fatal("dropped page still in PC")
+	}
+	if _, ok := d.ac.Get(big.ID); ok {
+		t.Fatal("dropped page in AC")
+	}
+	after := d.OpStats()
+	if after.Evictions != before.Evictions+1 || after.EvictedBytes != before.EvictedBytes+big.Size {
+		t.Errorf("drop not counted: evictions %d→%d, bytes %d→%d",
+			before.Evictions, after.Evictions, before.EvictedBytes, after.EvictedBytes)
+	}
+}
+
+// TestDualCacheStoredMeansResident checks the Strategy contract on random
+// streams: after every Push and Request, stored is true exactly when the
+// page is in PC or AC, and a page reported stored hits on the next
+// request for that version.
+func TestDualCacheStoredMeansResident(t *testing.T) {
+	for _, ctor := range []struct {
+		name string
+		f    func(Params) (Strategy, error)
+	}{
+		{"DC-FP", NewDCFP}, {"DC-AP", NewDCAP}, {"DC-LAP", NewDCLAP},
+	} {
+		t.Run(ctor.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 200; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				s := mustStrategy(t, ctor.f, Params{Capacity: 10000, Beta: 2})
+				d := dcap(t, s)
+				for i := 0; i < 400; i++ {
+					id := r.Intn(40)
+					meta := PageMeta{ID: id, Size: 1 + r.Int63n(7000), Cost: 1}
+					version, subs := i/100, r.Intn(8)
+					var stored bool
+					if r.Intn(2) == 0 {
+						stored = s.Push(meta, version, subs)
+					} else {
+						_, stored = s.Request(meta, version, subs)
+					}
+					checkResident(t, d, id, stored, "seed %d op %d", seed, i)
+					if stored {
+						hit, still := s.Request(meta, version, subs)
+						if !hit {
+							t.Fatalf("seed %d op %d: page reported stored misses", seed, i)
+						}
+						checkResident(t, d, id, still, "seed %d op %d re-request", seed, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+func checkResident(t *testing.T, d *dualCache, id int, stored bool, format string, args ...any) {
+	t.Helper()
+	_, inPC := d.pc.Get(id)
+	_, inAC := d.ac.Get(id)
+	if stored != (inPC || inAC) {
+		t.Fatalf(format+": stored=%v but resident=%v", append(args, stored, inPC || inAC)...)
 	}
 }

@@ -44,6 +44,8 @@ type engine struct {
 	metrics *StrategyMetrics
 	flushed OpStats
 	sampled bool // current op measures latency
+
+	cand Entry // admission scratch: the page being valued
 }
 
 var _ Strategy = (*engine)(nil)
@@ -158,7 +160,9 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 	if p.Size > g.store.Capacity() {
 		return false
 	}
-	e := &Entry{
+	// The page is valued in scratch space and copied out only once
+	// admitted, so a rejection allocates nothing.
+	g.cand = Entry{
 		ID:            p.ID,
 		Version:       version,
 		Size:          p.Size,
@@ -171,10 +175,10 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 	if g.gatedAdmission {
 		if g.sampled { // sampled implies g.metrics != nil
 			t0 := time.Now()
-			limit = g.eval(g, e)
+			limit = g.eval(g, &g.cand)
 			g.metrics.evalDone(t0)
 		} else {
-			limit = g.eval(g, e)
+			limit = g.eval(g, &g.cand)
 		}
 		if !g.store.CanAdmit(p.Size, limit) {
 			return false
@@ -193,6 +197,8 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 		// ungated policies with pathological sizes.
 		return false
 	}
+	e := new(Entry)
+	*e = g.cand
 	e.Value = g.eval(g, e)
 	if err := g.store.Add(e); err != nil {
 		return false
@@ -206,6 +212,12 @@ func invPow(base, beta float64) float64 {
 		return 0
 	}
 	return math.Pow(base, 1/beta)
+}
+
+// subValue is SUB's value of a page (eq. 2): subscriptions times fetch
+// cost per byte.
+func subValue(subs int, cost float64, size int64) float64 {
+	return float64(subs) * cost / float64(size)
 }
 
 // NewGDStar builds the paper's baseline: Greedy-Dual* (eq. 1), an
@@ -236,7 +248,7 @@ func NewSUB(params Params) (Strategy, error) {
 	return newEngine(policy{
 		name: "SUB",
 		eval: func(g *engine, e *Entry) float64 {
-			return float64(e.Subs) * e.Cost / float64(e.Size)
+			return subValue(e.Subs, e.Cost, e.Size)
 		},
 		pushEnabled:    true,
 		gatedAdmission: true,

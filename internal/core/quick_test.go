@@ -40,10 +40,17 @@ func applyOps(s Strategy, ops []op) bool {
 		}
 		if stored {
 			// A page reported stored at version v must hit for v right
-			// away (and stay resident).
+			// away. That access may drop it (DC-LAP's DC-FP move of a
+			// page larger than AC), but if the strategy reports it still
+			// resident, the next request must hit too.
 			hit, still := s.Request(meta, version, subs)
-			if !hit || !still {
+			if !hit {
 				return false
+			}
+			if still {
+				if hit, _ := s.Request(meta, version, subs); !hit {
+					return false
+				}
 			}
 		}
 		if s.Used() > s.Capacity() {

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Entry is a cached page as tracked by a Store.
@@ -37,6 +38,10 @@ type Store struct {
 	used     int64
 	byID     map[int]*Entry
 	h        entryHeap
+
+	// Scratch reused across calls so admission does not allocate.
+	evicted  []*Entry
+	frontier byValue
 }
 
 // NewStore returns an empty store with the given capacity in bytes.
@@ -129,40 +134,64 @@ func (s *Store) Fix(e *Entry) {
 // BytesBelow returns the total size of entries with Value strictly less
 // than v — the push-time candidate set of SUB (§3.2).
 func (s *Store) BytesBelow(v float64) int64 {
-	var total int64
-	for _, e := range s.byID {
-		if e.Value < v {
-			total += e.Size
-		}
-	}
-	return total
+	return sumBelow(s.h, entryValue, entrySize, v, math.MaxInt64)
 }
 
 // CanAdmit reports whether a page of the given size fits after evicting
-// only entries with value strictly below v.
+// only entries with value strictly below v. It walks only the candidates
+// it needs: none when the free space suffices, otherwise the entries
+// below v until their bytes cover the shortfall.
 func (s *Store) CanAdmit(size int64, v float64) bool {
 	if size > s.capacity {
 		return false
 	}
-	return s.Free()+s.BytesBelow(v) >= size
+	need := size - s.Free()
+	return need <= 0 || sumBelow(s.h, entryValue, entrySize, v, need) >= need
 }
 
 // EvictFor evicts ascending-value entries until size bytes are free,
 // never evicting an entry whose value is >= limit. It returns the evicted
-// entries and whether enough space was freed. On failure nothing useful
-// can be guaranteed to remain (callers should CanAdmit first when the
-// eviction must be all-or-nothing).
+// entries and whether enough space was freed. The returned slice is
+// reused by the next EvictFor call. On failure nothing useful can be
+// guaranteed to remain (callers should CanAdmit first when the eviction
+// must be all-or-nothing).
 func (s *Store) EvictFor(size int64, limit float64) ([]*Entry, bool) {
-	var evicted []*Entry
+	clear(s.evicted)
+	s.evicted = s.evicted[:0]
 	for s.Free() < size {
 		e, ok := s.Peek()
 		if !ok || e.Value >= limit {
-			return evicted, false
+			return s.evicted, false
 		}
 		s.PopMin()
-		evicted = append(evicted, e)
+		s.evicted = append(s.evicted, e)
 	}
-	return evicted, true
+	return s.evicted, true
+}
+
+// ascend calls fn for the cached entries in ascending (Value, ID) order
+// until fn returns false; fn must not mutate the store. It walks the heap
+// best-first, so stopping after k entries costs O(k log k) rather than a
+// sort of the whole store.
+func (s *Store) ascend(fn func(*Entry) bool) {
+	if len(s.h) == 0 {
+		return
+	}
+	s.frontier = append(s.frontier[:0], s.h[0])
+	for len(s.frontier) > 0 {
+		e := heap.Pop(&s.frontier).(*Entry)
+		if !fn(e) {
+			break
+		}
+		if l := 2*e.index + 1; l < len(s.h) {
+			heap.Push(&s.frontier, s.h[l])
+		}
+		if r := 2*e.index + 2; r < len(s.h) {
+			heap.Push(&s.frontier, s.h[r])
+		}
+	}
+	clear(s.frontier)
+	s.frontier = s.frontier[:0]
 }
 
 // Each calls fn for every cached entry until fn returns false. The
@@ -175,16 +204,53 @@ func (s *Store) Each(fn func(*Entry) bool) {
 	}
 }
 
+// entryLess orders entries by (Value, ID), the eviction order.
+func entryLess(a, b *Entry) bool {
+	if a.Value != b.Value {
+		return a.Value < b.Value
+	}
+	return a.ID < b.ID
+}
+
+func entryValue(e *Entry) float64 { return e.Value }
+func entrySize(e *Entry) int64    { return e.Size }
+
+// sumBelow sums the sizes of the entries of a binary min-heap h (laid
+// out as container/heap keeps it) whose value is strictly below v,
+// stopping as soon as the sum reaches need. Heap order puts no entry
+// below its parent, so a subtree whose root is not below v holds no
+// candidate and is skipped whole: the walk visits the candidates and
+// the roots of the subtrees it prunes, not the whole heap. It walks in
+// preorder without a stack, climbing the implicit parent links.
+func sumBelow[E any](h []E, value func(E) float64, size func(E) int64, v float64, need int64) int64 {
+	var total int64
+	i := 0
+	for {
+		if i < len(h) && value(h[i]) < v {
+			total += size(h[i])
+			if total >= need {
+				return total
+			}
+			i = 2*i + 1 // into the left subtree
+			continue
+		}
+		// Subtree i is done: go on to the right sibling of the nearest
+		// left child on the way up; past the root the walk is over.
+		for i > 0 && i%2 == 0 {
+			i = (i - 1) / 2
+		}
+		if i == 0 {
+			return total
+		}
+		i++
+	}
+}
+
 // entryHeap is a min-heap on (Value, ID).
 type entryHeap []*Entry
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].Value != h[j].Value {
-		return h[i].Value < h[j].Value
-	}
-	return h[i].ID < h[j].ID
-}
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return entryLess(h[i], h[j]) }
 func (h entryHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
@@ -200,6 +266,25 @@ func (h *entryHeap) Pop() interface{} {
 	n := len(old)
 	e := old[n-1]
 	e.index = -1
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+
+// byValue is a min-heap on (Value, ID) that, unlike entryHeap, leaves the
+// entries' store indices alone: it is ascend's frontier.
+type byValue []*Entry
+
+func (h byValue) Len() int           { return len(h) }
+func (h byValue) Less(i, j int) bool { return entryLess(h[i], h[j]) }
+func (h byValue) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *byValue) Push(x interface{}) {
+	*h = append(*h, x.(*Entry))
+}
+func (h *byValue) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
 	return e
