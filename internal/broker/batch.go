@@ -34,8 +34,10 @@ import (
 // coalesces at drain time: the queued notifications directly behind the
 // one it pops that come from the same publish (same page, version,
 // size, trace context and ingress instant) leave in the same notify
-// frame, their subscription IDs in Message.MoreSubIDs. A publish that
-// matched N subscriptions on the connection then costs one frame, not
+// frame, their subscription IDs in Message.MoreSubIDs. The fan-out
+// queues a publish's notifications for a connection as one run
+// (enqueueRun: one lock, one wakeup after the whole run), so a publish
+// that matched N subscriptions on the connection costs one frame, not
 // N. Only what is already queued merges — there is no timer — and the
 // ring itself stays per-notification, so the slow-consumer policies,
 // gap counts and pending-bytes accounting do not change.
@@ -255,75 +257,112 @@ func (cw *connWriter) send(m *Message) error {
 	return nil
 }
 
-// enqueueNotify queues one notification for delivery. When the notify
-// lane is at capacity the connection's slow-consumer policy applies:
+// enqueueRun queues one publish's notification for every subscription
+// in ids (n.SubscriptionID is ignored) under a single acquisition of
+// cw.mu, and wakes the flusher once, after the whole run is queued — so
+// the flusher finds the run complete and sends it as one frame on a
+// coalescing connection. The ring, its byte estimates and the gap and
+// pending-bytes accounting stay per notification, and when the notify
+// lane is at capacity the connection's slow-consumer policy applies to
+// each notification as it would to a lone one:
 //
 //   - SlowConsumerBlock: wait up to defaultBlockTimeout for the flusher to
-//     drain; a consumer still stalled after the grace is severed.
+//     drain; a consumer still stalled after the grace is severed. The
+//     flusher is woken before the wait, since the part of the run already
+//     queued may be all it has to drain.
 //   - SlowConsumerDropOldest: evict the oldest queued notification and
 //     record the gap; the next flush carries a gap-marker frame.
 //   - SlowConsumerSever: sever immediately and (via onSever) quarantine.
 //
-// A policy-conformant drop returns nil — the caller's fan-out loop must
-// not treat shedding as failure. Only sever and teardown return errors.
-// pub is the originating publish's ingress instant; the zero time means
-// "unknown" and leaves the frame's PublishedAt unset.
-func (cw *connWriter) enqueueNotify(n Notification, trace string, pub time.Time) error {
+// It returns how many notifications it queued. A policy-conformant drop
+// returns a nil error — the caller's fan-out must not treat shedding as
+// failure. Only sever and teardown return errors; the rest of the run
+// is then not queued. pub is the originating publish's ingress instant;
+// the zero time means "unknown" and leaves the frame's PublishedAt
+// unset.
+func (cw *connWriter) enqueueRun(n Notification, ids []int64, trace string, pub time.Time) (int, error) {
 	est := notifyFrameOverhead + int64(len(n.PageID)) + int64(len(trace))
-	cw.mu.Lock()
-	if cw.ringBytes+est > cw.maxPending && cw.err == nil && !cw.closed {
-		switch cw.policy {
-		case SlowConsumerDropOldest:
-			for cw.count > 0 && cw.ringBytes+est > cw.maxPending {
-				cw.dropLocked(1)
-			}
-		case SlowConsumerSever:
-			cw.severLocked()
-			if cw.onAction != nil {
-				cw.onAction(slowActionSevered, 1)
-			}
-			if cw.onSever != nil {
-				cw.onSever()
-			}
-		default: // SlowConsumerBlock
-			deadline := time.Now().Add(defaultBlockTimeout)
-			if cw.onAction != nil {
-				cw.onAction(slowActionBlocked, 1)
-			}
-			for cw.err == nil && !cw.closed && cw.ringBytes+est > cw.maxPending {
-				if !cw.waitUntilLocked(deadline) {
-					cw.severLocked()
-					if cw.onAction != nil {
-						cw.onAction(slowActionSevered, 1)
-					}
-					break
-				}
-			}
-		}
-	}
-	if cw.err != nil {
-		err := cw.err
-		cw.mu.Unlock()
-		return err
-	}
-	if cw.closed {
-		cw.mu.Unlock()
-		return errWriterClosed
-	}
-	wasIdle := cw.count == 0 && cw.gap == 0 && len(cw.pend) == 0
 	qn := queuedNotify{n: n, trace: trace, est: est, pub: pub}
+	cw.mu.Lock()
 	if cw.stageFlush != nil {
 		qn.enq = time.Now()
 	}
-	cw.pushLocked(qn)
-	if cw.pendingTotal != nil {
-		cw.pendingTotal.Add(est)
+	wake := false   // the flusher may be asleep on work queued by this run
+	var added int64 // bytes queued but not yet in pendingTotal
+	sent := 0
+	var err error
+	for _, id := range ids {
+		if cw.ringBytes+est > cw.maxPending {
+			if added != 0 && cw.pendingTotal != nil {
+				cw.pendingTotal.Add(added)
+			}
+			added = 0
+			if wake {
+				cw.cond.Broadcast()
+				wake = false
+			}
+			cw.makeRoomLocked(est)
+		}
+		if cw.err != nil {
+			err = cw.err
+			break
+		}
+		if cw.closed {
+			err = errWriterClosed
+			break
+		}
+		wake = wake || (cw.count == 0 && cw.gap == 0 && len(cw.pend) == 0)
+		qn.n.SubscriptionID = id
+		cw.pushLocked(qn)
+		added += est
+		sent++
 	}
-	if wasIdle {
+	if added != 0 && cw.pendingTotal != nil {
+		cw.pendingTotal.Add(added)
+	}
+	if wake {
+		// The flusher only sleeps while it has no work at all, so just
+		// the nothing→something transition needs a wakeup.
 		cw.cond.Broadcast()
 	}
 	cw.mu.Unlock()
-	return nil
+	return sent, err
+}
+
+// makeRoomLocked applies the slow-consumer policy to a notification of
+// est bytes that does not fit in the notify lane; see enqueueRun.
+func (cw *connWriter) makeRoomLocked(est int64) {
+	if cw.err != nil || cw.closed {
+		return
+	}
+	switch cw.policy {
+	case SlowConsumerDropOldest:
+		for cw.count > 0 && cw.ringBytes+est > cw.maxPending {
+			cw.dropLocked(1)
+		}
+	case SlowConsumerSever:
+		cw.severLocked()
+		if cw.onAction != nil {
+			cw.onAction(slowActionSevered, 1)
+		}
+		if cw.onSever != nil {
+			cw.onSever()
+		}
+	default: // SlowConsumerBlock
+		deadline := time.Now().Add(defaultBlockTimeout)
+		if cw.onAction != nil {
+			cw.onAction(slowActionBlocked, 1)
+		}
+		for cw.err == nil && !cw.closed && cw.ringBytes+est > cw.maxPending {
+			if !cw.waitUntilLocked(deadline) {
+				cw.severLocked()
+				if cw.onAction != nil {
+					cw.onAction(slowActionSevered, 1)
+				}
+				break
+			}
+		}
+	}
 }
 
 // waitUntilLocked waits on the writer's cond until woken or the

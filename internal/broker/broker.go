@@ -131,10 +131,10 @@ type Broker struct {
 	// tuned while traffic flows.
 	sloBudgetNs atomic.Int64
 
-	mu        sync.RWMutex
-	store     map[string]Content
-	notifiers map[int64]Notifier
-	sinks     map[int]PushSink
+	mu      sync.RWMutex
+	store   map[string]Content
+	targets map[int64]Target // resolved at subscribe; see fanout.go
+	sinks   map[int]PushSink
 }
 
 // DefaultPublishSLO is the publish-to-placement latency budget used
@@ -160,30 +160,24 @@ func (b *Broker) publishSLO() time.Duration {
 	return DefaultPublishSLO
 }
 
-// New returns an empty broker.
 // fanoutScratch is the per-publish working set the fan-out hot path
-// reuses across publishes — matched refs and their notifiers — so a
-// steady stream of publishes allocates nothing for matching.
+// reuses across publishes — matched refs and the fan-out's runs — so a
+// steady stream of publishes allocates nothing for matching or
+// delivery.
 type fanoutScratch struct {
-	refs      []match.MatchRef
-	notifiers []Notifier
+	refs []match.MatchRef
+	fan  Fanout
 }
 
 var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 
-func (fs *fanoutScratch) release() {
-	for i := range fs.notifiers {
-		fs.notifiers[i] = nil // don't pin notifiers of dead subscriptions
-	}
-	fanoutPool.Put(fs)
-}
-
+// New returns an empty broker.
 func New() *Broker {
 	return &Broker{
-		engine:    match.NewEngine(),
-		store:     make(map[string]Content),
-		notifiers: make(map[int64]Notifier),
-		sinks:     make(map[int]PushSink),
+		engine:  match.NewEngine(),
+		store:   make(map[string]Content),
+		targets: make(map[int64]Target),
+		sinks:   make(map[int]PushSink),
 	}
 }
 
@@ -225,8 +219,9 @@ func (b *Broker) SubscribeContext(ctx context.Context, sub match.Subscription, n
 		}
 	}
 	b.jmu.Unlock()
+	t := ResolveTarget(n, id)
 	b.mu.Lock()
-	b.notifiers[id] = n
+	b.targets[id] = t
 	b.mu.Unlock()
 	if bt := b.telemetryHandles(); bt != nil {
 		bt.subscribes.Inc()
@@ -248,7 +243,7 @@ func (b *Broker) Unsubscribe(id int64) error {
 	}
 	b.jmu.Unlock()
 	b.mu.Lock()
-	delete(b.notifiers, id)
+	delete(b.targets, id)
 	b.mu.Unlock()
 	if jerr != nil {
 		// The engine change stands; report that durability is behind.
@@ -343,7 +338,7 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	}
 	_, msp := telemetry.StartSpan(ctx, "broker.match")
 	fs := fanoutPool.Get().(*fanoutScratch)
-	defer fs.release()
+	defer fanoutPool.Put(fs)
 	fs.refs = b.engine.AppendMatchRefs(fs.refs[:0], ev)
 	matched := fs.refs
 	if msp != nil {
@@ -358,22 +353,20 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		bt.stageMatch.Observe(sinceNanos(start))
 	}
 
-	// Snapshot the notifier of each matched subscription under one
-	// read-lock, then deliver outside it. The pooled parallel slice
-	// (instead of a per-publish map) keeps the fan-out hot path
-	// allocation-free; the per-proxy breakdown is only materialized
+	// Resolve each matched subscription's target under one read-lock
+	// (the fan-out groups them into one run per connection), then
+	// deliver outside it. The per-proxy breakdown is only materialized
 	// when push sinks consume it.
 	b.mu.RLock()
-	if cap(fs.notifiers) < len(matched) {
-		fs.notifiers = make([]Notifier, len(matched))
-	}
-	notifiers := fs.notifiers[:len(matched)] // every slot overwritten below
 	var perProxy map[int]int
 	if len(b.sinks) > 0 {
 		perProxy = make(map[int]int, 8)
 	}
-	for i, sub := range matched {
-		notifiers[i] = b.notifiers[sub.ID]
+	fs.fan.reserve(len(matched))
+	for _, sub := range matched {
+		if t, ok := b.targets[sub.ID]; ok {
+			fs.fan.Add(t)
+		}
 		if perProxy != nil {
 			perProxy[sub.Proxy]++
 		}
@@ -389,18 +382,13 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	}
 	b.mu.RUnlock()
 
-	for i, sub := range matched {
-		if n := notifiers[i]; n != nil {
-			notify(ctx, n, Notification{
-				PageID:         c.ID,
-				Version:        c.Version,
-				Size:           int64(len(c.Body)),
-				SubscriptionID: sub.ID,
-			})
-			if bt != nil {
-				bt.notifications.Inc()
-			}
-		}
+	notified := fs.fan.Deliver(ctx, Notification{
+		PageID:  c.ID,
+		Version: c.Version,
+		Size:    int64(len(c.Body)),
+	})
+	if bt != nil {
+		bt.notifications.Add(int64(notified))
 	}
 	for proxy, sink := range sinks {
 		pctx, psp := telemetry.StartSpan(ctx, "broker.push")

@@ -139,7 +139,7 @@ type Client struct {
 	connWait       chan struct{} // closed while cur != nil or the client is dead
 	connWaitClosed bool
 	seq            uint64
-	pending        map[uint64]chan Message
+	pending        map[uint64]pendingReq
 	subs           map[int64]*clientSub
 	byServer       map[int64]int64 // server sub ID -> client sub ID
 	nextSubID      int64
@@ -181,7 +181,7 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 		cfg:         cfg,
 		metrics:     newClientMetrics(cfg.telemetry),
 		connWait:    make(chan struct{}),
-		pending:     make(map[uint64]chan Message),
+		pending:     make(map[uint64]pendingReq),
 		subs:        make(map[int64]*clientSub),
 		byServer:    make(map[int64]int64),
 		closeCh:     make(chan struct{}),
@@ -448,12 +448,12 @@ func (c *Client) resubscribe(cc *clientConn) bool {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		m := Message{
 			Type: msgSubscribe, Proxy: s.proxy, Topics: s.topics, Keywords: s.keywords,
-			Part: s.part,
+			Part: s.part, sub: s, // the read loop rebinds s (bindLocked)
 		}
 		if fn := c.cfg.ringVersion; fn != nil {
 			m.Ring = fn()
 		}
-		resp, err := c.exchange(ctx, cc, m)
+		_, err := c.exchange(ctx, cc, m)
 		cancel()
 		if err != nil {
 			select {
@@ -472,13 +472,6 @@ func (c *Client) resubscribe(cc *clientConn) bool {
 			// the rest alive.
 			continue
 		}
-		c.mu.Lock()
-		if s.serverID != 0 && c.byServer[s.serverID] == s.id {
-			delete(c.byServer, s.serverID)
-		}
-		s.serverID = resp.SubID
-		c.byServer[resp.SubID] = s.id
-		c.mu.Unlock()
 		if cm := c.metrics; cm != nil {
 			cm.resubscribes.Inc()
 		}
@@ -564,13 +557,19 @@ func (c *Client) readLoop(cc *clientConn) {
 				continue // ping pong, or a response nobody correlates
 			}
 			c.mu.Lock()
-			if ch := c.pending[m.Seq]; ch != nil {
+			if p, ok := c.pending[m.Seq]; ok {
+				if p.sub != nil && m.OK && m.SubID != 0 {
+					// Bind the subscription before the next frame is
+					// decoded: a notify for it may follow at once (or
+					// even have preceded this response on the wire).
+					c.bindLocked(p.sub, m.SubID)
+				}
 				// Buffered, delivered under c.mu (exchange recycles the
 				// channel only after removing it from the map under the
 				// same mutex); if the waiter already gave up the message
 				// is dropped and drained at recycle time.
 				select {
-				case ch <- m:
+				case p.ch <- m:
 				default:
 				}
 			}
@@ -579,12 +578,25 @@ func (c *Client) readLoop(cc *clientConn) {
 	}
 }
 
-// deliver hands one notify frame to the notification callbacks: one
-// call per subscription the frame carries, Notification.SubscriptionID
-// first and then MoreSubIDs, in order. The per-frame work — mapping
-// server IDs to client IDs under c.mu, building the notify context,
-// re-basing PublishedAt — happens once per frame; the delivery-latency
-// histogram still gets one sample per notification.
+// bindLocked records that server subscription sid now carries the
+// client subscription s, replacing s's previous server ID. Callers hold
+// c.mu.
+func (c *Client) bindLocked(s *clientSub, sid int64) {
+	if s.serverID != 0 && c.byServer[s.serverID] == s.id {
+		delete(c.byServer, s.serverID)
+	}
+	s.serverID = sid
+	c.byServer[sid] = s.id
+}
+
+// deliver hands one notify frame to the notification callback: the
+// WithNotify callback once per subscription the frame carries,
+// Notification.SubscriptionID first and then MoreSubIDs, in order; the
+// WithNotifyContext callback once for the whole frame. Server IDs map
+// to client IDs under c.mu, once per frame; a server ID with no mapping
+// is dropped, since passing it on would name whichever client
+// subscription happens to share the number. The delivery-latency
+// histogram gets one sample per notification.
 func (c *Client) deliver(cc *clientConn, m *Message) {
 	count := int64(1 + len(m.MoreSubIDs))
 	if cm := c.metrics; cm != nil && m.PublishedAt > 0 {
@@ -602,13 +614,18 @@ func (c *Client) deliver(cc *clientConn, m *Message) {
 	}
 	ids := append(append(cc.ids[:0], m.Notification.SubscriptionID), m.MoreSubIDs...)
 	cc.ids = ids
+	mapped := ids[:0]
 	c.mu.Lock()
-	for i, sid := range ids {
+	for _, sid := range ids {
 		if cid, ok := c.byServer[sid]; ok {
-			ids[i] = cid
+			mapped = append(mapped, cid)
 		}
 	}
 	c.mu.Unlock()
+	ids = mapped
+	if len(ids) == 0 {
+		return
+	}
 	n := *m.Notification
 	if c.cfg.notifyCtx == nil {
 		for _, id := range ids {
@@ -629,10 +646,8 @@ func (c *Client) deliver(cc *clientConn, m *Message) {
 		// compared.
 		nctx = withPublishIngress(nctx, time.Now().Add(-time.Duration(m.PublishedAt)))
 	}
-	for _, id := range ids {
-		n.SubscriptionID = id
-		c.cfg.notifyCtx(nctx, n)
-	}
+	n.SubscriptionID = ids[0]
+	c.cfg.notifyCtx(nctx, n, ids)
 }
 
 // notifyContext builds the context handed to the WithNotifyContext
@@ -821,6 +836,14 @@ func (c *Client) overloadPause(ctx context.Context, attempt int) bool {
 // may retry: connection loss and per-attempt timeouts.
 var errRetryable = errors.New("broker: retryable transport failure")
 
+// pendingReq is an in-flight request awaiting its response: the channel
+// the read loop delivers it on, and, for a subscribe, the registry entry
+// the read loop binds to the server's subscription ID.
+type pendingReq struct {
+	ch  chan Message
+	sub *clientSub
+}
+
 // respChanPool recycles response-correlation channels across requests:
 // one buffered channel per in-flight request, reused once the request
 // resolves.
@@ -880,7 +903,7 @@ func (c *Client) exchange(ctx context.Context, cc *clientConn, m Message) (Messa
 	c.seq++
 	seq := c.seq
 	ch := respChanPool.Get().(chan Message)
-	c.pending[seq] = ch
+	c.pending[seq] = pendingReq{ch: ch, sub: m.sub}
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
@@ -961,26 +984,33 @@ func (c *Client) SubscribePartition(ctx context.Context, partition, proxy int, t
 // subscribe sends the subscribe frame (part is the wire partition
 // header, 0 = unrouted) and records the registry entry.
 func (c *Client) subscribe(ctx context.Context, part, proxy int, topics, keywords []string) (int64, error) {
-	resp, err := c.roundTrip(ctx, Message{
-		Type: msgSubscribe, Proxy: proxy, Topics: topics, Keywords: keywords, Part: part,
-	})
-	if err != nil {
-		return 0, err
-	}
 	c.mu.Lock()
 	c.nextSubID++
-	id := c.nextSubID
-	c.subs[id] = &clientSub{
-		id:       id,
+	s := &clientSub{
+		id:       c.nextSubID,
 		proxy:    proxy,
 		topics:   append([]string(nil), topics...),
 		keywords: append([]string(nil), keywords...),
 		part:     part,
-		serverID: resp.SubID,
 	}
-	c.byServer[resp.SubID] = id
 	c.mu.Unlock()
-	return id, nil
+	// The read loop binds s to its server ID when the response arrives
+	// (bindLocked), before it reads any notification that follows.
+	_, err := c.roundTrip(ctx, Message{
+		Type: msgSubscribe, Proxy: proxy, Topics: topics, Keywords: keywords, Part: part,
+		sub: s,
+	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		// A response may have bound s after its waiter gave up.
+		if s.serverID != 0 && c.byServer[s.serverID] == s.id {
+			delete(c.byServer, s.serverID)
+		}
+		return 0, err
+	}
+	c.subs[s.id] = s
+	return s.id, nil
 }
 
 // Unsubscribe removes a subscription by its client-side ID.

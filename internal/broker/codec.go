@@ -114,6 +114,10 @@ type Message struct {
 	// storage inside the (pooled) Message instead of a fresh heap
 	// allocation per notify. Unexported: codecs never see it.
 	notifScratch Notification
+	// sub, on a client's subscribe request, is the registry entry the
+	// client's read loop binds to the SubID of the response. Unexported:
+	// codecs never see it.
+	sub *clientSub
 }
 
 // bodyBytes resolves the content payload of an inbound frame: the raw

@@ -3,7 +3,9 @@ package broker
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzDecodeFrame feeds arbitrary bytes to both wire-frame decoders —
@@ -11,8 +13,11 @@ import (
 // Whatever the bytes, decoding must either yield a message or an
 // error, never panic; and a decoded message must survive the rest of
 // the request path (body decode, re-encoding with either codec)
-// without panicking. Seed corpus lives in
-// testdata/fuzz/FuzzDecodeFrame (regenerate with tools/gencorpus).
+// without panicking. It is also the codec differential: a message
+// that decodes under one codec, re-encoded through the other, must
+// decode to the same Message (MoreSubIDs included) and re-encode to
+// the same bytes. Seed corpus lives in testdata/fuzz/FuzzDecodeFrame
+// (JSON and binary frames; regenerate with tools/gencorpus).
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"subscribe","topics":["news"],"proxy":1,"seq":7}`))
 	f.Add([]byte(`{"type":"publish","id":"p","version":2,"body":"aGVsbG8="}`))
@@ -52,12 +57,86 @@ func FuzzDecodeFrame(f *testing.F) {
 			// message must re-encode with every codec (or fail with an
 			// error — bad base64 bodies cannot cross into binary).
 			for _, e := range codecs {
-				if _, err := e.AppendFrame(nil, &m); err != nil && m.Body == "" {
-					t.Fatalf("%s-decoded message does not re-encode as %s: %v", c.Name(), e.Name(), err)
+				frame, err := e.AppendFrame(nil, &m)
+				if err != nil {
+					if m.Body == "" {
+						t.Fatalf("%s-decoded message does not re-encode as %s: %v", c.Name(), e.Name(), err)
+					}
+					continue
+				}
+				if e != c {
+					checkCrossCodec(t, c, e, &m, frame)
 				}
 			}
 		}
 	})
+}
+
+// checkCrossCodec is the differential check for a message m decoded by
+// from and encoded as frame by to: frame must decode to m, up to what
+// the codecs represent alike, and re-encode to the same bytes.
+func checkCrossCodec(t *testing.T, from, to Codec, m *Message, frame []byte) {
+	t.Helper()
+	if to.Name() == codecJSON && !validUTF8(m) {
+		return // JSON strings cannot carry arbitrary bytes
+	}
+	payload, err := to.ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil, 0)
+	if err != nil {
+		t.Fatalf("%s→%s: re-encoded frame does not read back: %v", from.Name(), to.Name(), err)
+	}
+	var got Message
+	if err := to.DecodeFrame(payload, &got); err != nil {
+		t.Fatalf("%s→%s: re-encoded frame does not decode: %v", from.Name(), to.Name(), err)
+	}
+	want, gotN := codecNeutral(m), codecNeutral(&got)
+	if !reflect.DeepEqual(gotN, want) {
+		t.Fatalf("%s→%s: decoded %+v (notification %+v), want %+v (notification %+v)",
+			from.Name(), to.Name(), gotN, gotN.Notification, want, want.Notification)
+	}
+	again, err := to.AppendFrame(nil, &got)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("%s→%s: re-encoding is not stable (err %v):\n%q\n%q", from.Name(), to.Name(), err, frame, again)
+	}
+}
+
+// codecNeutral returns m in the form both codecs agree on: the body as
+// resolved bytes, and empty lists as nil.
+func codecNeutral(m *Message) Message {
+	c := *m
+	body, _ := m.bodyBytes()
+	c.Body, c.BodyRaw = "", nil
+	if len(body) > 0 {
+		c.BodyRaw = body
+	}
+	for _, l := range []*[]string{&c.Topics, &c.Keywords, &c.Codecs, &c.Caps} {
+		if len(*l) == 0 {
+			*l = nil
+		}
+	}
+	if len(c.MoreSubIDs) == 0 {
+		c.MoreSubIDs = nil
+	}
+	if c.Notification != nil {
+		n := *c.Notification
+		c.Notification = &n
+	}
+	return c
+}
+
+// validUTF8 reports whether every string m carries is valid UTF-8.
+func validUTF8(m *Message) bool {
+	strs := []string{m.Type, m.ID, m.Body, m.Error, m.Trace, m.Codec}
+	if m.Notification != nil {
+		strs = append(strs, m.Notification.PageID)
+	}
+	for _, l := range [][]string{strs, m.Topics, m.Keywords, m.Codecs, m.Caps} {
+		for _, s := range l {
+			if !utf8.ValidString(s) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FuzzBinaryReadFrame drives the binary framing layer (length prefix,

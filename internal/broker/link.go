@@ -78,11 +78,12 @@ func NewRemoteLink(ctx context.Context, target *Broker, addr string, topics, key
 const LinkProxyID = 0
 
 // onNotify bridges one remote publication: fetch the page content and
-// republish it locally. It runs on the client's read loop, so the
-// blocking fetch+publish is handed to a goroutine. ctx carries the
-// remote publisher's trace (when traced), so the bridge's fetch and
-// the local republish join that trace.
-func (l *RemoteLink) onNotify(ctx context.Context, n Notification) {
+// republish it locally. It runs on the client's read loop, once per
+// notify frame (the link's one subscription is all the frame can
+// carry), so the blocking fetch+publish is handed to a goroutine. ctx
+// carries the remote publisher's trace (when traced), so the bridge's
+// fetch and the local republish join that trace.
+func (l *RemoteLink) onNotify(ctx context.Context, n Notification, _ []int64) {
 	if !l.brk.Allow() {
 		// Uplink breaker open: shed the update without spawning a
 		// fetch. The page is not lost — the remote broker still holds

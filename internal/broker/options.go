@@ -132,7 +132,7 @@ func WithAdmissionControl(cfg AdmissionConfig) ServerOption {
 // clientConfig is the resolved client configuration.
 type clientConfig struct {
 	notify    func(Notification)
-	notifyCtx func(context.Context, Notification)
+	notifyCtx func(context.Context, Notification, []int64)
 	onGap     func(missed int64)
 	telemetry *telemetry.Registry
 	spans     *telemetry.SpanCollector
@@ -209,14 +209,19 @@ func WithNotify(fn func(Notification)) ClientOption {
 	return func(c *clientConfig) { c.notify = fn }
 }
 
-// WithNotifyContext installs a context-aware notification callback:
-// like WithNotify, but fn also receives a context carrying the trace
-// context the notify frame arrived with (when the sender traced it and
-// a collector is configured via WithClientTracer), so work triggered
-// by the notification continues the publisher's distributed trace.
-// When both WithNotify and WithNotifyContext are set, only fn is
-// invoked.
-func WithNotifyContext(fn func(ctx context.Context, n Notification)) ClientOption {
+// WithNotifyContext installs a context-aware notification callback,
+// called once per notify frame: n is the frame's notification (its
+// SubscriptionID is ids[0]) and ids lists the client-side subscription
+// IDs the frame carries, in order — several when the broker coalesced
+// one publish's notifications for this connection. ids is only valid
+// during the call. ctx carries the trace context the notify frame
+// arrived with (when the sender traced it and a collector is configured
+// via WithClientTracer), so work triggered by the notification
+// continues the publisher's distributed trace, and the publish's
+// elapsed broker-side latency, so a broker relaying the notification
+// accumulates it. When both WithNotify and WithNotifyContext are set,
+// only fn is invoked.
+func WithNotifyContext(fn func(ctx context.Context, n Notification, ids []int64)) ClientOption {
 	return func(c *clientConfig) { c.notifyCtx = fn }
 }
 

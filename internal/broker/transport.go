@@ -584,6 +584,9 @@ func (s *Server) handle(conn net.Conn) {
 	if sm != nil {
 		cw.setFlushStage(sm.stageEnqueueFlush)
 	}
+	// The connection's one notifier: every subscription made on it
+	// delivers through it.
+	notifier := &connNotifier{s: s, cw: cw}
 
 	var subIDs []int64
 	defer func() {
@@ -693,7 +696,7 @@ func (s *Server) handle(conn net.Conn) {
 		if m.DeadlineMS > 0 {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(m.DeadlineMS)*time.Millisecond)
 		}
-		resp = s.dispatch(ctx, &m, cw, &subIDs)
+		resp = s.dispatch(ctx, &m, notifier, &subIDs)
 		if cancel != nil {
 			cancel()
 		}
@@ -743,64 +746,7 @@ func (s *Server) requestSpan(m *Message) (context.Context, *telemetry.Span) {
 	return telemetry.StartSpan(ctx, "transport.server."+wireTypeKey(m.Type))
 }
 
-// connNotifier delivers a subscription's notifications over the
-// connection. It is context-aware: a notify caused by a traced publish
-// carries a transport.server.notify span whose identity rides the
-// notify frame, so the subscriber's reaction (e.g. a remote link's
-// bridge fetch) continues the publish's trace.
-type connNotifier struct {
-	s  *Server
-	cw *connWriter
-}
-
-func (cn connNotifier) Notify(n Notification) { cn.NotifyContext(context.Background(), n) }
-
-func (cn connNotifier) NotifyContext(ctx context.Context, n Notification) {
-	s := cn.s
-	// Broker-wide shedding: past the pending-bytes high watermark every
-	// notification is dropped at the door — a missed refresh is the
-	// cheapest work the broker can decline, and control traffic and
-	// publishes keep flowing. (Per-connection overflow is handled below
-	// by the connWriter's slow-consumer policy instead.)
-	if s.admission != nil && s.admission.shedNotify() {
-		if sm := s.metrics; sm != nil {
-			sm.shed.With(shedClassNotify).Inc()
-		}
-		return
-	}
-	var sp *telemetry.Span
-	var trace string
-	// One context probe up front: an untraced publish (the steady-state
-	// fan-out path) skips span creation entirely — this runs once per
-	// matched subscription, so the context-chain walks show up.
-	if sc := telemetry.SpanContextFromContext(ctx); sc.Valid() {
-		_, sp = telemetry.StartSpan(ctx, "transport.server.notify")
-		if sp != nil {
-			sp.SetAttr("page", n.PageID)
-			trace = sp.Context().String()
-		} else {
-			// No local collector but the caller is traced: still propagate.
-			trace = sc.String()
-		}
-	}
-	// The originating publish's ingress instant (when stamped) rides the
-	// context from PublishContext; the flusher turns it into the frame's
-	// PublishedAt at encode time. Both instants are this broker's clock.
-	pub, _ := publishIngressFromContext(ctx)
-	err := cn.cw.enqueueNotify(n, trace, pub)
-	if err == nil {
-		if sm := s.metrics; sm != nil {
-			sm.notifySends.Inc()
-			if !pub.IsZero() {
-				sm.stageFanoutEnqueue.Observe(time.Since(pub).Nanoseconds())
-			}
-		}
-	}
-	sp.SetError(err)
-	sp.End()
-}
-
-func (s *Server) dispatch(ctx context.Context, m *Message, cw *connWriter, subIDs *[]int64) Message {
+func (s *Server) dispatch(ctx context.Context, m *Message, notifier *connNotifier, subIDs *[]int64) Message {
 	if m.Ring != 0 || m.Part != 0 {
 		// Handoff frames are exempt: they target a partition the
 		// receiver does not own yet — ReceiveHandoff validates them.
@@ -817,7 +763,7 @@ func (s *Server) dispatch(ctx context.Context, m *Message, cw *connWriter, subID
 			Proxy:    m.Proxy,
 			Topics:   m.Topics,
 			Keywords: m.Keywords,
-		}, connNotifier{s: s, cw: cw})
+		}, notifier)
 		if err != nil {
 			return Message{Type: msgResponse, Error: err.Error()}
 		}

@@ -381,7 +381,7 @@ func (n *Node) link(id string) (*memberLink, error) {
 	}
 	l := &memberLink{
 		node: n, id: id, addr: addr,
-		subs: make(map[int64]int64),
+		subs: make(map[int64]broker.Target),
 		brk:  broker.NewBreaker(n.cfg.BreakerThreshold, n.cfg.BreakerCooldown),
 	}
 	if n.met != nil {
@@ -443,8 +443,8 @@ func (n *Node) Kill() {
 
 // memberLink is the resilient client this node keeps toward one peer:
 // a broker.Client with reconnection, ring-version stamping, and a
-// dispatch table mapping the link's subscription IDs back to the edge
-// subscriptions they carry notifications for.
+// dispatch table mapping the link's subscription IDs to the delivery
+// targets of the edge subscriptions they carry notifications for.
 type memberLink struct {
 	node *Node
 	id   string
@@ -452,7 +452,12 @@ type memberLink struct {
 
 	mu     sync.Mutex
 	client *broker.Client
-	subs   map[int64]int64 // link-client sub ID -> edge route ID
+	subs   map[int64]broker.Target // link-client sub ID -> edge route's target
+
+	// relayMu guards the relay's fan-out scratch, reused across notify
+	// frames so relaying allocates nothing.
+	relayMu sync.Mutex
+	fan     broker.Fanout
 
 	// brk is the per-peer circuit breaker: a run of transport-class
 	// failures opens it and forwards fail fast (errBreakerOpen, still
@@ -495,30 +500,29 @@ func (l *memberLink) get(ctx context.Context) (*broker.Client, error) {
 	return c, nil
 }
 
-// onNotify relays a notification arriving on the member link to the
-// edge subscription it belongs to.
-func (l *memberLink) onNotify(ctx context.Context, nt broker.Notification) {
+// onNotify relays a notify frame arriving on the member link to the
+// edge subscriptions it belongs to: ids are the link's subscription
+// IDs, mapped to their edge routes' targets under one lock, and the
+// targets fan out as one run per edge connection.
+func (l *memberLink) onNotify(ctx context.Context, nt broker.Notification, ids []int64) {
+	l.relayMu.Lock()
+	defer l.relayMu.Unlock()
 	l.mu.Lock()
-	rid, ok := l.subs[nt.SubscriptionID]
+	for _, id := range ids {
+		if t, ok := l.subs[id]; ok {
+			l.fan.Add(t)
+		}
+	}
 	l.mu.Unlock()
-	if !ok {
-		return
-	}
-	n := l.node
-	n.mu.Lock()
-	rt := n.routes[rid]
-	n.mu.Unlock()
-	if rt == nil {
-		return
-	}
-	nt.SubscriptionID = rt.id
-	notifyEdge(ctx, rt.notifier, nt)
+	l.fan.Deliver(ctx, nt)
 }
 
-// track registers a link subscription in the dispatch table.
-func (l *memberLink) track(linkID, routeID int64) {
+// track registers a link subscription in the dispatch table: its
+// notifications go to the edge route es, under the route's ID.
+func (l *memberLink) track(linkID int64, es *edgeSub) {
+	t := broker.ResolveTarget(es.notifier, es.id)
 	l.mu.Lock()
-	l.subs[linkID] = routeID
+	l.subs[linkID] = t
 	l.mu.Unlock()
 }
 
@@ -601,33 +605,6 @@ func (l *memberLink) close() {
 	if c != nil {
 		_ = c.Close()
 	}
-}
-
-// notifyEdge forwards a notification preferring the context-aware
-// path.
-func notifyEdge(ctx context.Context, to broker.Notifier, nt broker.Notification) {
-	if cn, ok := to.(broker.ContextNotifier); ok {
-		cn.NotifyContext(ctx, nt)
-		return
-	}
-	to.Notify(nt)
-}
-
-// relabelNotifier rewrites the partition engine's subscription ID to
-// the node-level ID the subscriber knows before forwarding.
-type relabelNotifier struct {
-	id int64
-	to broker.Notifier
-}
-
-func (r relabelNotifier) Notify(nt broker.Notification) {
-	nt.SubscriptionID = r.id
-	r.to.Notify(nt)
-}
-
-func (r relabelNotifier) NotifyContext(ctx context.Context, nt broker.Notification) {
-	nt.SubscriptionID = r.id
-	notifyEdge(ctx, r.to, nt)
 }
 
 // sortedPartitions returns map keys in ascending order; transitions

@@ -321,7 +321,7 @@ func (n *Node) applyForwardedSubscribe(ctx context.Context, p int, sub match.Sub
 	n.nextID++
 	id := n.nextID
 	n.mu.Unlock()
-	localID, err := eng.SubscribeContext(ctx, sub, relabelNotifier{id: id, to: notifier})
+	localID, err := eng.SubscribeContext(ctx, sub, broker.Relabel(id, notifier))
 	if err != nil {
 		return 0, err
 	}
@@ -389,7 +389,7 @@ func (n *Node) bindPartition(ctx context.Context, es *edgeSub, p int, ring *Ring
 		var err error
 		if owner == n.cfg.NodeID && eng != nil {
 			var localID int64
-			localID, err = eng.SubscribeContext(bctx, scoped, relabelNotifier{id: es.id, to: es.notifier})
+			localID, err = eng.SubscribeContext(bctx, scoped, broker.Relabel(es.id, es.notifier))
 			if err == nil {
 				n.met.count(func(m *metrics) *telemetry.CounterVec { return m.subscribes }, routeLocal)
 				b = &subBinding{partition: p, localID: localID}
@@ -407,7 +407,7 @@ func (n *Node) bindPartition(ctx context.Context, es *edgeSub, p int, ring *Ring
 						var linkID int64
 						linkID, err = cl.SubscribePartition(bctx, p, scoped.Proxy, scoped.Topics, scoped.Keywords)
 						if err == nil {
-							l.track(linkID, es.id)
+							l.track(linkID, es)
 							n.met.count(func(m *metrics) *telemetry.CounterVec { return m.subscribes }, routeForwarded)
 							b = &subBinding{partition: p, owner: owner, link: l, linkID: linkID}
 						}
