@@ -27,6 +27,7 @@ examples:
 	$(GO) run ./examples/customstrategy
 	$(GO) run ./examples/liveproxy
 	$(GO) run ./examples/cluster
+	$(GO) run ./examples/customcodec
 
 # Full-scale regeneration of every paper table/figure (~4 minutes).
 experiments:

@@ -56,7 +56,7 @@ func run() error {
 		defer n.Close()
 		nodes[id] = n
 	}
-	if err := waitMembers(nodes["alpha"], len(ids)); err != nil {
+	if err := waitAgreed(len(ids), nodes["alpha"], nodes["beta"], nodes["gamma"]); err != nil {
 		return err
 	}
 
@@ -116,7 +116,7 @@ func run() error {
 	if err := nodes["gamma"].Close(); err != nil {
 		return err
 	}
-	if err := waitMembers(nodes["alpha"], 2); err != nil {
+	if err := waitAgreed(2, nodes["alpha"], nodes["beta"]); err != nil {
 		return err
 	}
 	ring = nodes["alpha"].Ring()
@@ -144,15 +144,26 @@ func run() error {
 	return nil
 }
 
-// waitMembers polls until the node's ring has exactly n members.
-func waitMembers(n *pubsubcd.ClusterNode, want int) error {
-	deadline := time.Now().Add(15 * time.Second)
+// waitAgreed polls until every node's ring has exactly want members
+// and all the nodes hold the same ring. A member acts on its own view
+// of the ring, so traffic waits until no member lags behind. After a
+// retire the survivors can take several probe timeouts to agree.
+func waitAgreed(want int, nodes ...*pubsubcd.ClusterNode) error {
+	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if len(n.Ring().Members()) == want {
+		first := nodes[0].Ring()
+		agreed := len(first.Members()) == want
+		for _, n := range nodes[1:] {
+			r := n.Ring()
+			agreed = agreed && r.Version() == first.Version() &&
+				fmt.Sprint(r.Members()) == fmt.Sprint(first.Members())
+		}
+		if agreed {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("ring stuck at %v, want %d members", n.Ring().Members(), want)
+			return fmt.Errorf("rings did not agree on %d members (first: v%d %v)",
+				want, first.Version(), first.Members())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

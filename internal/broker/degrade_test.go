@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pubsubcd/internal/core"
-	"pubsubcd/internal/telemetry"
 )
 
 // storeAllStrategy caches everything; it isolates the degradation
@@ -55,11 +54,8 @@ func (f *flakyFetcher) Fetch(pageID string) (Content, error) {
 
 func TestProxyServesStaleWhenFetchPathDown(t *testing.T) {
 	b := New()
-	reg := telemetry.NewRegistry()
 	fetcher := &flakyFetcher{}
-	p, err := NewProxy(3, b, newStoreAll(), 1,
-		WithProxyFetcher(fetcher),
-		WithProxyTelemetry(reg))
+	p, err := NewProxy(3, b, newStoreAll(), 1, WithProxyFetcher(fetcher))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +80,6 @@ func TestProxyServesStaleWhenFetchPathDown(t *testing.T) {
 	if st.DegradedStale != 1 || st.FetchErrors != 1 {
 		t.Errorf("stats = %+v, want DegradedStale=1 FetchErrors=1", st)
 	}
-	if n := reg.CounterVec("proxy.degraded_stale", "proxy").With("3").Value(); n != 1 {
-		t.Errorf(`proxy.degraded_stale{proxy="3"} = %d, want 1`, n)
-	}
 
 	// When the path heals, the refetch resumes and the fresh version is
 	// served.
@@ -101,55 +94,17 @@ func TestProxyServesStaleWhenFetchPathDown(t *testing.T) {
 	}
 }
 
-func TestProxyFallsBackToOriginOnMiss(t *testing.T) {
-	b := New()
-	reg := telemetry.NewRegistry()
-	primary := &flakyFetcher{}
-	primary.down.Store(true)
-	origin := &flakyFetcher{content: Content{Version: 1, Body: []byte("from-origin")}}
-	p, err := NewProxy(4, b, newStoreAll(), 1,
-		WithProxyFetcher(primary),
-		WithProxyOrigin(origin),
-		WithProxyTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	body, err := p.Request("cold-page")
-	if err != nil {
-		t.Fatalf("request should fall back to the origin, got: %v", err)
-	}
-	if string(body) != "from-origin" {
-		t.Errorf("body = %q", body)
-	}
-	st := p.Stats()
-	if st.OriginFallbacks != 1 || st.FetchErrors != 1 {
-		t.Errorf("stats = %+v, want OriginFallbacks=1 FetchErrors=1", st)
-	}
-	if n := reg.CounterVec("proxy.origin_fallbacks", "proxy").With("4").Value(); n != 1 {
-		t.Errorf(`proxy.origin_fallbacks{proxy="4"} = %d, want 1`, n)
-	}
-	if origin.calls.Load() != 1 {
-		t.Errorf("origin calls = %d, want 1", origin.calls.Load())
-	}
-}
-
 func TestProxyFailsWhenEverythingIsDown(t *testing.T) {
 	b := New()
 	primary := &flakyFetcher{}
 	primary.down.Store(true)
-	origin := &flakyFetcher{}
-	origin.down.Store(true)
-	p, err := NewProxy(5, b, newStoreAll(), 1,
-		WithProxyFetcher(primary),
-		WithProxyOrigin(origin))
+	p, err := NewProxy(5, b, newStoreAll(), 1, WithProxyFetcher(primary))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	if _, err := p.Request("nope"); err == nil {
-		t.Fatal("request must fail when the page is uncached and every fetch path is down")
+		t.Fatal("request must fail when the page is uncached and the fetch path is down")
 	}
 	if st := p.Stats(); st.FetchErrors != 1 {
 		t.Errorf("stats = %+v, want FetchErrors=1", st)
@@ -201,7 +156,64 @@ func TestProxyFetchesThroughResilientClient(t *testing.T) {
 	if string(body) != "fresh2" {
 		t.Errorf("body = %q", body)
 	}
-	if st := p.Stats(); st.DegradedStale != 0 && st.OriginFallbacks != 0 {
+	if st := p.Stats(); st.DegradedStale != 0 {
 		t.Errorf("proxy degraded despite resilient fetch path: %+v", st)
+	}
+}
+
+// rejectableStrategy is a store-all that can be told to start
+// rejecting pushes, forcing the proxy down its eviction path.
+type rejectableStrategy struct {
+	*storeAllStrategy
+	reject bool
+}
+
+func (s *rejectableStrategy) Push(p core.PageMeta, version, subs int) bool {
+	if s.reject {
+		delete(s.pages, p.ID)
+		return false
+	}
+	return s.storeAllStrategy.Push(p, version, subs)
+}
+
+// TestProxyDropsBodyWhenRePushRejected: when the strategy rejects a
+// re-push of a stored page, the proxy drops that page's body, so the
+// next request is a fetch, not a hit — and with the fetch path down
+// there is no stale copy left to degrade to.
+func TestProxyDropsBodyWhenRePushRejected(t *testing.T) {
+	b := New()
+	fetcher := &flakyFetcher{content: Content{Version: 2, Body: []byte("dropped-v2")}}
+	strat := &rejectableStrategy{storeAllStrategy: newStoreAll()}
+	p, err := NewProxy(2, b, strat, 1, WithProxyFetcher(fetcher))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Push(Content{ID: "keep", Version: 1, Body: []byte("kept")}, 1)
+	p.Push(Content{ID: "drop", Version: 1, Body: []byte("dropped")}, 1)
+	strat.reject = true
+	p.Push(Content{ID: "drop", Version: 2}, 0) // strategy rejects → evict
+
+	fetcher.down.Store(true)
+	if body, err := p.Request("keep"); err != nil || string(body) != "kept" {
+		t.Fatalf("kept page: body %q, err %v; want a local hit", body, err)
+	}
+	if body, err := p.Request("drop"); err == nil {
+		t.Fatalf("dropped page served %q with the fetch path down; its body should be gone", body)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Fetches != 0 || st.DegradedStale != 0 || st.FetchErrors != 1 {
+		t.Errorf("stats = %+v, want Hits=1 Fetches=0 DegradedStale=0 FetchErrors=1", st)
+	}
+
+	fetcher.down.Store(false)
+	body, err := p.Request("drop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != "dropped-v2" {
+		t.Errorf("body = %q, want the fetched dropped-v2", body)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Fetches != 1 {
+		t.Errorf("stats = %+v, want Hits=1 (unchanged) Fetches=1", st)
 	}
 }

@@ -4,10 +4,7 @@ package broker
 // write-ahead-journals every subscribe/unsubscribe and periodically
 // snapshots the subscription registry, so a restarted broker recovers
 // its matching state with the same subscription IDs it had before the
-// crash. Proxies journal cache admissions and evictions (metadata
-// only — page bodies are refetched lazily on first use), so a warm
-// restart restores the placement the strategy earned instead of
-// cold-starting every cache.
+// crash.
 //
 // Recovery replay is idempotent: a record may be reflected in both
 // the snapshot and the log (a crash can interleave with
@@ -20,10 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"pubsubcd/internal/core"
 	"pubsubcd/internal/journal"
 	"pubsubcd/internal/match"
 	"pubsubcd/internal/telemetry"
@@ -130,10 +125,9 @@ func Open(opts ...BrokerOption) (*Broker, error) {
 	}
 	start := time.Now()
 	j, err := journal.Open(filepath.Join(cfg.dataDir, "broker"), journal.Options{
-		Fsync:        cfg.fsync,
-		FS:           cfg.fs,
-		Telemetry:    cfg.telemetry,
-		MetricPrefix: "journal",
+		Fsync:     cfg.fsync,
+		FS:        cfg.fs,
+		Telemetry: cfg.telemetry,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("broker: open journal: %w", err)
@@ -313,247 +307,4 @@ func (b *Broker) crash() {
 	}
 	b.stopSnapshotLoop()
 	b.jnl.Crash()
-}
-
-// --- Proxy durability -------------------------------------------------
-//
-// A durable proxy journals cache admissions and evictions — metadata
-// only. On restart the resident set is replayed into the placement
-// strategy so GD*/SUB/DC-* keep the placement they earned; the page
-// body itself is refetched lazily the first time a user asks for it
-// (ProxyStats.WarmRefills counts those).
-
-// WithProxyDataDir makes the proxy durable: cache admissions and
-// evictions are journaled under dir and the resident set is restored
-// on the next NewProxy with the same id and dir.
-func WithProxyDataDir(dir string) ProxyOption {
-	return func(c *proxyConfig) { c.dataDir = dir }
-}
-
-// WithProxyFsyncPolicy selects the proxy journal's fsync policy.
-// Cache metadata is reconstructible (worst case: a cold cache), so
-// journal.FsyncNone or FsyncInterval is usually the right trade.
-func WithProxyFsyncPolicy(p journal.FsyncPolicy) ProxyOption {
-	return func(c *proxyConfig) { c.fsync = p }
-}
-
-// WithProxySnapshotInterval sets how often the resident set is
-// snapshotted and the journal truncated. 0 means
-// DefaultSnapshotInterval; negative disables periodic snapshots (one
-// is still written on Close).
-func WithProxySnapshotInterval(d time.Duration) ProxyOption {
-	return func(c *proxyConfig) { c.snapshotInterval = d }
-}
-
-// proxyRecord is one journaled cache change; "admit" records double
-// as snapshot entries.
-type proxyRecord struct {
-	Op      string `json:"op"` // "admit" | "evict"
-	Page    string `json:"page"`
-	Version int    `json:"version,omitempty"`
-	Size    int64  `json:"size,omitempty"`
-	Subs    int    `json:"subs,omitempty"`
-}
-
-// proxySnapshot is the resident set in admission order.
-type proxySnapshot struct {
-	Pages []proxyRecord `json:"pages"`
-}
-
-// openProxyJournal opens the proxy's journal and replays the resident
-// set into the strategy. Called from NewProxy before the proxy is
-// attached; p.jnl stays nil until replay finishes, so the replay's own
-// strategy.Push calls don't re-journal.
-func (p *Proxy) openProxyJournal(cfg *proxyConfig) error {
-	start := time.Now()
-	j, err := journal.Open(filepath.Join(cfg.dataDir, fmt.Sprintf("proxy%d", p.id)), journal.Options{
-		Fsync:        cfg.fsync,
-		Telemetry:    cfg.telemetry,
-		MetricPrefix: fmt.Sprintf("proxy%d.journal", p.id),
-	})
-	if err != nil {
-		return fmt.Errorf("broker: open proxy %d journal: %w", p.id, err)
-	}
-
-	// Rebuild the resident set: snapshot entries first, then the log.
-	// Order matters — the strategy re-earns the placement in the order
-	// admissions originally happened.
-	resident := make(map[string]proxyRecord)
-	var order []string
-	admit := func(r proxyRecord) {
-		if _, ok := resident[r.Page]; !ok {
-			order = append(order, r.Page)
-		}
-		resident[r.Page] = r
-	}
-	evict := func(page string) { delete(resident, page) }
-
-	if blob, ok := j.Snapshot(); ok {
-		var snap proxySnapshot
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			j.Close()
-			return fmt.Errorf("broker: decode proxy %d snapshot: %w", p.id, err)
-		}
-		for _, r := range snap.Pages {
-			admit(r)
-		}
-	}
-	if err := j.Replay(func(rec []byte) error {
-		var r proxyRecord
-		if err := json.Unmarshal(rec, &r); err != nil {
-			return fmt.Errorf("broker: decode proxy %d journal record: %w", p.id, err)
-		}
-		switch r.Op {
-		case "admit":
-			admit(r)
-		case "evict":
-			evict(r.Page)
-		default:
-			return fmt.Errorf("broker: unknown proxy journal op %q", r.Op)
-		}
-		return nil
-	}); err != nil {
-		j.Close()
-		return fmt.Errorf("broker: replay proxy %d journal: %w", p.id, err)
-	}
-
-	for _, page := range order {
-		r, ok := resident[page]
-		if !ok {
-			continue // admitted then evicted
-		}
-		meta := core.PageMeta{ID: p.numericID(page), Size: r.Size, Cost: p.cost}
-		if stored := p.strategy.Push(meta, r.Version, r.Subs); stored {
-			p.warm[page] = r.Size
-			p.versions[page] = r.Version
-			p.subs[page] = r.Subs
-			p.observeVersion(page, r.Version)
-			p.stats.WarmRestored++
-		}
-	}
-
-	p.jnl = j
-	cfg.telemetry.Histogram(fmt.Sprintf("proxy%d.journal.recovery_ns", p.id), telemetry.LatencyBuckets()).
-		Observe(time.Since(start).Nanoseconds())
-	if cfg.snapshotInterval >= 0 {
-		interval := cfg.snapshotInterval
-		if interval == 0 {
-			interval = DefaultSnapshotInterval
-		}
-		p.snapStop = make(chan struct{})
-		p.snapDone = make(chan struct{})
-		go p.snapshotLoop(interval, p.snapStop, p.snapDone)
-	}
-	return nil
-}
-
-// journalAdmit records a cache admission. Caller holds p.mu; a sticky
-// journal failure degrades to counting, never fails the serve path.
-func (p *Proxy) journalAdmit(ctx context.Context, page string, version int, size int64, subs int) {
-	if p.jnl == nil {
-		return
-	}
-	blob, err := json.Marshal(proxyRecord{Op: "admit", Page: page, Version: version, Size: size, Subs: subs})
-	if err == nil {
-		err = p.jnl.AppendContext(ctx, blob)
-	}
-	if err != nil {
-		p.stats.JournalErrors++
-	}
-}
-
-// journalEvict records a cache eviction. Caller holds p.mu.
-func (p *Proxy) journalEvict(ctx context.Context, page string) {
-	if p.jnl == nil {
-		return
-	}
-	blob, err := json.Marshal(proxyRecord{Op: "evict", Page: page})
-	if err == nil {
-		err = p.jnl.AppendContext(ctx, blob)
-	}
-	if err != nil {
-		p.stats.JournalErrors++
-	}
-}
-
-// residentLocked lists the resident set (stored bodies plus warm
-// placements) for a snapshot. Caller holds p.mu.
-func (p *Proxy) residentLocked() []proxyRecord {
-	pages := make([]string, 0, len(p.bodies)+len(p.warm))
-	for page := range p.bodies {
-		pages = append(pages, page)
-	}
-	for page := range p.warm {
-		pages = append(pages, page)
-	}
-	sort.Strings(pages)
-	out := make([]proxyRecord, 0, len(pages))
-	for _, page := range pages {
-		size, warm := p.warm[page]
-		if !warm {
-			size = bodySize(p.bodies[page])
-		}
-		out = append(out, proxyRecord{
-			Op:      "admit",
-			Page:    page,
-			Version: p.versions[page],
-			Size:    size,
-			Subs:    p.subs[page],
-		})
-	}
-	return out
-}
-
-// Checkpoint snapshots the proxy's resident set and truncates its
-// journal. No-op on a non-durable proxy. p.mu is held across
-// WriteSnapshot so no admission can slip between the dump and the
-// truncation (lock order: p.mu before the journal's mutex, matching
-// the append paths).
-func (p *Proxy) Checkpoint() error {
-	if p.jnl == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	blob, err := json.Marshal(proxySnapshot{Pages: p.residentLocked()})
-	if err != nil {
-		return err
-	}
-	return p.jnl.WriteSnapshot(blob)
-}
-
-// snapshotLoop checkpoints periodically until stopped.
-func (p *Proxy) snapshotLoop(interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = p.Checkpoint()
-		}
-	}
-}
-
-// stopSnapshotLoop stops the periodic checkpointer, once.
-func (p *Proxy) stopSnapshotLoop() {
-	if p.snapStop == nil {
-		return
-	}
-	p.snapStopOnce.Do(func() {
-		close(p.snapStop)
-		<-p.snapDone
-	})
-}
-
-// crash simulates a process kill of the proxy for the chaos suite.
-func (p *Proxy) crash() {
-	p.broker.DetachProxy(p.id)
-	if p.jnl == nil {
-		return
-	}
-	p.stopSnapshotLoop()
-	p.jnl.Crash()
 }

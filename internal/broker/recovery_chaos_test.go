@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pubsubcd/internal/broker/faultnet"
-	"pubsubcd/internal/core"
 	"pubsubcd/internal/journal"
 	"pubsubcd/internal/match"
 	"pubsubcd/internal/telemetry"
@@ -17,7 +16,7 @@ import (
 
 // The crash-recovery chaos suite. Every test here follows the same
 // contract: after a crash (simulated by dropping the journal's file
-// handles without flushing), a reopened broker/proxy must hold
+// handles without flushing), a reopened broker must hold
 //
 //	acked-before-crash ⊆ recovered ⊆ acked ∪ in-flight
 //
@@ -264,118 +263,6 @@ func TestCrashRecoveryTornFinalRecord(t *testing.T) {
 	}
 	if reg.Histogram("journal.recovery_ns", telemetry.LatencyBuckets()).Count() == 0 {
 		t.Error("recovery duration histogram empty")
-	}
-}
-
-func TestCrashRecoveryProxyWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	b := New()
-	// The origin knows both pages, so lazy refills can fetch them.
-	for _, c := range []Content{
-		{ID: "alpha", Version: 1, Body: []byte("alpha-body")},
-		{ID: "beta", Version: 1, Body: []byte("beta-body")},
-	} {
-		if _, err := b.Publish(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	popts := []ProxyOption{
-		WithProxyDataDir(dir),
-		WithProxyFsyncPolicy(journal.FsyncAlways),
-		WithProxySnapshotInterval(-1),
-	}
-	p, err := NewProxy(1, b, newStoreAll(), 1, popts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Push(Content{ID: "alpha", Version: 1, Body: []byte("alpha-body")}, 2)
-	p.Push(Content{ID: "beta", Version: 1, Body: []byte("beta-body")}, 1)
-	p.crash()
-
-	p2, err := NewProxy(1, b, newStoreAll(), 1, popts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if st := p2.Stats(); st.WarmRestored != 2 {
-		t.Fatalf("WarmRestored = %d, want 2 (stats %+v)", st.WarmRestored, st)
-	}
-	// First request refills the body lazily from the origin...
-	body, err := p2.Request("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "alpha-body" {
-		t.Errorf("refilled body = %q, want alpha-body", body)
-	}
-	if st := p2.Stats(); st.WarmRefills != 1 || st.Fetches != 1 {
-		t.Errorf("after refill, stats = %+v, want WarmRefills=1 Fetches=1", st)
-	}
-	// ...and the next one is a plain local hit.
-	if _, err := p2.Request("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if st := p2.Stats(); st.Hits != 1 {
-		t.Errorf("after second request, Hits = %d, want 1", st.Hits)
-	}
-}
-
-// rejectableStrategy is a store-all that can be told to start
-// rejecting pushes, forcing the proxy down its eviction path.
-type rejectableStrategy struct {
-	*storeAllStrategy
-	reject bool
-}
-
-func (s *rejectableStrategy) Push(p core.PageMeta, version, subs int) bool {
-	if s.reject {
-		delete(s.pages, p.ID)
-		return false
-	}
-	return s.storeAllStrategy.Push(p, version, subs)
-}
-
-func TestCrashRecoveryProxySnapshotAndEvictions(t *testing.T) {
-	dir := t.TempDir()
-	b := New()
-	if _, err := b.Publish(Content{ID: "keep", Version: 1, Body: []byte("kept")}); err != nil {
-		t.Fatal(err)
-	}
-	popts := []ProxyOption{
-		WithProxyDataDir(dir),
-		WithProxyFsyncPolicy(journal.FsyncAlways),
-		WithProxySnapshotInterval(-1),
-	}
-	strat := &rejectableStrategy{storeAllStrategy: newStoreAll()}
-	p, err := NewProxy(2, b, strat, 1, popts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Push(Content{ID: "keep", Version: 1, Body: []byte("kept")}, 1)
-	p.Push(Content{ID: "drop", Version: 1, Body: []byte("dropped")}, 1)
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-snapshot eviction lands in the fresh log; replay must apply
-	// it on top of the snapshot.
-	strat.reject = true
-	p.Push(Content{ID: "drop", Version: 2}, 0) // strategy rejects → evict
-	p.crash()
-
-	p2, err := NewProxy(2, b, newStoreAll(), 1, popts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if st := p2.Stats(); st.WarmRestored != 1 {
-		t.Fatalf("WarmRestored = %d, want 1 (evicted page must stay out)", st.WarmRestored)
-	}
-	body, err := p2.Request("keep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "kept" {
-		t.Errorf("body = %q, want kept", body)
 	}
 }
 

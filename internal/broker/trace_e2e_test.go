@@ -12,11 +12,10 @@ import (
 
 // TestDistributedTraceAcrossFederatedPair publishes through a real
 // two-broker federation — a hub behind the TCP transport and a leaf
-// bridged in with a RemoteLink — with a durable proxy on the leaf, and
-// asserts that the whole flow lands in ONE trace: transport send,
-// broker match, notify, bridge fetch, republish, push placement,
-// journal append, and a later cache hit, all with correct parent/child
-// nesting.
+// bridged in with a RemoteLink — with a proxy on the leaf, and asserts
+// that the whole flow lands in ONE trace: transport send, broker match,
+// notify, bridge fetch, republish, push placement, and a later cache
+// hit, all with correct parent/child nesting.
 func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 	spans := telemetry.NewSpanCollector(telemetry.CollectorOptions{})
 
@@ -28,9 +27,16 @@ func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Leaf broker with a durable proxy so push placement journals.
+	// Leaf broker with a proxy whose placement the trace records.
 	leaf := New()
-	prox := newDurableTestProxy(t, leaf, 1)
+	strat, err := core.NewSG2(core.Params{Capacity: 1 << 20, Beta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prox, err := NewProxy(1, leaf, strat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer prox.Close()
 	if _, err := leaf.Subscribe(match.Subscription{Proxy: 1, Topics: []string{"news"}},
 		NotifierFunc(func(Notification) {})); err != nil {
@@ -99,7 +105,6 @@ func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 		"broker.fetch",
 		"broker.push",
 		"proxy.push",
-		"journal.append",
 		"proxy.request",
 	}
 	var td *telemetry.TraceData
@@ -157,7 +162,7 @@ func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 		t.Fatal("hub and leaf publish collapsed into one span")
 	}
 
-	// Placement on the leaf, down to the journal write.
+	// Placement on the leaf.
 	push := find("broker.push", "broker.publish")
 	if push.ParentID != leafPub.SpanID {
 		t.Errorf("broker.push parented under %s, want the leaf publish", parentName(push))
@@ -166,7 +171,6 @@ func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 	if got := attr(proxPush, "stored"); got != "true" {
 		t.Errorf("proxy.push stored=%q, want true", got)
 	}
-	find("journal.append", "proxy.push")
 
 	// The later cache hit joins the same trace under the test root.
 	req := find("proxy.request", "test.publish")
@@ -175,18 +179,51 @@ func TestDistributedTraceAcrossFederatedPair(t *testing.T) {
 	}
 }
 
-// newDurableTestProxy builds a proxy journaling to a temp dir.
-func newDurableTestProxy(t *testing.T, b *Broker, id int) *Proxy {
-	t.Helper()
-	strat, err := core.NewSG2(core.Params{Capacity: 1 << 20, Beta: 2})
+// TestDurableSubscribeTracesJournalAppend: a traced subscribe on a
+// durable broker records its write-ahead append as a journal.append
+// span under broker.subscribe — the one path that emits that span.
+func TestDurableSubscribeTracesJournalAppend(t *testing.T) {
+	b, err := Open(WithDataDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProxy(id, b, strat, 1, WithProxyDataDir(t.TempDir()))
-	if err != nil {
+	defer b.Close()
+	spans := telemetry.NewSpanCollector(telemetry.CollectorOptions{})
+	ctx := telemetry.WithSpanCollector(context.Background(), spans)
+	ctx, root := telemetry.StartSpan(ctx, "test.subscribe")
+	tid := root.Context().TraceID
+	if _, err := b.SubscribeContext(ctx, match.Subscription{Proxy: 1, Topics: []string{"news"}},
+		NotifierFunc(func(Notification) {})); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	root.End()
+
+	td, ok := spans.Trace(tid)
+	if !ok {
+		t.Fatal("subscribe trace not retained")
+	}
+	byID := make(map[telemetry.SpanID]telemetry.SpanData, len(td.Spans))
+	for _, s := range td.Spans {
+		byID[s.SpanID] = s
+	}
+	var sub, app *telemetry.SpanData
+	for i, s := range td.Spans {
+		switch s.Name {
+		case "broker.subscribe":
+			sub = &td.Spans[i]
+		case "journal.append":
+			app = &td.Spans[i]
+		}
+	}
+	if sub == nil || app == nil {
+		t.Fatalf("trace lacks broker.subscribe or journal.append: %v", spanNames(td))
+	}
+	if byID[sub.ParentID].Name != "test.subscribe" {
+		t.Errorf("broker.subscribe parented under %q, want test.subscribe", byID[sub.ParentID].Name)
+	}
+	if app.ParentID != sub.SpanID {
+		t.Errorf("journal.append parented under %q, want broker.subscribe", byID[app.ParentID].Name)
+	}
 }
 
 func hasAllSpans(td *telemetry.TraceData, want []string) bool {

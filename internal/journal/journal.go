@@ -130,11 +130,10 @@ type Options struct {
 	SyncInterval time.Duration
 	// FS overrides the filesystem (fault injection); nil means OSFS.
 	FS FS
-	// Telemetry, when non-nil, receives the journal's counters under
-	// MetricPrefix. Nil disables (counters still work, detached).
+	// Telemetry, when non-nil, receives the journal's counters
+	// (journal.appends, journal.fsyncs, ...). Nil disables (counters
+	// still work, detached).
 	Telemetry *telemetry.Registry
-	// MetricPrefix prefixes the counter names; "" means "journal".
-	MetricPrefix string
 }
 
 // metrics are the journal's pre-resolved counter handles. The
@@ -201,22 +200,18 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	prefix := opts.MetricPrefix
-	if prefix == "" {
-		prefix = "journal"
-	}
 	reg := opts.Telemetry
 	j := &Journal{
 		dir:    dir,
 		fs:     fsys,
 		policy: opts.Fsync,
 		m: metrics{
-			appends:       reg.Counter(prefix + ".appends"),
-			appendErrors:  reg.Counter(prefix + ".append_errors"),
-			fsyncs:        reg.Counter(prefix + ".fsyncs"),
-			truncations:   reg.Counter(prefix + ".replay_truncations"),
-			snapshots:     reg.Counter(prefix + ".snapshots"),
-			snapshotNanos: reg.Histogram(prefix+".snapshot_ns", telemetry.LatencyBuckets()),
+			appends:       reg.Counter("journal.appends"),
+			appendErrors:  reg.Counter("journal.append_errors"),
+			fsyncs:        reg.Counter("journal.fsyncs"),
+			truncations:   reg.Counter("journal.replay_truncations"),
+			snapshots:     reg.Counter("journal.snapshots"),
+			snapshotNanos: reg.Histogram("journal.snapshot_ns", telemetry.LatencyBuckets()),
 		},
 	}
 	j.syncWait = sync.NewCond(&j.mu)

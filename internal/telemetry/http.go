@@ -54,26 +54,13 @@ type AdminServer struct {
 type AdminOption func(*adminConfig)
 
 type adminConfig struct {
-	spans  *SpanCollector
-	checks map[string]func() error
+	spans *SpanCollector
 }
 
 // WithSpans serves the collector's span traces on /traces and
 // /trace/{id}.
 func WithSpans(c *SpanCollector) AdminOption {
 	return func(cfg *adminConfig) { cfg.spans = c }
-}
-
-// WithHealthCheck registers a named readiness check evaluated by
-// /readyz; a nil error means healthy. Checks can also be added after
-// startup with RegisterHealthCheck.
-func WithHealthCheck(name string, check func() error) AdminOption {
-	return func(cfg *adminConfig) {
-		if cfg.checks == nil {
-			cfg.checks = make(map[string]func() error)
-		}
-		cfg.checks[name] = check
-	}
 }
 
 // NewAdminServer starts the admin endpoint on addr (e.g.
@@ -93,12 +80,9 @@ func NewAdminServer(addr string, reg *Registry, opts ...AdminOption) (*AdminServ
 	s := &AdminServer{
 		ln:     ln,
 		start:  time.Now(),
-		checks: cfg.checks,
+		checks: make(map[string]func() error),
 	}
 	s.lastReady.Store(-1)
-	if s.checks == nil {
-		s.checks = make(map[string]func() error)
-	}
 	mux := http.NewServeMux()
 	s.mux = mux
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -229,10 +213,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// RegisterHealthCheck adds (or replaces) a named readiness check after
-// startup — components that come up after the admin endpoint (the
-// broker's journal, the transport listener, an uplink) register
-// themselves here.
+// RegisterHealthCheck adds (or replaces) a named readiness check
+// evaluated by /readyz; a nil error means healthy. Components that come
+// up after the admin endpoint (the broker's journal, the transport
+// listener, an uplink) register themselves here.
 func (s *AdminServer) RegisterHealthCheck(name string, check func() error) {
 	s.mu.Lock()
 	s.checks[name] = check

@@ -151,15 +151,15 @@ func TestAdminServerHealthAndReadiness(t *testing.T) {
 	}
 }
 
-func TestAdminServerWithHealthCheckOption(t *testing.T) {
-	s, err := NewAdminServer("127.0.0.1:0", nil,
-		WithHealthCheck("static", func() error { return errors.New("never ready") }))
+func TestAdminServerRegisteredCheckGatesFirstProbe(t *testing.T) {
+	s, err := NewAdminServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.RegisterHealthCheck("static", func() error { return errors.New("never ready") })
 	code, _ := adminGet(t, "http://"+s.Addr()+"/readyz")
 	if code != http.StatusServiceUnavailable {
-		t.Errorf("option-registered check ignored: status %d", code)
+		t.Errorf("registered check ignored: status %d", code)
 	}
 }

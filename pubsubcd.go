@@ -268,7 +268,6 @@ var (
 	StartSpan         = telemetry.StartSpan
 	WithSpanCollector = telemetry.WithSpanCollector
 	WithSpans         = telemetry.WithSpans
-	WithHealthCheck   = telemetry.WithHealthCheck
 	// NewStructuredLogger builds the slog logger used by the cmds:
 	// leveled, text or JSON, and annotated with trace_id/span_id when a
 	// record is logged under an active span context.
@@ -315,8 +314,7 @@ type (
 	// ContentFetcher fetches current page content; *Broker satisfies
 	// it, and BrokerClient.Fetcher adapts the TCP client to it.
 	ContentFetcher = broker.Fetcher
-	// ProxyOption configures NewProxy (alternate fetch paths, origin
-	// fallback, telemetry).
+	// ProxyOption configures NewProxy (an alternate fetch path).
 	ProxyOption = broker.ProxyOption
 	// BrokerProxyStats counts a proxy's traffic, including degraded
 	// serves.
@@ -481,20 +479,6 @@ var (
 	// WithProxyFetcher routes the proxy's fetch path through an
 	// alternate fetcher (e.g. a resilient TCP client).
 	WithProxyFetcher = broker.WithProxyFetcher
-	// WithProxyOrigin installs a fallback origin fetcher used when the
-	// primary fetch path fails and no cached copy exists.
-	WithProxyOrigin = broker.WithProxyOrigin
-	// WithProxyTelemetry wires proxy degradation counters into a
-	// registry.
-	WithProxyTelemetry = broker.WithProxyTelemetry
-	// WithProxyDataDir makes the proxy durable: cache admissions and
-	// evictions are journaled (metadata only; bodies refetch lazily)
-	// and the placement is restored on the next NewProxy.
-	WithProxyDataDir = broker.WithProxyDataDir
-	// WithProxyFsyncPolicy selects the proxy journal's fsync policy.
-	WithProxyFsyncPolicy = broker.WithProxyFsyncPolicy
-	// WithProxySnapshotInterval sets the proxy's checkpoint cadence.
-	WithProxySnapshotInterval = broker.WithProxySnapshotInterval
 )
 
 // Durability (write-ahead journal, snapshots, crash recovery).
@@ -584,8 +568,8 @@ var (
 // explicit limit is configured.
 const DefaultMaxFrame = broker.DefaultMaxFrame
 
-// NewProxy attaches a caching proxy to a broker, configured by
-// functional options (fetch path, origin fallback, telemetry).
+// NewProxy attaches a caching proxy to a broker; WithProxyFetcher
+// routes its fetches through an alternate path.
 func NewProxy(id int, b *Broker, s Strategy, cost float64, opts ...ProxyOption) (*Proxy, error) {
 	return broker.NewProxy(id, b, s, cost, opts...)
 }
