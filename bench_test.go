@@ -57,7 +57,17 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 }
 
 func BenchmarkSimulationRun(b *testing.B) {
-	benchSimulationParallelism(b, 0)
+	benchSimulation(b, benchScale, 0)
+}
+
+// BenchmarkSimulationRunPaperScale is the same SG2 simulation on the
+// paper's full-scale NEWS workload (scale 1). Its caches are hundreds of
+// times larger, so the strategy containers' per-event cost dominates,
+// and one run lasts long enough (~0.2 s on a 2-core box) that a median
+// of five resolves a core regression the few-millisecond scale-50 runs
+// lose in noise.
+func BenchmarkSimulationRunPaperScale(b *testing.B) {
+	benchSimulation(b, 1, 0)
 }
 
 // The Sequential/Parallel pair measures the per-proxy sharding speedup
@@ -67,11 +77,11 @@ func BenchmarkSimulationRun(b *testing.B) {
 // sequential-vs-parallel ratio as a workflow artifact.
 
 func BenchmarkSimulationRunSequential(b *testing.B) {
-	benchSimulationParallelism(b, 1)
+	benchSimulation(b, benchScale, 1)
 }
 
 func BenchmarkSimulationRunParallel(b *testing.B) {
-	benchSimulationParallelism(b, runtime.GOMAXPROCS(0))
+	benchSimulation(b, benchScale, runtime.GOMAXPROCS(0))
 }
 
 // The TracingDisabled/TracingEnabled pair measures span-tracing
@@ -114,12 +124,13 @@ func benchSimulationTracing(b *testing.B, traced bool) {
 	}
 }
 
-// benchSimulationParallelism runs the SG2 simulation at a fixed shard
-// parallelism (0 = the facade default, GOMAXPROCS). One untimed warm-up
-// run builds the workload's cached event view so the timed iterations
-// measure pure simulation, not view construction.
-func benchSimulationParallelism(b *testing.B, parallelism int) {
-	w, err := GenerateWorkload(ScaledWorkloadConfig(TraceNEWS, benchScale))
+// benchSimulation runs the SG2 simulation of the NEWS workload at the
+// given scale and a fixed shard parallelism (0 = the facade default,
+// GOMAXPROCS). One untimed warm-up run builds the workload's cached
+// event view so the timed iterations measure pure simulation, not view
+// construction.
+func benchSimulation(b *testing.B, scale, parallelism int) {
+	w, err := GenerateWorkload(ScaledWorkloadConfig(TraceNEWS, scale))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,11 @@
 // carries a "speedup" block with the sequential/parallel ns-per-op
 // ratio — the headline number for the per-proxy sharding work.
 //
+// Repeated result lines of one benchmark (`go test -count N`) fold into
+// one row: the median ns/op, so that one noisy run neither fails nor
+// passes the gate, and the largest B/op and allocs/op, which the gate
+// holds tight. Iterations sum over the runs.
+//
 // With -baseline, the parsed results are also compared against a
 // committed baseline document (the same JSON shape, e.g.
 // BENCH_sim.json): any benchmark present in both that regresses by
@@ -29,7 +34,7 @@
 //
 // Usage:
 //
-//	go test -bench='BenchmarkSimulationRun' -benchtime=1x . | benchjson -out bench.json
+//	go test -bench='BenchmarkSimulationRun' -benchtime=1x -count=5 . | benchjson -out bench.json
 //	go test -bench=. -benchtime=1x . | benchjson -baseline BENCH_sim.json
 //	benchjson -e2e current_e2e.json -e2e-baseline BENCH_e2e.json
 package main
@@ -41,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -324,6 +330,7 @@ func parse(in io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	rep.Speedup = speedup(rep.Benchmarks)
 	rep.CodecGain = codecGain(rep.Benchmarks)
 	return rep, nil
@@ -356,6 +363,37 @@ func parseResultLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
+}
+
+// fold merges the result lines of each benchmark into one row, in the
+// order the benchmarks first appear: the median ns/op (the mean of the
+// middle two for an even count), the largest B/op and allocs/op, and the
+// iterations summed.
+func fold(lines []Benchmark) []Benchmark {
+	var names []string
+	runs := make(map[string][]Benchmark)
+	for _, b := range lines {
+		if _, seen := runs[b.Name]; !seen {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		row := Benchmark{Name: name}
+		ns := make([]float64, len(rs))
+		for i, r := range rs {
+			ns[i] = r.NsPerOp
+			row.Iterations += r.Iterations
+			row.BytesPerOp = max(row.BytesPerOp, r.BytesPerOp)
+			row.AllocsPerOp = max(row.AllocsPerOp, r.AllocsPerOp)
+		}
+		slices.Sort(ns)
+		row.NsPerOp = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+		out = append(out, row)
+	}
+	return out
 }
 
 // baseName strips the trailing -GOMAXPROCS suffix Go appends to

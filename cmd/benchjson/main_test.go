@@ -46,6 +46,25 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedRuns checks that the five result lines of a
+// -count=5 run become one row: the median ns/op, the largest B/op and
+// allocs/op, and the summed iterations.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	rep, err := parse(strings.NewReader(`BenchmarkSimulationRun-2   1   4300000 ns/op   1000 B/op   4600 allocs/op
+BenchmarkSimulationRun-2   1   9900000 ns/op   1000 B/op   4600 allocs/op
+BenchmarkSimulationRun-2   1   4100000 ns/op   1200 B/op   4605 allocs/op
+BenchmarkSimulationRun-2   1   4200000 ns/op   1000 B/op   4601 allocs/op
+BenchmarkSimulationRun-2   1   3000000 ns/op    900 B/op   4600 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{{Name: "BenchmarkSimulationRun", Iterations: 5, NsPerOp: 4200000, BytesPerOp: 1200, AllocsPerOp: 4605}}
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0] != want[0] {
+		t.Errorf("folded rows = %+v, want %+v", rep.Benchmarks, want)
+	}
+}
+
 func TestParseWithoutPair(t *testing.T) {
 	rep, err := parse(strings.NewReader("BenchmarkFoo-4   10   123 ns/op\n"))
 	if err != nil {

@@ -98,9 +98,8 @@ func putEncodeBuf(b []byte) {
 
 // queuedNotify is one notify-lane entry: the notification by value, its
 // trace context, and the byte estimate charged against the queue bound.
-// pub is the originating publish's ingress instant (zero when the
-// notification did not come from a stamped publish) — the flusher stamps
-// the frame's PublishedAt field with the elapsed time since it at encode
+// The flusher stamps the frame's PublishedAt field with the elapsed time
+// since the notification's ingress instant (when it has one) at encode
 // time, so the wire value covers every queueing delay up to the flush.
 // enq is the enqueue instant, the zero of the enqueue→flush stage timer;
 // it is stamped only while that timer is attached.
@@ -108,7 +107,6 @@ type queuedNotify struct {
 	n     Notification
 	trace string
 	est   int64
-	pub   time.Time
 	enq   time.Time
 }
 
@@ -135,7 +133,8 @@ type connWriter struct {
 	limit    int  // outbound frame-size limit (0 = unlimited)
 	coalesce bool // peer decodes multi-subscription notify frames
 	pend     []byte
-	spare    []byte // the buffer not currently filling; nil while in flight
+	spare    []byte  // the buffer not currently filling; nil while in flight
+	msg      Message // send's encode slot
 
 	ring      []queuedNotify // notify lane, a growable ring up to maxPending bytes
 	head      int
@@ -229,7 +228,12 @@ func (cw *connWriter) send(m *Message) error {
 		return errWriterClosed
 	}
 	start := len(cw.pend)
-	buf, err := cw.codec.AppendFrame(cw.pend, m)
+	// Encode from the writer's own slot: the codec is an interface, so a
+	// pointer handed to it escapes, and encoding *m directly would move
+	// every caller's Message to the heap.
+	cw.msg = *m
+	buf, err := cw.codec.AppendFrame(cw.pend, &cw.msg)
+	cw.msg = Message{}
 	if err != nil {
 		if buf != nil {
 			cw.pend = buf[:start]
@@ -277,12 +281,11 @@ func (cw *connWriter) send(m *Message) error {
 // It returns how many notifications it queued. A policy-conformant drop
 // returns a nil error — the caller's fan-out must not treat shedding as
 // failure. Only sever and teardown return errors; the rest of the run
-// is then not queued. pub is the originating publish's ingress instant;
-// the zero time means "unknown" and leaves the frame's PublishedAt
+// is then not queued. A zero n.ingress leaves the frame's PublishedAt
 // unset.
-func (cw *connWriter) enqueueRun(n Notification, ids []int64, trace string, pub time.Time) (int, error) {
+func (cw *connWriter) enqueueRun(n Notification, ids []int64, trace string) (int, error) {
 	est := notifyFrameOverhead + int64(len(n.PageID)) + int64(len(trace))
-	qn := queuedNotify{n: n, trace: trace, est: est, pub: pub}
+	qn := queuedNotify{n: n, trace: trace, est: est}
 	cw.mu.Lock()
 	if cw.stageFlush != nil {
 		qn.enq = time.Now()
@@ -435,7 +438,7 @@ func (cw *connWriter) runLocked() int {
 	for ; n < cw.count; n++ {
 		q := &cw.ring[(cw.head+n)%len(cw.ring)]
 		if q.n.PageID != h.n.PageID || q.n.Version != h.n.Version || q.n.Size != h.n.Size ||
-			q.trace != h.trace || !q.pub.Equal(h.pub) {
+			q.trace != h.trace || !q.n.ingress.Equal(h.n.ingress) {
 			break
 		}
 	}
@@ -463,8 +466,8 @@ func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
 	// monotonic clock, so it covers matching, fan-out and every
 	// queueing delay, and can never go negative on any receiver.
 	em.PublishedAt = 0
-	if !head.pub.IsZero() {
-		em.PublishedAt = time.Since(head.pub).Nanoseconds()
+	if !head.n.ingress.IsZero() {
+		em.PublishedAt = time.Since(head.n.ingress).Nanoseconds()
 	}
 	bound := defaultMaxBatch
 	if cw.limit > 0 && cw.limit < bound {

@@ -44,6 +44,16 @@ type Notification struct {
 	Size    int64  `json:"size"`
 	// SubscriptionID identifies the matched subscription.
 	SubscriptionID int64 `json:"subscriptionId"`
+
+	// ingress is the originating publish's ingress instant on this
+	// process's monotonic clock: PublishContext stamps it, and a client
+	// re-bases an upstream broker's elapsed PublishedAt onto it, so a
+	// relay hop accumulates the budget instead of resetting it. The
+	// connection writer turns it into the notify frame's PublishedAt at
+	// encode time, and the fan-out stage timers measure from it. It never
+	// crosses the wire, so no timestamps of different machines are ever
+	// compared. The zero time means "unknown".
+	ingress time.Time
 }
 
 // Notifier receives notifications for a subscription. Implementations
@@ -293,11 +303,10 @@ func (b *Broker) Publish(c Content) (int, error) {
 func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	bt := b.telemetryHandles()
 	// The ingress instant is taken unconditionally: besides feeding the
-	// latency metrics it rides the context into the notify fan-out, where
+	// latency metrics it rides the notification into the fan-out, where
 	// the transport stamps each notify frame's PublishedAt field with the
-	// elapsed time since this moment (see latency.go).
+	// elapsed time since this moment (see Notification.ingress).
 	start := time.Now()
-	ctx = withPublishIngress(ctx, start)
 	ctx, sp := telemetry.StartSpan(ctx, "broker.publish")
 	if sp != nil {
 		sp.SetAttr("page", c.ID)
@@ -386,6 +395,7 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		PageID:  c.ID,
 		Version: c.Version,
 		Size:    int64(len(c.Body)),
+		ingress: start,
 	})
 	if bt != nil {
 		bt.notifications.Add(int64(notified))

@@ -210,6 +210,28 @@ func TestProxyPushPassesPublishMatchedCount(t *testing.T) {
 	}
 }
 
+// TestProxyDistinctPagesNeverAlias checks that two page IDs are two
+// pages to the strategy. "page-157538" and "page-296006" collide under a
+// 31-bit FNV-1a hash of the string, which once made the strategy see one
+// 100-byte page while the proxy kept both bodies.
+func TestProxyDistinctPagesNeverAlias(t *testing.T) {
+	b := New()
+	strat, err := core.NewSUB(core.Params{Capacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProxy(0, b, strat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Push(Content{ID: "page-157538", Version: 1, Body: make([]byte, 100)}, 1)
+	p.Push(Content{ID: "page-296006", Version: 1, Body: make([]byte, 200)}, 1)
+	if strat.Len() != 2 || strat.Used() != 300 {
+		t.Errorf("strategy holds %d pages, %d bytes; want 2 pages, 300 bytes", strat.Len(), strat.Used())
+	}
+}
+
 func TestProxyMissFetchesAndCaches(t *testing.T) {
 	b := New()
 	p := newTestProxy(t, b, 0)

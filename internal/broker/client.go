@@ -634,7 +634,6 @@ func (c *Client) deliver(cc *clientConn, m *Message) {
 		}
 		return
 	}
-	nctx := c.notifyContext(m.Trace)
 	if m.PublishedAt > 0 {
 		// Re-base the upstream broker's elapsed latency onto this
 		// process's monotonic clock, so a relay hop (a cluster edge node
@@ -644,10 +643,10 @@ func (c *Client) deliver(cc *clientConn, m *Message) {
 		// instant, so the relay's writer can coalesce them again.
 		// Duration arithmetic only — no cross-machine timestamp is ever
 		// compared.
-		nctx = withPublishIngress(nctx, time.Now().Add(-time.Duration(m.PublishedAt)))
+		n.ingress = time.Now().Add(-time.Duration(m.PublishedAt))
 	}
 	n.SubscriptionID = ids[0]
-	c.cfg.notifyCtx(nctx, n, ids)
+	c.cfg.notifyCtx(c.notifyContext(m.Trace), n, ids)
 }
 
 // notifyContext builds the context handed to the WithNotifyContext
@@ -751,7 +750,7 @@ func (c *Client) roundTrip(ctx context.Context, m Message) (Message, error) {
 	if c.cfg.spans != nil && telemetry.SpanFromContext(ctx) == nil && telemetry.SpanCollectorFromContext(ctx) == nil {
 		ctx = telemetry.WithSpanCollector(ctx, c.cfg.spans)
 	}
-	ctx, sp := telemetry.StartSpan(ctx, "transport.client."+wireTypeKey(m.Type))
+	ctx, sp := telemetry.StartSpan(ctx, clientSpanNames[wireTypeKey(m.Type)])
 	if sp != nil {
 		sp.SetAttr("addr", c.addr)
 		m.Trace = sp.Context().String()

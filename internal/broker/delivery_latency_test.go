@@ -160,3 +160,41 @@ func TestDeliveryLatencyClockSkewSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestNotifyContextCarriesUpstreamIngress checks the relay half of the
+// latency budget: a client hands its WithNotifyContext callback the
+// notification with the upstream publish's elapsed time re-based onto
+// this process's clock, so a broker relaying it (a cluster member link)
+// stamps its own frames with the whole budget, not only its share.
+func TestNotifyContextCarriesUpstreamIngress(t *testing.T) {
+	b := New()
+	s, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got := make(chan Notification, 1)
+	ctx := context.Background()
+	c, err := Dial(ctx, s.Addr(), WithNotifyContext(func(_ context.Context, n Notification, _ []int64) {
+		got <- n
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Subscribe(ctx, 1, []string{"t"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	if _, err := b.Publish(Content{ID: "p", Version: 1, Topics: []string{"t"}, Body: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n.ingress.Before(before) || n.ingress.After(time.Now()) {
+			t.Errorf("relayed ingress %v, want between the publish call (%v) and now", n.ingress, before)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no notification")
+	}
+}

@@ -221,15 +221,11 @@ func (cn *connNotifier) notifyRun(ctx context.Context, n Notification, ids []int
 			trace = sc.String()
 		}
 	}
-	// The originating publish's ingress instant (when stamped) rides the
-	// context from PublishContext; the flusher turns it into the frame's
-	// PublishedAt at encode time. Both instants are this broker's clock.
-	pub, _ := publishIngressFromContext(ctx)
-	sent, err := cn.cw.enqueueRun(n, ids, trace, pub)
+	sent, err := cn.cw.enqueueRun(n, ids, trace)
 	if sm := s.metrics; sm != nil && sent > 0 {
 		sm.notifySends.Add(int64(sent))
-		if !pub.IsZero() {
-			sm.stageFanoutEnqueue.ObserveN(time.Since(pub).Nanoseconds(), int64(sent))
+		if !n.ingress.IsZero() {
+			sm.stageFanoutEnqueue.ObserveN(time.Since(n.ingress).Nanoseconds(), int64(sent))
 		}
 	}
 	sp.SetError(err)

@@ -30,7 +30,8 @@ var coalescingHello = &Message{Type: msgHello, Codecs: []string{codecBinary}, Ca
 // enqueueNotify queues one notification: the run-of-one case of
 // enqueueRun, which the writer tests drive one notification at a time.
 func (cw *connWriter) enqueueNotify(n Notification, trace string, pub time.Time) error {
-	_, err := cw.enqueueRun(n, []int64{n.SubscriptionID}, trace, pub)
+	n.ingress = pub
+	_, err := cw.enqueueRun(n, []int64{n.SubscriptionID}, trace)
 	return err
 }
 
@@ -196,7 +197,7 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 					next++
 				}
 				var sent int
-				sent, runErr = cw.enqueueRun(Notification{PageID: page, Version: r + 1}, ids, "", time.Now())
+				sent, runErr = cw.enqueueRun(Notification{PageID: page, Version: r + 1, ingress: time.Now()}, ids, "")
 				enqueued += sent
 				if runErr == nil && sent != len(ids) {
 					t.Fatalf("%s: run %d queued %d of %d with no error", name, r, sent, len(ids))
@@ -246,7 +247,7 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 					if !errors.Is(runErr, errSlowConsumer) || severed != 1 || severs.Load() != 1 {
 						t.Fatalf("%s: err %v, severed counter %d, sever hook %d: want one counted sever", name, runErr, severed, severs.Load())
 					}
-					if _, err := cw.enqueueRun(Notification{PageID: page}, []int64{next}, "", time.Time{}); err == nil {
+					if _, err := cw.enqueueRun(Notification{PageID: page}, []int64{next}, ""); err == nil {
 						t.Fatalf("%s: a severed writer accepted a run", name)
 					}
 				} else if severed != 0 || len(sr.ids) != enqueued {

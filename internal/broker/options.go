@@ -217,7 +217,7 @@ func WithNotify(fn func(Notification)) ClientOption {
 // during the call. ctx carries the trace context the notify frame
 // arrived with (when the sender traced it and a collector is configured
 // via WithClientTracer), so work triggered by the notification
-// continues the publisher's distributed trace, and the publish's
+// continues the publisher's distributed trace; n carries the publish's
 // elapsed broker-side latency, so a broker relaying the notification
 // accumulates it. When both WithNotify and WithNotifyContext are set,
 // only fn is invoked.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"pubsubcd/internal/core"
@@ -51,6 +50,7 @@ type Proxy struct {
 
 	mu       sync.Mutex
 	strategy core.Strategy
+	ids      map[string]int // page ID → the strategy's dense page index
 	bodies   map[string][]byte
 	versions map[string]int
 	latest   map[string]int
@@ -112,6 +112,7 @@ func NewProxy(id int, b *Broker, strategy core.Strategy, cost float64, opts ...P
 		cost:     cost,
 		fetcher:  cfg.fetcher,
 		strategy: strategy,
+		ids:      make(map[string]int),
 		bodies:   make(map[string][]byte),
 		versions: make(map[string]int),
 		latest:   make(map[string]int),
@@ -155,7 +156,7 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 	p.stats.PushesSeen++
 	p.subs[c.ID] = matched
 	p.observeVersion(c.ID, c.Version)
-	meta := core.PageMeta{ID: p.numericID(c.ID), Size: bodySize(c.Body), Cost: p.cost}
+	meta := core.PageMeta{ID: p.pageIndex(c.ID), Size: bodySize(c.Body), Cost: p.cost}
 	if stored := p.strategy.Push(meta, c.Version, p.subs[c.ID]); stored {
 		p.stats.PushesStored++
 		p.bodies[c.ID] = c.Body
@@ -219,7 +220,7 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 	p.stats.Requests++
 
 	if body, ok := p.bodies[pageID]; ok {
-		meta := core.PageMeta{ID: p.numericID(pageID), Size: bodySize(body), Cost: p.cost}
+		meta := core.PageMeta{ID: p.pageIndex(pageID), Size: bodySize(body), Cost: p.cost}
 		hit, stored := p.strategy.Request(meta, p.latest[pageID], p.subs[pageID])
 		if hit && p.versions[pageID] >= p.latest[pageID] {
 			p.stats.Hits++
@@ -257,7 +258,7 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 		return current.Body, nil
 	}
 	p.observeVersion(pageID, current.Version)
-	meta := core.PageMeta{ID: p.numericID(pageID), Size: bodySize(current.Body), Cost: p.cost}
+	meta := core.PageMeta{ID: p.pageIndex(pageID), Size: bodySize(current.Body), Cost: p.cost}
 	_, stored := p.strategy.Request(meta, current.Version, p.subs[pageID])
 	p.stats.Fetches++
 	if stored {
@@ -296,12 +297,17 @@ func (p *Proxy) Close() error {
 	return nil
 }
 
-// numericID maps a string page ID to the integer ID space the strategy
-// layer uses, via FNV-1a.
-func (p *Proxy) numericID(pageID string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(pageID))
-	return int(h.Sum64() & 0x7fffffff)
+// pageIndex maps a string page ID to the dense index the strategy layer
+// keys pages by (core.PageMeta.ID), numbering pages 0, 1, 2, ... in the
+// order the proxy first sees them. Like latest and subs, the table grows
+// with every page seen. Caller holds p.mu.
+func (p *Proxy) pageIndex(pageID string) int {
+	id, ok := p.ids[pageID]
+	if !ok {
+		id = len(p.ids)
+		p.ids[pageID] = id
+	}
+	return id
 }
 
 func bodySize(body []byte) int64 {

@@ -238,6 +238,17 @@ func wireTypeKey(msgType string) string {
 	return "unknown"
 }
 
+// clientSpanNames maps each wireTypeKey to its transport.client.<type>
+// span name, built once: the client names the span of every request,
+// traced or not, and building the name per request would allocate.
+var clientSpanNames = func() map[string]string {
+	names := map[string]string{"unknown": "transport.client.unknown"}
+	for _, t := range wireTypes {
+		names[t] = "transport.client." + t
+	}
+	return names
+}()
+
 // Server exposes a Backend over TCP.
 type Server struct {
 	backend      Backend

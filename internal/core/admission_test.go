@@ -70,8 +70,8 @@ func storeShapes(r *rand.Rand) []*Store {
 
 func scanBytesBelow(s *Store, v float64) int64 {
 	var total int64
-	for _, e := range s.byID {
-		if e.Value < v {
+	for _, e := range s.slots {
+		if e != nil && e.Value < v {
 			total += e.Size
 		}
 	}
@@ -117,7 +117,7 @@ func TestStoreAdmissionWalkMatchesScan(t *testing.T) {
 }
 
 // dmFrom builds a DM cache holding the store's entries, with each
-// entry's Value as its subValue and an unrelated gdValue, so the two
+// entry's Value as its SUB value and an unrelated GD* value, so the two
 // heaps disagree on order.
 func dmFrom(t *testing.T, s *Store) *dm {
 	t.Helper()
@@ -126,16 +126,17 @@ func dmFrom(t *testing.T, s *Store) *dm {
 		t.Fatal(err)
 	}
 	d := st.(*dm)
-	for _, e := range s.byID {
-		d.add(&dmEntry{Entry: *e, subValue: e.Value, gdValue: -e.Value})
-	}
+	s.Each(func(e *Entry) bool {
+		d.add(&dmEntry{Entry: *e, val: [2]float64{dmGD: -e.Value, dmSUB: e.Value}})
+		return true
+	})
 	return d
 }
 
 func scanDMAdmits(d *dm, size int64, v float64) bool {
 	var below int64
-	for _, x := range d.byID {
-		if x.subValue < v {
+	for _, x := range d.slots {
+		if x != nil && x.val[dmSUB] < v {
 			below += x.Size
 		}
 	}
@@ -166,8 +167,8 @@ func TestDMAdmissionWalkMatchesScan(t *testing.T) {
 func sortAndTake(ac *Store, lastACRepl uint64, need int64) ([]*Entry, int64) {
 	var candidates []*Entry
 	var candBytes int64
-	for _, x := range ac.byID {
-		if x.LastAccessSeq < lastACRepl {
+	for _, x := range ac.slots {
+		if x != nil && x.LastAccessSeq < lastACRepl {
 			candidates = append(candidates, x)
 			candBytes += x.Size
 		}

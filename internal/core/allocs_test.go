@@ -33,3 +33,62 @@ func TestRejectedPushZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestStorePathZeroAlloc pins the store's per-operation path at zero
+// allocations: a slot lookup, a heap fix, and a pop of the minimum
+// followed by re-adding the same entry.
+func TestStorePathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, _ := NewStore(1 << 20)
+	for id := 0; id < 64; id++ {
+		if err := s.Add(entry(id, 10, float64(id%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, _ := s.Get(40)
+	for name, op := range map[string]func(){
+		"Get": func() { s.Get(33) },
+		"Fix": func() { e.Value = -e.Value - 1; s.Fix(e) },
+		"PopMin": func() {
+			min, _ := s.PopMin()
+			if err := s.Add(min); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("Store.%s allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestRefreshPushZeroAlloc checks that a push of a page already resident,
+// which refreshes its version and subscription count in place, allocates
+// nothing in any pushing scheme.
+func TestRefreshPushZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, f := range Catalog() {
+		if !f.UsesPush() {
+			continue
+		}
+		s := mustStrategy(t, f.New, Params{Capacity: 1000, Beta: 2})
+		for id := 0; id < 5; id++ {
+			s.Push(page(id, 100), 0, 5)
+		}
+		resident := page(3, 100)
+		version := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			version++
+			if !s.Push(resident, version, 5+version%3) {
+				t.Fatalf("%s dropped a resident page on a refreshing push", f.Name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: refreshing push allocates %.1f times, want 0", f.Name, allocs)
+		}
+	}
+}

@@ -21,7 +21,12 @@ import (
 
 // PageMeta is the strategy-visible description of a page at one proxy.
 type PageMeta struct {
-	// ID identifies the page.
+	// ID identifies the page. It is a dense index: non-negative, and
+	// each strategy keeps a slot table as long as the largest ID it has
+	// cached, so its memory grows with that ID. Number pages 0, 1, 2, ...
+	// as they are first seen (the simulator uses page indices; the
+	// broker's Proxy interns page-ID strings). A negative ID is never
+	// cached.
 	ID int
 	// Size is the content size in bytes.
 	Size int64

@@ -7,8 +7,8 @@ import (
 func TestDMPushUsesSubOrdering(t *testing.T) {
 	s := mustStrategy(t, NewDM, Params{Capacity: 100, Beta: 2})
 	// Two pushed pages with different subscription values.
-	s.Push(page(1, 50), 0, 1)  // subValue 0.02
-	s.Push(page(2, 50), 0, 10) // subValue 0.2
+	s.Push(page(1, 50), 0, 1)  // SUB value 0.02
+	s.Push(page(2, 50), 0, 10) // SUB value 0.2
 	// New push, 5 subs → 0.1: only page 1 is a candidate.
 	if stored := s.Push(page(3, 50), 0, 5); !stored {
 		t.Fatal("push should displace page 1")
@@ -89,13 +89,17 @@ func TestDMCapacityInvariant(t *testing.T) {
 		t.Fatal("DM should be *dm")
 	}
 	// Both heaps must track exactly the resident set.
-	if len(d.gdHeap.items) != len(d.byID) || len(d.subHeap.items) != len(d.byID) {
-		t.Fatalf("heap sizes diverged: gd=%d sub=%d map=%d",
-			len(d.gdHeap.items), len(d.subHeap.items), len(d.byID))
-	}
+	var resident int
 	var sum int64
-	for _, e := range d.byID {
-		sum += e.Size
+	for _, e := range d.slots {
+		if e != nil {
+			resident++
+			sum += e.Size
+		}
+	}
+	if len(d.gdHeap.items) != resident || len(d.subHeap.items) != resident {
+		t.Fatalf("heap sizes diverged: gd=%d sub=%d slots=%d",
+			len(d.gdHeap.items), len(d.subHeap.items), resident)
 	}
 	if sum != d.used {
 		t.Fatalf("accounting drift: sum=%d used=%d", sum, d.used)

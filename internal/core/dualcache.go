@@ -152,6 +152,9 @@ func (d *dualCache) push(p PageMeta, version, subs int) bool {
 		return true
 	}
 	d.stats.PushOffers++
+	if p.ID < 0 {
+		return false
+	}
 	v := subValue(subs, p.Cost, p.Size)
 	// Run SUB on the push cache; DC-AP falls back to reclaiming idle AC
 	// storage for the page.
@@ -273,7 +276,7 @@ func (d *dualCache) request(p PageMeta, version, subs int) (hit, stored bool) {
 		return fresh, true
 	}
 	// Miss: standard GD* replacement on AC.
-	if p.Size > d.ac.Capacity() {
+	if p.ID < 0 || p.Size > d.ac.Capacity() {
 		d.stats.AccessRejects++
 		return false, false
 	}

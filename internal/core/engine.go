@@ -157,7 +157,7 @@ func (g *engine) request(p PageMeta, version, subs int) (hit, stored bool) {
 // admit runs the replacement algorithm for a page not currently cached.
 // refs is the initial access count (1 at access time, 0 at push time).
 func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
-	if p.Size > g.store.Capacity() {
+	if p.ID < 0 || p.Size > g.store.Capacity() {
 		return false
 	}
 	// The page is valued in scratch space and copied out only once

@@ -386,3 +386,38 @@ func TestResidencyConsistencyAcrossStrategies(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativePageIDNeverCached checks the PageMeta.ID contract's edge:
+// a negative ID has no slot, so every scheme turns it away at push and
+// at access time, leaves its cache untouched and does not panic.
+func TestNegativePageIDNeverCached(t *testing.T) {
+	for _, f := range Catalog() {
+		// Resident pages the offers must not evict: one placed at access
+		// time (the dual caches' AC) and one low-valued push (their PC).
+		s := mustStrategy(t, f.New, Params{Capacity: 1000, Beta: 2})
+		s.Request(page(1, 300), 0, 3)
+		s.Push(page(2, 400), 0, 1)
+		used, n := s.Used(), s.Len()
+		for _, id := range []int{-1, -1 << 40} {
+			for _, size := range []int64{250, 450, 600, 950} {
+				neg := page(id, size)
+				if s.Push(neg, 1, 100) {
+					t.Errorf("%s: push of page %d (%d B) stored", f.Name, id, size)
+				}
+				for i := 0; i < 2; i++ {
+					if hit, stored := s.Request(neg, 1, 100); hit || stored {
+						t.Errorf("%s: request of page %d (%d B) = (%v, %v), want (false, false)", f.Name, id, size, hit, stored)
+					}
+				}
+			}
+		}
+		if s.Used() != used || s.Len() != n {
+			t.Errorf("%s: negative IDs moved the cache from %d pages/%d bytes to %d/%d",
+				f.Name, n, used, s.Len(), s.Used())
+		}
+	}
+	st, _ := NewStore(100)
+	if err := st.Add(entry(-3, 10, 1)); err == nil || st.Len() != 0 {
+		t.Errorf("Store.Add of page -3: err %v, len %d; want an error and an empty store", err, st.Len())
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -33,15 +32,20 @@ type Entry struct {
 
 // Store is a capacity-bounded page cache with ascending-value eviction.
 // Ties are broken by page ID so behaviour is deterministic.
+//
+// Pages are found through a slot table indexed by page ID (PageMeta.ID
+// is a dense non-negative index), so a lookup is one bounds check and
+// one load, and the eviction order is a binary min-heap whose entries
+// carry their own position.
 type Store struct {
 	capacity int64
 	used     int64
-	byID     map[int]*Entry
+	slots    []*Entry // by page ID; nil when not cached
 	h        entryHeap
 
 	// Scratch reused across calls so admission does not allocate.
 	evicted  []*Entry
-	frontier byValue
+	frontier entryQueue
 }
 
 // NewStore returns an empty store with the given capacity in bytes.
@@ -49,7 +53,7 @@ func NewStore(capacity int64) (*Store, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("core: store capacity must be non-negative, got %d", capacity)
 	}
-	return &Store{capacity: capacity, byID: make(map[int]*Entry)}, nil
+	return &Store{capacity: capacity}, nil
 }
 
 // Capacity returns the store capacity in bytes.
@@ -62,7 +66,7 @@ func (s *Store) Used() int64 { return s.used }
 func (s *Store) Free() int64 { return s.capacity - s.used }
 
 // Len returns the number of cached pages.
-func (s *Store) Len() int { return len(s.byID) }
+func (s *Store) Len() int { return len(s.h) }
 
 // SetCapacity adjusts the capacity. It fails if the new capacity is below
 // the bytes currently in use (callers evict first).
@@ -76,40 +80,47 @@ func (s *Store) SetCapacity(c int64) error {
 
 // Get returns the cached entry for a page, if any.
 func (s *Store) Get(id int) (*Entry, bool) {
-	e, ok := s.byID[id]
-	return e, ok
+	if uint(id) >= uint(len(s.slots)) { // also rejects a negative id
+		return nil, false
+	}
+	e := s.slots[id]
+	return e, e != nil
 }
 
-// Add inserts an entry. It fails if the page is already cached or there is
-// not enough free space (evict first).
+// Add inserts an entry. It fails if the page ID is negative, the page is
+// already cached or there is not enough free space (evict first).
 func (s *Store) Add(e *Entry) error {
-	if _, dup := s.byID[e.ID]; dup {
+	if e.ID < 0 {
+		return fmt.Errorf("core: page ID %d is negative", e.ID)
+	}
+	if _, dup := s.Get(e.ID); dup {
 		return fmt.Errorf("core: page %d already cached", e.ID)
 	}
 	if e.Size > s.Free() {
 		return fmt.Errorf("core: page %d (%d bytes) exceeds free space %d", e.ID, e.Size, s.Free())
 	}
-	s.byID[e.ID] = e
-	heap.Push(&s.h, e)
+	s.slots = growSlots(s.slots, e.ID)
+	s.slots[e.ID] = e
+	s.h.push(e)
 	s.used += e.Size
 	return nil
 }
 
 // Remove evicts the entry for a page, if cached.
 func (s *Store) Remove(id int) (*Entry, bool) {
-	e, ok := s.byID[id]
+	e, ok := s.Get(id)
 	if !ok {
 		return nil, false
 	}
-	heap.Remove(&s.h, e.index)
-	delete(s.byID, id)
+	s.h.remove(e.index)
+	s.slots[id] = nil
 	s.used -= e.Size
 	return e, true
 }
 
 // Peek returns the entry with the smallest value without removing it.
 func (s *Store) Peek() (*Entry, bool) {
-	if s.h.Len() == 0 {
+	if len(s.h) == 0 {
 		return nil, false
 	}
 	return s.h[0], true
@@ -117,24 +128,24 @@ func (s *Store) Peek() (*Entry, bool) {
 
 // PopMin evicts and returns the entry with the smallest value.
 func (s *Store) PopMin() (*Entry, bool) {
-	if s.h.Len() == 0 {
+	if len(s.h) == 0 {
 		return nil, false
 	}
-	e := heap.Pop(&s.h).(*Entry)
-	delete(s.byID, e.ID)
+	e := s.h.pop()
+	s.slots[e.ID] = nil
 	s.used -= e.Size
 	return e, true
 }
 
 // Fix re-establishes heap order after e.Value changed.
 func (s *Store) Fix(e *Entry) {
-	heap.Fix(&s.h, e.index)
+	s.h.fix(e.index)
 }
 
 // BytesBelow returns the total size of entries with Value strictly less
 // than v — the push-time candidate set of SUB (§3.2).
 func (s *Store) BytesBelow(v float64) int64 {
-	return sumBelow(s.h, entryValue, entrySize, v, math.MaxInt64)
+	return s.h.sumBelow(v, math.MaxInt64)
 }
 
 // CanAdmit reports whether a page of the given size fits after evicting
@@ -146,7 +157,7 @@ func (s *Store) CanAdmit(size int64, v float64) bool {
 		return false
 	}
 	need := size - s.Free()
-	return need <= 0 || sumBelow(s.h, entryValue, entrySize, v, need) >= need
+	return need <= 0 || s.h.sumBelow(v, need) >= need
 }
 
 // EvictFor evicts ascending-value entries until size bytes are free,
@@ -179,15 +190,15 @@ func (s *Store) ascend(fn func(*Entry) bool) {
 	}
 	s.frontier = append(s.frontier[:0], s.h[0])
 	for len(s.frontier) > 0 {
-		e := heap.Pop(&s.frontier).(*Entry)
+		e := s.frontier.pop()
 		if !fn(e) {
 			break
 		}
 		if l := 2*e.index + 1; l < len(s.h) {
-			heap.Push(&s.frontier, s.h[l])
+			s.frontier.push(s.h[l])
 		}
 		if r := 2*e.index + 2; r < len(s.h) {
-			heap.Push(&s.frontier, s.h[r])
+			s.frontier.push(s.h[r])
 		}
 	}
 	clear(s.frontier)
@@ -197,11 +208,21 @@ func (s *Store) ascend(fn func(*Entry) bool) {
 // Each calls fn for every cached entry until fn returns false. The
 // iteration order is unspecified; fn must not mutate the store.
 func (s *Store) Each(fn func(*Entry) bool) {
-	for _, e := range s.byID {
+	for _, e := range s.h {
 		if !fn(e) {
 			return
 		}
 	}
+}
+
+// growSlots returns slots long enough to index id, extending it (with
+// nil slots, to its whole new capacity) only when it is too short.
+func growSlots[E any](slots []*E, id int) []*E {
+	if id < len(slots) {
+		return slots
+	}
+	slots = append(slots, make([]*E, id+1-len(slots))...)
+	return slots[:cap(slots)]
 }
 
 // entryLess orders entries by (Value, ID), the eviction order.
@@ -212,80 +233,163 @@ func entryLess(a, b *Entry) bool {
 	return a.ID < b.ID
 }
 
-func entryValue(e *Entry) float64 { return e.Value }
-func entrySize(e *Entry) int64    { return e.Size }
+// nextSubtree returns where a preorder walk of a binary heap goes once
+// subtree i is done: the right sibling of the nearest left child on the
+// path up from i, or 0 when the walk is over.
+func nextSubtree(i int) int {
+	for i > 0 && i%2 == 0 {
+		i = (i - 1) / 2
+	}
+	if i == 0 {
+		return 0
+	}
+	return i + 1
+}
 
-// sumBelow sums the sizes of the entries of a binary min-heap h (laid
-// out as container/heap keeps it) whose value is strictly below v,
-// stopping as soon as the sum reaches need. Heap order puts no entry
+// entryHeap is a binary min-heap on (Value, ID) that keeps each entry's
+// position in Entry.index. Its sift loops are container/heap's, written
+// out for one element type so comparisons inline: the same operations
+// leave the same layout.
+type entryHeap []*Entry
+
+// sumBelow sums the sizes of the entries whose value is strictly below
+// v, stopping as soon as the sum reaches need. Heap order puts no entry
 // below its parent, so a subtree whose root is not below v holds no
-// candidate and is skipped whole: the walk visits the candidates and
-// the roots of the subtrees it prunes, not the whole heap. It walks in
+// candidate and is skipped whole: the walk visits the candidates and the
+// roots of the subtrees it prunes, not the whole heap. It walks in
 // preorder without a stack, climbing the implicit parent links.
-func sumBelow[E any](h []E, value func(E) float64, size func(E) int64, v float64, need int64) int64 {
+func (h entryHeap) sumBelow(v float64, need int64) int64 {
 	var total int64
-	i := 0
-	for {
-		if i < len(h) && value(h[i]) < v {
-			total += size(h[i])
+	for i := 0; ; {
+		if i < len(h) && h[i].Value < v {
+			total += h[i].Size
 			if total >= need {
 				return total
 			}
 			i = 2*i + 1 // into the left subtree
 			continue
 		}
-		// Subtree i is done: go on to the right sibling of the nearest
-		// left child on the way up; past the root the walk is over.
-		for i > 0 && i%2 == 0 {
-			i = (i - 1) / 2
-		}
-		if i == 0 {
+		if i = nextSubtree(i); i == 0 {
 			return total
 		}
-		i++
 	}
 }
 
-// entryHeap is a min-heap on (Value, ID).
-type entryHeap []*Entry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return entryLess(h[i], h[j]) }
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *entryHeap) Push(x interface{}) {
-	e := x.(*Entry)
-	e.index = len(*h)
+func (h *entryHeap) push(e *Entry) {
 	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
-func (h *entryHeap) Pop() interface{} {
+
+// pop removes and returns the minimum.
+func (h *entryHeap) pop() *Entry {
+	return h.remove(0)
+}
+
+// remove removes and returns the entry at position i.
+func (h *entryHeap) remove(i int) *Entry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
+	n := len(old) - 1
+	e, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i != n {
+		if !h.down(i, last) {
+			h.up(i, last)
+		}
+	}
 	e.index = -1
-	old[n-1] = nil
-	*h = old[:n-1]
 	return e
 }
 
-// byValue is a min-heap on (Value, ID) that, unlike entryHeap, leaves the
-// entries' store indices alone: it is ascend's frontier.
-type byValue []*Entry
-
-func (h byValue) Len() int           { return len(h) }
-func (h byValue) Less(i, j int) bool { return entryLess(h[i], h[j]) }
-func (h byValue) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *byValue) Push(x interface{}) {
-	*h = append(*h, x.(*Entry))
+// fix restores heap order after the value of the entry at i changed.
+func (h entryHeap) fix(i int) {
+	if e := h[i]; !h.down(i, e) {
+		h.up(i, e)
+	}
 }
-func (h *byValue) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// up moves e, to be placed at position j, towards the root past every
+// parent it orders before, and places it.
+func (h entryHeap) up(j int, e *Entry) {
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !entryLess(e, p) {
+			break
+		}
+		h[j], p.index = p, j
+		j = i
+	}
+	h[j], e.index = e, j
+}
+
+// down moves e, to be placed at position i0, towards the leaves past
+// every smaller child, places it, and reports whether it moved.
+func (h entryHeap) down(i0 int, e *Entry) bool {
+	i, n := i0, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if j2 := j + 1; j2 < n && entryLess(h[j2], h[j]) {
+			j = j2
+		}
+		c := h[j]
+		if !entryLess(c, e) {
+			break
+		}
+		h[i], c.index = c, i
+		i = j
+	}
+	h[i], e.index = e, i
+	return i > i0
+}
+
+// entryQueue is a binary min-heap on (Value, ID) that, unlike entryHeap,
+// leaves the entries' store positions alone: it is ascend's frontier.
+type entryQueue []*Entry
+
+func (q *entryQueue) push(e *Entry) {
+	h := append(*q, e)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !entryLess(e, h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = e
+	*q = h
+}
+
+func (q *entryQueue) pop() *Entry {
+	h := *q
+	n := len(h) - 1
+	min, e := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && entryLess(h[j2], h[j]) {
+			j = j2
+		}
+		if !entryLess(h[j], e) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = e
+	return min
 }

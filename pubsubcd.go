@@ -50,7 +50,9 @@ type (
 	StrategyParams = core.Params
 	// StrategyFactory builds per-proxy strategy instances.
 	StrategyFactory = core.Factory
-	// PageMeta describes a page to a strategy.
+	// PageMeta describes a page to a strategy. Its ID is a dense
+	// non-negative index: a strategy's memory grows with the largest ID
+	// it has cached, and a negative ID is never cached.
 	PageMeta = core.PageMeta
 	// PlacementTime classifies when a scheme places content (the
 	// "when" axis of the paper's Table 1).
