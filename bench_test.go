@@ -57,7 +57,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 }
 
 func BenchmarkSimulationRun(b *testing.B) {
-	benchSimulation(b, benchScale, 0)
+	benchSimulation(b, "SG2", benchScale, 0)
 }
 
 // BenchmarkSimulationRunPaperScale is the same SG2 simulation on the
@@ -67,7 +67,15 @@ func BenchmarkSimulationRun(b *testing.B) {
 // of five resolves a core regression the few-millisecond scale-50 runs
 // lose in noise.
 func BenchmarkSimulationRunPaperScale(b *testing.B) {
-	benchSimulation(b, 1, 0)
+	benchSimulation(b, "SG2", 1, 0)
+}
+
+// BenchmarkSimulationRunPaperScaleDCLAP replays the same workload through
+// DC-LAP, whose dual caches take the paths SG2's single cache never does:
+// DC-AP's reclaim of idle access-cache storage for pushes SUB turns down,
+// and the first-access move from the push cache to the access cache.
+func BenchmarkSimulationRunPaperScaleDCLAP(b *testing.B) {
+	benchSimulation(b, "DC-LAP", 1, 0)
 }
 
 // The Sequential/Parallel pair measures the per-proxy sharding speedup
@@ -77,11 +85,11 @@ func BenchmarkSimulationRunPaperScale(b *testing.B) {
 // sequential-vs-parallel ratio as a workflow artifact.
 
 func BenchmarkSimulationRunSequential(b *testing.B) {
-	benchSimulation(b, benchScale, 1)
+	benchSimulation(b, "SG2", benchScale, 1)
 }
 
 func BenchmarkSimulationRunParallel(b *testing.B) {
-	benchSimulation(b, benchScale, runtime.GOMAXPROCS(0))
+	benchSimulation(b, "SG2", benchScale, runtime.GOMAXPROCS(0))
 }
 
 // The TracingDisabled/TracingEnabled pair measures span-tracing
@@ -124,17 +132,17 @@ func benchSimulationTracing(b *testing.B, traced bool) {
 	}
 }
 
-// benchSimulation runs the SG2 simulation of the NEWS workload at the
-// given scale and a fixed shard parallelism (0 = the facade default,
-// GOMAXPROCS). One untimed warm-up run builds the workload's cached
-// event view so the timed iterations measure pure simulation, not view
-// construction.
-func benchSimulation(b *testing.B, scale, parallelism int) {
+// benchSimulation runs the named strategy's simulation of the NEWS
+// workload at the given scale and a fixed shard parallelism (0 = the
+// facade default, GOMAXPROCS). One untimed warm-up run builds the
+// workload's cached event view so the timed iterations measure pure
+// simulation, not view construction.
+func benchSimulation(b *testing.B, strategy string, scale, parallelism int) {
 	w, err := GenerateWorkload(ScaledWorkloadConfig(TraceNEWS, scale))
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := LookupStrategy("SG2")
+	f, err := LookupStrategy(strategy)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pubsubcd/internal/broker"
 	"pubsubcd/internal/cluster"
 	"pubsubcd/internal/telemetry"
 )
@@ -217,4 +218,34 @@ type tsWriter struct{ t *testing.T }
 func (w tsWriter) Write(p []byte) (int, error) {
 	w.t.Logf("%s %s", time.Now().Format("15:04:05.000"), strings.TrimSpace(string(p)))
 	return len(p), nil
+}
+
+// TestDialClientRetriesSeveredNegotiation checks that under chaos a
+// harness dial whose codec negotiation is severed, before the
+// connection carries any state, is retried.
+func TestDialClientRetriesSeveredNegotiation(t *testing.T) {
+	srv, err := broker.NewServer(broker.New(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	calls := 0
+	o := replayOptions{dial: func(ctx context.Context, addr string) (net.Conn, error) {
+		calls++
+		if calls < dialAttempts {
+			local, remote := net.Pipe()
+			_ = remote.Close() // the hello write fails
+			return local, nil
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}}
+	c, err := o.dialClient(context.Background(), srv.Addr(), []broker.ClientOption{broker.WithDialFunc(o.dial)})
+	if err != nil {
+		t.Fatalf("dial after %d severed attempts: %v", dialAttempts-1, err)
+	}
+	c.Close()
+	if calls != dialAttempts {
+		t.Errorf("dialed %d times, want %d", calls, dialAttempts)
+	}
 }

@@ -115,6 +115,25 @@ type replayOptions struct {
 	dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
+// dialAttempts bounds dialClient's retries: a chaos drop severs about one
+// dial in a hundred, so three attempts all fail about once in a million.
+const dialAttempts = 3
+
+// dialClient dials one harness connection. A chaos drop can sever the
+// codec negotiation itself, before the connection carries any state, so
+// under chaos a failed dial is retried.
+func (o replayOptions) dialClient(ctx context.Context, addr string, opts []broker.ClientOption) (*broker.Client, error) {
+	var err error
+	for attempt := 0; attempt < dialAttempts; attempt++ {
+		var c *broker.Client
+		c, err = broker.Dial(ctx, addr, opts...)
+		if err == nil || o.dial == nil || ctx.Err() != nil {
+			return c, err
+		}
+	}
+	return nil, err
+}
+
 // replayResult is one strategy's live outcome.
 type replayResult struct {
 	// result is the shards' merged tally; set once the replay ends.
@@ -197,7 +216,7 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 			rr.delivered.Add(1)
 			arrivals.record(page, n.Version)
 		}
-		c, err := broker.Dial(ctx, o.addrs[i%len(o.addrs)], clientOpts(notify)...)
+		c, err := o.dialClient(ctx, o.addrs[i%len(o.addrs)], clientOpts(notify))
 		if err != nil {
 			return nil, fmt.Errorf("dial subscriber conn %d: %w", i, err)
 		}
@@ -227,7 +246,7 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 		}
 	}
 
-	pub, err := broker.Dial(ctx, o.addrs[0], clientOpts(nil)...)
+	pub, err := o.dialClient(ctx, o.addrs[0], clientOpts(nil))
 	if err != nil {
 		return nil, fmt.Errorf("dial publisher: %w", err)
 	}

@@ -92,3 +92,70 @@ func TestRefreshPushZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictingAdmissionZeroAlloc pins admissions that evict at zero
+// allocations: the victim's entry is recycled for the admitted page.
+// Each op offers a page that is not resident (ids cycle through twice
+// as many pages as the cache holds) with more subscriptions than any
+// before it, so SUB's gate always admits and every op evicts; the
+// warm-up fills the cache and every slot table first.
+func TestEvictingAdmissionZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ids = 20 // pages of 100 bytes; no cache below holds more than 7
+	for _, c := range []struct {
+		name string
+		f    func(Params) (Strategy, error)
+		op   func(s Strategy, id, n int) bool // reports whether the page is stored
+	}{
+		{"SG2/push", NewSG2, func(s Strategy, id, n int) bool {
+			return s.Push(page(id, 100), 0, n)
+		}},
+		{"DM/push", NewDM, func(s Strategy, id, n int) bool {
+			return s.Push(page(id, 100), 0, n)
+		}},
+		{"DM/request-miss", NewDM, requestMiss},
+		{"DC-LAP/push-into-PC", NewDCLAP, func(s Strategy, id, n int) bool {
+			return s.Push(page(id, 100), 0, n)
+		}},
+		{"DC-LAP/request-miss-into-AC", NewDCLAP, requestMiss},
+		// The first access moves the pushed page to AC; once PC is at
+		// its lower bound the move is DC-FP's, evicting from AC.
+		{"DC-LAP/first-access", NewDCLAP, func(s Strategy, id, n int) bool {
+			if !s.Push(page(id, 100), 0, n) {
+				return false
+			}
+			hit, stored := s.Request(page(id, 100), 0, n)
+			return hit && stored
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustStrategy(t, c.f, Params{Capacity: 1000, Beta: 2})
+			n := 0
+			op := func() {
+				n++
+				before := opStats(t, s).Evictions
+				if !c.op(s, n%ids, n) {
+					t.Fatalf("op %d: page %d not stored", n, n%ids)
+				}
+				if n > 2*ids && opStats(t, s).Evictions != before+1 {
+					t.Fatalf("op %d: %d evictions, want 1", n, opStats(t, s).Evictions-before)
+				}
+			}
+			for n < 2*ids {
+				op()
+			}
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("evicting admission allocates %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// requestMiss requests a page that is not resident; GD* replacement
+// admits it.
+func requestMiss(s Strategy, id, n int) bool {
+	hit, stored := s.Request(page(id, 100), 0, 0)
+	return !hit && stored
+}

@@ -15,6 +15,7 @@ type dm struct {
 	slots    []*dmEntry // by page ID; nil when not cached
 	gdHeap   dmHeap     // ordered by the GD* value
 	subHeap  dmHeap     // ordered by the SUB value
+	spare    freeList[dmEntry]
 
 	stats   OpStats
 	metrics *StrategyMetrics
@@ -108,7 +109,8 @@ func (d *dm) push(p PageMeta, version, subs int) bool {
 	for d.free() < p.Size { // the gate leaves only victims below v
 		d.evict(d.subHeap.items[0])
 	}
-	e := &dmEntry{Entry: Entry{
+	e := d.spare.get()
+	*e = dmEntry{Entry: Entry{
 		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost, Subs: subs,
 		LastAccessSeq: d.seq,
 	}}
@@ -167,7 +169,8 @@ func (d *dm) request(p PageMeta, version, subs int) (hit, stored bool) {
 		d.l = min.val[dmGD]
 		d.evict(min)
 	}
-	e := &dmEntry{Entry: Entry{
+	e := d.spare.get()
+	*e = dmEntry{Entry: Entry{
 		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost,
 		Refs: 1, Subs: subs, LastAccessSeq: d.seq,
 	}}
@@ -179,11 +182,12 @@ func (d *dm) request(p PageMeta, version, subs int) (hit, stored bool) {
 
 func (d *dm) free() int64 { return d.capacity - d.used }
 
-// evict removes a replacement victim and accounts it.
+// evict removes a replacement victim, accounts it and recycles it.
 func (d *dm) evict(e *dmEntry) {
 	d.remove(e)
 	d.stats.Evictions++
 	d.stats.EvictedBytes += e.Size
+	d.spare.put(e)
 }
 
 func (d *dm) add(e *dmEntry) {

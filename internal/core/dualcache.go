@@ -32,11 +32,16 @@ type dualCache struct {
 	// (eviction) in AC; entries not accessed since then are DC-AP's
 	// reclamation candidates.
 	lastACRepl uint64
+	// activeAC is the bytes of the AC entries accessed since the last AC
+	// replacement (LastAccessSeq >= lastACRepl); the rest of ac.Used()
+	// is reclaimable.
+	activeAC int64
 
 	pc *Store
 	ac *Store
 
 	chosen []*Entry // reclaimable's scratch
+	spare  freeList[Entry]
 
 	stats   OpStats
 	metrics *StrategyMetrics
@@ -160,30 +165,57 @@ func (d *dualCache) push(p PageMeta, version, subs int) bool {
 	// storage for the page.
 	if p.Size <= d.pc.Capacity() && d.pc.CanAdmit(p.Size, v) {
 		evicted, ok := d.pc.EvictFor(p.Size, v)
-		d.countEvictions(evicted)
+		d.discard(evicted...)
 		if !ok {
 			return false
 		}
 	} else if !d.adaptive || !d.reclaimFor(p.Size) {
 		return false
 	}
-	e := &Entry{
+	e := d.spare.get()
+	*e = Entry{
 		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost,
 		Value: v, Subs: subs, LastAccessSeq: d.seq,
 	}
 	if d.pc.Add(e) != nil {
+		d.spare.put(e)
 		return false
 	}
 	d.stats.PushStores++
 	return true
 }
 
-// countEvictions accounts replacement victims.
-func (d *dualCache) countEvictions(evicted []*Entry) {
+// discard accounts replacement victims, which no store holds any more,
+// and recycles them.
+func (d *dualCache) discard(evicted ...*Entry) {
 	for _, ev := range evicted {
 		d.stats.Evictions++
 		d.stats.EvictedBytes += ev.Size
 	}
+	d.spare.put(evicted...)
+}
+
+// acEvictFor runs GD* replacement on AC until size bytes are free. A
+// replacement leaves every AC page unreferenced since it, so activeAC
+// restarts from zero.
+func (d *dualCache) acEvictFor(size int64) bool {
+	evicted, ok := d.ac.EvictFor(size, math.Inf(1))
+	if len(evicted) > 0 {
+		d.l = evicted[len(evicted)-1].Value
+		d.lastACRepl = d.seq
+		d.activeAC = 0
+		d.discard(evicted...)
+	}
+	return ok
+}
+
+// addToAC stores a page accessed in the current op in AC.
+func (d *dualCache) addToAC(e *Entry) bool {
+	if d.ac.Add(e) != nil {
+		return false
+	}
+	d.activeAC += e.Size
+	return true
 }
 
 // reclaimFor implements DC-AP's placing fallback: storage of AC pages
@@ -196,18 +228,24 @@ func (d *dualCache) reclaimFor(size int64) bool {
 		// storage, it does not override SUB's value decision.
 		return false
 	}
-	chosen, freed := d.reclaimable(need)
-	if freed < need {
+	// Most attempts fail, and two failures are known without a walk:
+	// the idle pages together fall short of need, or relabeling even
+	// need bytes breaks DC-LAP's upper bound on the PC fraction (a walk
+	// frees at least need).
+	if d.ac.Used()-d.activeAC < need ||
+		float64(d.pc.Capacity()+need)/float64(d.capacity) > d.maxPC {
 		return false
 	}
-	// Respect DC-LAP's upper bound on the PC fraction.
-	if float64(d.pc.Capacity()+freed)/float64(d.capacity) > d.maxPC {
+	chosen, freed := d.reclaimable(need)
+	// The idle bytes cover need, so the walk reaches it; what it frees
+	// past need must still respect DC-LAP's upper bound.
+	if freed < need || float64(d.pc.Capacity()+freed)/float64(d.capacity) > d.maxPC {
 		return false
 	}
 	for _, c := range chosen {
 		d.ac.Remove(c.ID)
 	}
-	d.countEvictions(chosen)
+	d.discard(chosen...)
 	// Neither can fail: AC just lost freed bytes of pages and PC only
 	// grows.
 	_ = d.ac.SetCapacity(d.ac.Capacity() - freed)
@@ -270,6 +308,9 @@ func (d *dualCache) request(p PageMeta, version, subs int) (hit, stored bool) {
 		}
 		e.Refs++
 		e.Subs = subs
+		if e.LastAccessSeq < d.lastACRepl {
+			d.activeAC += e.Size // idle no more
+		}
 		e.LastAccessSeq = d.seq
 		e.Value = d.gdEval(e)
 		d.ac.Fix(e)
@@ -280,24 +321,18 @@ func (d *dualCache) request(p PageMeta, version, subs int) (hit, stored bool) {
 		d.stats.AccessRejects++
 		return false, false
 	}
-	evicted, ok := d.ac.EvictFor(p.Size, math.Inf(1))
-	d.countEvictions(evicted)
-	for _, ev := range evicted {
-		d.l = ev.Value
-	}
-	if len(evicted) > 0 {
-		d.lastACRepl = d.seq
-	}
-	if !ok {
+	if !d.acEvictFor(p.Size) {
 		d.stats.AccessRejects++
 		return false, false
 	}
-	e := &Entry{
+	e := d.spare.get()
+	*e = Entry{
 		ID: p.ID, Version: version, Size: p.Size, Cost: p.Cost,
 		Refs: 1, Subs: subs, LastAccessSeq: d.seq,
 	}
 	e.Value = d.gdEval(e)
-	if err := d.ac.Add(e); err != nil {
+	if !d.addToAC(e) {
+		d.spare.put(e)
 		d.stats.AccessRejects++
 		return false, false
 	}
@@ -332,25 +367,15 @@ func (d *dualCache) moveToAC(e *Entry) bool {
 			// and AC only grows.
 			_ = d.pc.SetCapacity(d.pc.Capacity() - e.Size)
 			_ = d.ac.SetCapacity(d.ac.Capacity() + e.Size)
-			_ = d.ac.Add(e)
-			return true
+			return d.addToAC(e)
 		}
 	}
 	// DC-FP move: may trigger replacement in AC.
 	if e.Size > d.ac.Capacity() {
 		// The page cannot live in AC: drop it.
-		d.stats.Evictions++
-		d.stats.EvictedBytes += e.Size
+		d.discard(e)
 		return false
 	}
-	evicted, ok := d.ac.EvictFor(e.Size, math.Inf(1))
-	d.countEvictions(evicted)
-	for _, ev := range evicted {
-		d.l = ev.Value
-	}
-	if len(evicted) > 0 {
-		d.lastACRepl = d.seq
-	}
-	// ok always holds: nothing in AC is valued above +Inf.
-	return ok && d.ac.Add(e) == nil
+	// acEvictFor always succeeds: nothing in AC is valued above +Inf.
+	return d.acEvictFor(e.Size) && d.addToAC(e)
 }

@@ -371,3 +371,110 @@ func checkResident(t *testing.T, d *dualCache, id int, stored bool, format strin
 		t.Fatalf(format+": stored=%v but resident=%v", append(args, stored, inPC || inAC)...)
 	}
 }
+
+// walkReclaimVerdict is DC-AP's reclaim decision as a plain walk: sum
+// the idle AC pages best-first until they cover the shortfall, then
+// check DC-LAP's upper bound. It changes nothing, and it is the
+// reference reclaimFor's walk-free rejections must agree with.
+func walkReclaimVerdict(d *dualCache, size int64) bool {
+	need := size - d.pc.Free()
+	if need <= 0 {
+		return false
+	}
+	var freed int64
+	d.ac.ascend(func(x *Entry) bool {
+		if x.LastAccessSeq < d.lastACRepl {
+			freed += x.Size
+		}
+		return freed < need
+	})
+	if freed < need {
+		return false
+	}
+	return !(float64(d.pc.Capacity()+freed)/float64(d.capacity) > d.maxPC)
+}
+
+// idleACBytes is the brute-force complement of activeAC: the bytes of
+// the AC pages unreferenced since the last AC replacement.
+func idleACBytes(d *dualCache) int64 {
+	var idle int64
+	d.ac.Each(func(e *Entry) bool {
+		if e.LastAccessSeq < d.lastACRepl {
+			idle += e.Size
+		}
+		return true
+	})
+	return idle
+}
+
+// TestDCAPIdleBytesInvariant drives the adaptive dual caches with random
+// streams and checks, after every op, that activeAC is the brute-force
+// sum of the AC pages accessed since the last AC replacement, and, on
+// every push that SUB turns down, that the stored verdict is the one the
+// walk-only reclaim decision gives. The last configuration starts DC-LAP
+// at its lower bound, so first accesses fall back to DC-FP moves.
+func TestDCAPIdleBytesInvariant(t *testing.T) {
+	var reclaimed, idleShort, bounded int
+	for _, c := range []struct {
+		name         string
+		lower, upper float64
+		fpMoves      bool
+	}{
+		{"DC-AP", 0, 1, false},
+		{"DC-LAP", DefaultDCLAPLower, DefaultDCLAPUpper, false},
+		{"DC-LAP-at-lower-bound", 0.5, DefaultDCLAPUpper, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fpMoves := 0
+			for seed := int64(1); seed <= 100; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				d, err := newDualCache(c.name, Params{Capacity: 10000, Beta: 2}, true, c.lower, c.upper)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 400; i++ {
+					meta := PageMeta{ID: r.Intn(60), Size: 1 + r.Int63n(3000), Cost: 0.5 + r.Float64()}
+					version, subs := i/100, r.Intn(8)
+					_, inPC := d.pc.Get(meta.ID)
+					_, inAC := d.ac.Get(meta.ID)
+					if r.Intn(2) == 0 {
+						v := subValue(subs, meta.Cost, meta.Size)
+						subRejects := !inPC && !inAC &&
+							!(meta.Size <= d.pc.Capacity() && d.pc.CanAdmit(meta.Size, v))
+						want := subRejects && walkReclaimVerdict(d, meta.Size)
+						switch need := meta.Size - d.pc.Free(); {
+						case want:
+							reclaimed++
+						case !subRejects || need <= 0:
+						case idleACBytes(d) < need:
+							idleShort++
+						default:
+							bounded++
+						}
+						stored := d.Push(meta, version, subs)
+						if subRejects && stored != want {
+							t.Fatalf("seed %d op %d: push of %d bytes stored=%v, walk-only reclaim says %v",
+								seed, i, meta.Size, stored, want)
+						}
+					} else {
+						pcBefore := d.pc.Capacity()
+						d.Request(meta, version, subs)
+						if inPC && d.pc.Capacity() == pcBefore {
+							fpMoves++
+						}
+					}
+					if got, want := d.activeAC, d.ac.Used()-idleACBytes(d); got != want {
+						t.Fatalf("seed %d op %d: activeAC = %d, brute force %d", seed, i, got, want)
+					}
+				}
+			}
+			if c.fpMoves && fpMoves == 0 {
+				t.Error("no first access fell back to a DC-FP move")
+			}
+		})
+	}
+	if reclaimed == 0 || idleShort == 0 || bounded == 0 {
+		t.Errorf("streams missed a reclaim verdict: %d reclaimed, %d short of idle bytes, %d over the bound",
+			reclaimed, idleShort, bounded)
+	}
+}

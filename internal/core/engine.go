@@ -45,7 +45,8 @@ type engine struct {
 	flushed OpStats
 	sampled bool // current op measures latency
 
-	cand Entry // admission scratch: the page being valued
+	cand  Entry // admission scratch: the page being valued
+	spare freeList[Entry]
 }
 
 var _ Strategy = (*engine)(nil)
@@ -192,24 +193,34 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 		g.stats.Evictions++
 		g.stats.EvictedBytes += ev.Size
 	}
+	g.spare.put(evicted...)
 	if !ok {
 		// Unreachable when CanAdmit passed; kept as a safety net for
 		// ungated policies with pathological sizes.
 		return false
 	}
-	e := new(Entry)
+	e := g.spare.get()
 	*e = g.cand
 	e.Value = g.eval(g, e)
 	if err := g.store.Add(e); err != nil {
+		g.spare.put(e)
 		return false
 	}
 	return true
 }
 
-// invPow returns base^(1/beta), the exponentiation of eq. 1.
+// invPow returns base^(1/beta), the exponentiation of eq. 1. The paper's
+// β = 2 and β = 1 skip math.Pow: it takes the same Sqrt and identity
+// branches for exponents 0.5 and 1, so the results are bit-identical.
 func invPow(base, beta float64) float64 {
 	if base <= 0 {
 		return 0
+	}
+	switch beta {
+	case 2:
+		return math.Sqrt(base)
+	case 1:
+		return base
 	}
 	return math.Pow(base, 1/beta)
 }

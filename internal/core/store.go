@@ -215,6 +215,32 @@ func (s *Store) Each(fn func(*Entry) bool) {
 	}
 }
 
+// freeList recycles a strategy's evicted entries: eviction puts them
+// back and admission takes from it, so a cache in steady state admits
+// without allocating. An entry on the list belongs to no store; the only
+// other references to it are the eviction scratch slices (Store.EvictFor's
+// result, DC-AP's reclaim set), which their callers read before the next
+// admission reuses the entry.
+type freeList[E any] []*E
+
+// get returns a recycled entry, or a new one when the list is empty. The
+// caller overwrites every field.
+func (f *freeList[E]) get() *E {
+	n := len(*f) - 1
+	if n < 0 {
+		return new(E)
+	}
+	e := (*f)[n]
+	(*f)[n] = nil
+	*f = (*f)[:n]
+	return e
+}
+
+// put recycles entries that no store holds any more.
+func (f *freeList[E]) put(es ...*E) {
+	*f = append(*f, es...)
+}
+
 // growSlots returns slots long enough to index id, extending it (with
 // nil slots, to its whole new capacity) only when it is too short.
 func growSlots[E any](slots []*E, id int) []*E {
