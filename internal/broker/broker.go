@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,8 +144,8 @@ type Broker struct {
 
 	mu      sync.RWMutex
 	store   map[string]Content
-	targets map[int64]Target // resolved at subscribe; see fanout.go
-	sinks   map[int]PushSink
+	targets IDTable[Target]   // resolved at subscribe; see fanout.go
+	sinks   IDTable[PushSink] // attached proxies' sinks, keyed by proxy
 }
 
 // DefaultPublishSLO is the publish-to-placement latency budget used
@@ -171,12 +172,22 @@ func (b *Broker) publishSLO() time.Duration {
 }
 
 // fanoutScratch is the per-publish working set the fan-out hot path
-// reuses across publishes — matched refs and the fan-out's runs — so a
-// steady stream of publishes allocates nothing for matching or
-// delivery.
+// reuses across publishes — matched refs, the fan-out's runs and the
+// per-proxy push counts — so a steady stream of publishes allocates
+// nothing for matching, delivery or push placement.
 type fanoutScratch struct {
-	refs []match.MatchRef
-	fan  Fanout
+	refs   []match.MatchRef
+	fan    Fanout
+	hits   []int // matched subscriptions per entry of Broker.sinks
+	pushes []proxyPush
+}
+
+// proxyPush is one push of a publish: a proxy with a sink and the
+// number of its subscriptions the content matched.
+type proxyPush struct {
+	proxy   int
+	sink    PushSink
+	matched int
 }
 
 var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
@@ -184,10 +195,8 @@ var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 // New returns an empty broker.
 func New() *Broker {
 	return &Broker{
-		engine:  match.NewEngine(),
-		store:   make(map[string]Content),
-		targets: make(map[int64]Target),
-		sinks:   make(map[int]PushSink),
+		engine: match.NewEngine(),
+		store:  make(map[string]Content),
 	}
 }
 
@@ -231,7 +240,7 @@ func (b *Broker) SubscribeContext(ctx context.Context, sub match.Subscription, n
 	b.jmu.Unlock()
 	t := ResolveTarget(n, id)
 	b.mu.Lock()
-	b.targets[id] = t
+	b.targets.Set(id, t)
 	b.mu.Unlock()
 	if bt := b.telemetryHandles(); bt != nil {
 		bt.subscribes.Inc()
@@ -253,7 +262,7 @@ func (b *Broker) Unsubscribe(id int64) error {
 	}
 	b.jmu.Unlock()
 	b.mu.Lock()
-	delete(b.targets, id)
+	b.targets.Delete(id)
 	b.mu.Unlock()
 	if jerr != nil {
 		// The engine change stands; report that durability is behind.
@@ -274,17 +283,17 @@ func (b *Broker) AttachProxy(proxy int, sink PushSink) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, dup := b.sinks[proxy]; dup {
+	if _, dup := b.sinks.Get(int64(proxy)); dup {
 		return fmt.Errorf("broker: proxy %d already attached", proxy)
 	}
-	b.sinks[proxy] = sink
+	b.sinks.Set(int64(proxy), sink)
 	return nil
 }
 
 // DetachProxy removes a proxy's push sink.
 func (b *Broker) DetachProxy(proxy int) {
 	b.mu.Lock()
-	delete(b.sinks, proxy)
+	b.sinks.Delete(int64(proxy))
 	b.mu.Unlock()
 }
 
@@ -364,30 +373,13 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 
 	// Resolve each matched subscription's target under one read-lock
 	// (the fan-out groups them into one run per connection), then
-	// deliver outside it. The per-proxy breakdown is only materialized
-	// when push sinks consume it.
+	// deliver outside it. The per-proxy breakdown is only taken when
+	// push sinks consume it.
 	b.mu.RLock()
-	var perProxy map[int]int
-	if len(b.sinks) > 0 {
-		perProxy = make(map[int]int, 8)
-	}
 	fs.fan.reserve(len(matched))
-	for _, sub := range matched {
-		if t, ok := b.targets[sub.ID]; ok {
-			fs.fan.Add(t)
-		}
-		if perProxy != nil {
-			perProxy[sub.Proxy]++
-		}
-	}
-	var sinks map[int]PushSink
-	if len(b.sinks) > 0 {
-		sinks = make(map[int]PushSink, len(perProxy))
-		for proxy := range perProxy {
-			if s, ok := b.sinks[proxy]; ok {
-				sinks[proxy] = s
-			}
-		}
+	b.addTargets(&fs.fan, matched)
+	if b.sinks.Len() > 0 {
+		b.collectPushes(fs)
 	}
 	b.mu.RUnlock()
 
@@ -400,21 +392,24 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	if bt != nil {
 		bt.notifications.Add(int64(notified))
 	}
-	for proxy, sink := range sinks {
+	for _, p := range fs.pushes {
 		pctx, psp := telemetry.StartSpan(ctx, "broker.push")
 		if psp != nil {
-			psp.SetAttrInt("proxy", int64(proxy))
-			psp.SetAttrInt("matched", int64(perProxy[proxy]))
+			psp.SetAttrInt("proxy", int64(p.proxy))
+			psp.SetAttrInt("matched", int64(p.matched))
 		}
-		push(pctx, sink, c, perProxy[proxy])
+		push(pctx, p.sink, c, p.matched)
 		psp.End()
 		if bt != nil {
 			bt.pushes.Inc()
 		}
 	}
+	pushed := len(fs.pushes)
+	clear(fs.pushes) // the pooled scratch keeps no sinks
+	fs.pushes = fs.pushes[:0]
 	if bt != nil {
 		elapsed := time.Since(start)
-		bt.pushFanout.Observe(int64(len(sinks)))
+		bt.pushFanout.Observe(int64(pushed))
 		// The publish latency sample carries the trace ID as an
 		// exemplar, so the OpenMetrics bucket it lands in links to the
 		// retained span tree on /trace/{id}.
@@ -429,6 +424,41 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		}
 	}
 	return len(matched), nil
+}
+
+// addTargets adds the delivery target of every matched subscription to
+// f. The matches ascend by ID, so one cursor walks the target table in
+// step with them. Callers hold b.mu.
+func (b *Broker) addTargets(f *Fanout, matched []match.MatchRef) {
+	cur := b.targets.Cursor()
+	for _, sub := range matched {
+		if t, ok := cur.Find(sub.ID); ok {
+			f.Add(t)
+		}
+	}
+}
+
+// collectPushes sets fs.pushes to one push per attached proxy with at
+// least one subscription among the matches in fs.refs, ascending by
+// proxy. Each match finds its proxy in the sink table by binary search
+// and counts into fs.hits, which is laid out in step with the table's
+// entries. Callers hold b.mu.
+func (b *Broker) collectPushes(fs *fanoutScratch) {
+	ents := b.sinks.ents
+	hits := slices.Grow(fs.hits[:0], len(ents))[:len(ents)]
+	clear(hits)
+	for _, sub := range fs.refs {
+		if i, ok := b.sinks.slot(int64(sub.Proxy)); ok {
+			hits[i]++
+		}
+	}
+	fs.pushes = fs.pushes[:0]
+	for i, n := range hits {
+		if n > 0 {
+			fs.pushes = append(fs.pushes, proxyPush{proxy: int(ents[i].id), sink: ents[i].v, matched: n})
+		}
+	}
+	fs.hits = hits
 }
 
 // Fetch returns the current content of a page (the origin fetch a proxy

@@ -141,7 +141,7 @@ type Client struct {
 	seq            uint64
 	pending        map[uint64]pendingReq
 	subs           map[int64]*clientSub
-	byServer       map[int64]int64 // server sub ID -> client sub ID
+	byServer       IDTable[int64] // server sub ID -> client sub ID
 	nextSubID      int64
 	closed         bool
 	dead           bool
@@ -183,7 +183,6 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 		connWait:    make(chan struct{}),
 		pending:     make(map[uint64]pendingReq),
 		subs:        make(map[int64]*clientSub),
-		byServer:    make(map[int64]int64),
 		closeCh:     make(chan struct{}),
 		done:        make(chan struct{}),
 		rng:         rand.New(rand.NewSource(cfg.backoff.Seed)),
@@ -582,18 +581,26 @@ func (c *Client) readLoop(cc *clientConn) {
 // client subscription s, replacing s's previous server ID. Callers hold
 // c.mu.
 func (c *Client) bindLocked(s *clientSub, sid int64) {
-	if s.serverID != 0 && c.byServer[s.serverID] == s.id {
-		delete(c.byServer, s.serverID)
-	}
+	c.unbindLocked(s.serverID, s.id)
 	s.serverID = sid
-	c.byServer[sid] = s.id
+	c.byServer.Set(sid, s.id)
+}
+
+// unbindLocked drops server ID sid's mapping if it still names client
+// subscription id; a later bind may have handed sid to another. Callers
+// hold c.mu.
+func (c *Client) unbindLocked(sid, id int64) {
+	if cid, ok := c.byServer.Get(sid); ok && cid == id {
+		c.byServer.Delete(sid)
+	}
 }
 
 // deliver hands one notify frame to the notification callback: the
 // WithNotify callback once per subscription the frame carries,
 // Notification.SubscriptionID first and then MoreSubIDs, in order; the
 // WithNotifyContext callback once for the whole frame. Server IDs map
-// to client IDs under c.mu, once per frame; a server ID with no mapping
+// to client IDs under c.mu, in one cursor walk per frame (the server
+// sends a run's IDs ascending); a server ID with no mapping
 // is dropped, since passing it on would name whichever client
 // subscription happens to share the number. The delivery-latency
 // histogram gets one sample per notification.
@@ -616,8 +623,9 @@ func (c *Client) deliver(cc *clientConn, m *Message) {
 	cc.ids = ids
 	mapped := ids[:0]
 	c.mu.Lock()
+	cur := c.byServer.Cursor()
 	for _, sid := range ids {
-		if cid, ok := c.byServer[sid]; ok {
+		if cid, ok := cur.Find(sid); ok {
 			mapped = append(mapped, cid)
 		}
 	}
@@ -1003,9 +1011,7 @@ func (c *Client) subscribe(ctx context.Context, part, proxy int, topics, keyword
 	defer c.mu.Unlock()
 	if err != nil {
 		// A response may have bound s after its waiter gave up.
-		if s.serverID != 0 && c.byServer[s.serverID] == s.id {
-			delete(c.byServer, s.serverID)
-		}
+		c.unbindLocked(s.serverID, s.id)
 		return 0, err
 	}
 	c.subs[s.id] = s
@@ -1020,9 +1026,7 @@ func (c *Client) Unsubscribe(ctx context.Context, id int64) error {
 	if ok {
 		serverID = s.serverID
 		delete(c.subs, id)
-		if c.byServer[serverID] == id {
-			delete(c.byServer, serverID)
-		}
+		c.unbindLocked(serverID, id)
 	}
 	c.mu.Unlock()
 	if !ok {

@@ -312,6 +312,78 @@ func TestFanoutRunZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPublishTargetWalkZeroAlloc: resolving 1 024 matched subscriptions
+// to their delivery targets — PublishContext's cursor walk of the
+// target table in step with the ascending matches — allocates nothing,
+// and skips matches whose target is gone.
+func TestPublishTargetWalkZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	b := New()
+	cw := &connWriter{maxPending: 1 << 30}
+	cw.cond = sync.NewCond(&cw.mu)
+	cn := &connNotifier{s: &Server{}, cw: cw}
+	var refs []match.MatchRef
+	for i := 0; i < 1024; i++ {
+		id, err := b.Subscribe(match.Subscription{Topics: []string{"t"}}, cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, match.MatchRef{ID: id})
+	}
+	for _, r := range refs[:64] {
+		b.mu.Lock()
+		b.targets.Delete(r.ID) // matched, but its target already removed
+		b.mu.Unlock()
+	}
+	var f Fanout
+	walk := func() {
+		b.mu.RLock()
+		b.addTargets(&f, refs)
+		b.mu.RUnlock()
+		if len(f.adds) != 960 || f.adds[0].id != refs[64].ID {
+			t.Fatalf("walk added %d targets starting at %d, want 960 from %d", len(f.adds), f.adds[0].id, refs[64].ID)
+		}
+		f.reset()
+	}
+	walk() // grow the buffers
+	if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
+		t.Fatalf("walking %d matches: %.1f allocations, want 0", len(refs), allocs)
+	}
+}
+
+// TestClientDeliverZeroAlloc: Client.deliver mapping a 1 024-ID notify
+// frame's server IDs to client IDs and handing them to the
+// WithNotifyContext callback allocates nothing in the steady state,
+// and drops the IDs it has no mapping for.
+func TestClientDeliverZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	var got []int64
+	c := &Client{cfg: clientConfig{notifyCtx: func(_ context.Context, _ Notification, ids []int64) {
+		got = append(got[:0], ids...)
+	}}}
+	sids := make([]int64, 1024)
+	for i := range sids {
+		sids[i] = int64(3000 + 2*i)
+		if i%16 != 15 { // every sixteenth server ID stays unmapped
+			c.byServer.Set(sids[i], int64(i+1))
+		}
+	}
+	m := &Message{Type: msgNotify, Notification: &Notification{PageID: "p", Version: 1, SubscriptionID: sids[0]}, MoreSubIDs: sids[1:]}
+	cc := &clientConn{}
+	deliver := func() { c.deliver(cc, m) }
+	deliver() // grow the buffers
+	if allocs := testing.AllocsPerRun(50, deliver); allocs != 0 {
+		t.Fatalf("delivering a %d-ID frame: %.1f allocations, want 0", len(sids), allocs)
+	}
+	if len(got) != 960 || got[0] != 1 || got[15] != 17 {
+		t.Fatalf("delivered %d IDs starting %v, want 960 starting 1 and skipping every sixteenth", len(got), got[:16])
+	}
+}
+
 // TestClientDropsUnmappedServerIDs: a notify frame may name a server
 // subscription ID the client has no mapping for. Passing it on would
 // deliver it under whichever client subscription shares the number, so

@@ -124,15 +124,22 @@ func TestBrokerTelemetryCountersAndTrace(t *testing.T) {
 var raceEnabled bool
 
 // TestPublishAllocsIndependentOfFanout pins the telemetry-on publish
-// path: with no push sinks attached, allocations per publish must not
-// grow with the number of matched subscribers.
+// path: allocations per publish must not grow with the number of
+// matched subscribers, nor with push sinks attached to the proxies
+// they belong to.
 func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items, so pooled fan-out scratch is reallocated")
 	}
-	allocs := func(subs int) float64 {
+	allocs := func(subs, sinks int) float64 {
 		b := New()
 		b.EnableTelemetry(telemetry.NewRegistry())
+		var pushes int
+		for p := 0; p < sinks; p++ {
+			if err := b.AttachProxy(p, pushSinkFunc(func(Content, int) { pushes++ })); err != nil {
+				t.Fatal(err)
+			}
+		}
 		nop := NotifierFunc(func(Notification) {})
 		for i := 0; i < subs; i++ {
 			if _, err := b.Subscribe(match.Subscription{Proxy: i % 8, Topics: []string{"news"}}, nop); err != nil {
@@ -140,17 +147,23 @@ func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 			}
 		}
 		c := Content{ID: "p", Topics: []string{"news"}, Body: []byte("x")}
-		return testing.AllocsPerRun(200, func() {
+		n := testing.AllocsPerRun(200, func() {
 			c.Version++
 			if _, err := b.Publish(c); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if want := 201 * min(subs, sinks); pushes != want {
+			t.Fatalf("%d subscribers over %d sinks: %d pushes, want %d", subs, sinks, pushes, want)
+		}
+		return n
 	}
-	one := allocs(1)
+	one := allocs(1, 0)
 	for _, n := range []int{64, 512} {
-		if got := allocs(n); got != one {
-			t.Errorf("publish to %d subscribers allocates %.1f times, want %.1f as with 1", n, got, one)
+		for _, sinks := range []int{0, 8} {
+			if got := allocs(n, sinks); got != one {
+				t.Errorf("publish to %d subscribers with %d push sinks allocates %.1f times, want %.1f as with 1 and none", n, sinks, got, one)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,6 +117,56 @@ func BenchmarkRingRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewRing(DefaultPartitions, DefaultVirtualNodes, members, uint64(i+1))
 	}
+}
+
+// BenchmarkRelayFanout measures wide fan-out across one relay hop:
+// 1 024 subscriptions at the edge node on a topic the other node owns,
+// one publish at the owner per iteration, each waited for until the
+// edge subscriber has all 1 024 notifications. The ns/notify metric
+// covers the owner's match and fan-out, the member-link frame, the
+// relay's mapping and fan-out, and the edge client's mapping and
+// callback. CI publishes it with the handoff rows.
+func BenchmarkRelayFanout(b *testing.B) {
+	const subs = 1024
+	nodes := benchCluster(b, 2)
+	owner, edge := nodes[0], nodes[1]
+	ring := owner.Ring()
+	topic := topicInPartition(ring, ring.OwnedBy(owner.NodeID())[0])
+	var got atomic.Int64
+	done := make(chan struct{}, 1)
+	ctx := context.Background()
+	c, err := broker.Dial(ctx, edge.Addr(), broker.WithNotify(func(broker.Notification) {
+		if got.Add(1)%subs == 0 {
+			done <- struct{}{}
+		}
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = c.Close() })
+	for i := 0; i < subs; i++ {
+		if _, err := c.Subscribe(ctx, i%8, []string{topic}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	body := make([]byte, 256)
+	publish := func(v int) {
+		matched, err := owner.PublishContext(ctx, broker.Content{ID: "relay-bench", Version: v, Topics: []string{topic}, Body: body})
+		if err != nil || matched != subs {
+			b.Fatalf("publish %d: matched %d, err %v", v, matched, err)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			b.Fatalf("publish %d: edge subscriber saw %d notifications, want %d", v, got.Load(), v*subs)
+		}
+	}
+	publish(1) // warm the links and the fan-out buffers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		publish(i + 2)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*subs), "ns/notify")
 }
 
 // benchCluster starts count converged nodes over loopback with

@@ -381,8 +381,7 @@ func (n *Node) link(id string) (*memberLink, error) {
 	}
 	l := &memberLink{
 		node: n, id: id, addr: addr,
-		subs: make(map[int64]broker.Target),
-		brk:  broker.NewBreaker(n.cfg.BreakerThreshold, n.cfg.BreakerCooldown),
+		brk: broker.NewBreaker(n.cfg.BreakerThreshold, n.cfg.BreakerCooldown),
 	}
 	if n.met != nil {
 		peer := id
@@ -452,7 +451,7 @@ type memberLink struct {
 
 	mu     sync.Mutex
 	client *broker.Client
-	subs   map[int64]broker.Target // link-client sub ID -> edge route's target
+	subs   broker.IDTable[broker.Target] // link-client sub ID -> edge route's target
 
 	// relayMu guards the relay's fan-out scratch, reused across notify
 	// frames so relaying allocates nothing.
@@ -502,14 +501,16 @@ func (l *memberLink) get(ctx context.Context) (*broker.Client, error) {
 
 // onNotify relays a notify frame arriving on the member link to the
 // edge subscriptions it belongs to: ids are the link's subscription
-// IDs, mapped to their edge routes' targets under one lock, and the
-// targets fan out as one run per edge connection.
+// IDs, mapped to their edge routes' targets under one lock in one
+// cursor walk (the IDs arrive ascending), and the targets fan out as
+// one run per edge connection.
 func (l *memberLink) onNotify(ctx context.Context, nt broker.Notification, ids []int64) {
 	l.relayMu.Lock()
 	defer l.relayMu.Unlock()
 	l.mu.Lock()
+	cur := l.subs.Cursor()
 	for _, id := range ids {
-		if t, ok := l.subs[id]; ok {
+		if t, ok := cur.Find(id); ok {
 			l.fan.Add(t)
 		}
 	}
@@ -522,14 +523,14 @@ func (l *memberLink) onNotify(ctx context.Context, nt broker.Notification, ids [
 func (l *memberLink) track(linkID int64, es *edgeSub) {
 	t := broker.ResolveTarget(es.notifier, es.id)
 	l.mu.Lock()
-	l.subs[linkID] = t
+	l.subs.Set(linkID, t)
 	l.mu.Unlock()
 }
 
 // untrack removes a link subscription from the dispatch table.
 func (l *memberLink) untrack(linkID int64) {
 	l.mu.Lock()
-	delete(l.subs, linkID)
+	l.subs.Delete(linkID)
 	l.mu.Unlock()
 }
 

@@ -246,7 +246,7 @@ func TestFanoutRunZeroAlloc(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	l := &memberLink{subs: make(map[int64]broker.Target)}
+	l := &memberLink{}
 	ids := make([]int64, 1024)
 	for i := range ids {
 		ids[i] = int64(7000 + i)

@@ -212,6 +212,11 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 // invPow returns base^(1/beta), the exponentiation of eq. 1. The paper's
 // β = 2 and β = 1 skip math.Pow: it takes the same Sqrt and identity
 // branches for exponents 0.5 and 1, so the results are bit-identical.
+// The β sweep's 1/2, 1/4, 1/8 and 1/16 square base repeatedly, as
+// math.Pow does for an integer exponent on the normalized mantissa, so
+// those results are bit-identical too — unless the result is subnormal,
+// where math.Pow rounds once at the end and repeated squaring at every
+// step; that case falls back to math.Pow.
 func invPow(base, beta float64) float64 {
 	if base <= 0 {
 		return 0
@@ -221,6 +226,14 @@ func invPow(base, beta float64) float64 {
 		return math.Sqrt(base)
 	case 1:
 		return base
+	case 0.5, 0.25, 0.125, 0.0625:
+		r := base * base
+		for b := beta; b < 0.5; b *= 2 {
+			r *= r
+		}
+		if r >= 0x1p-1022 {
+			return r
+		}
 	}
 	return math.Pow(base, 1/beta)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -419,5 +421,26 @@ func TestNegativePageIDNeverCached(t *testing.T) {
 	st, _ := NewStore(100)
 	if err := st.Add(entry(-3, 10, 1)); err == nil || st.Len() != 0 {
 		t.Errorf("Store.Add of page -3: err %v, len %d; want an error and an empty store", err, st.Len())
+	}
+}
+
+// TestInvPowMatchesMathPow: every β with a math.Pow-free branch gives
+// the bit pattern math.Pow(base, 1/β) gives, over log-uniform bases
+// from 1e-300 to 1e300 (results that overflow to +Inf or fall below the
+// normal range included) and 0, subnormal bases, the smallest normal
+// and +Inf.
+func TestInvPowMatchesMathPow(t *testing.T) {
+	bases := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1070, 0x1p-1023, 0x1p-1022, 1, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		bases = append(bases, math.Pow(10, -300+600*rng.Float64()))
+	}
+	for _, beta := range []float64{2, 1, 0.5, 0.25, 0.125, 0.0625} {
+		for _, base := range bases {
+			got, want := invPow(base, beta), math.Pow(base, 1/beta)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("invPow(%g, %g) = %g (%#x), math.Pow gives %g (%#x)", base, beta, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -336,7 +336,16 @@ func (e *Engine) forEachCandidate(ev Event, fn func(*Subscription)) {
 	}
 }
 
+// matches verifies a candidate from forEachCandidate against ev. A
+// subscription without keywords needs no check: Subscribe and Restore
+// reject empty subscriptions, so it has topics and sits only in topic
+// posting lists, and forEachCandidate reaches it only through a topic
+// ev carries. A subscription with keywords may have been reached
+// through any one of its terms, so both predicates are checked.
 func (e *Engine) matches(sub *Subscription, ev Event) bool {
+	if len(sub.Keywords) == 0 {
+		return true
+	}
 	if len(sub.Topics) > 0 {
 		found := false
 		for _, want := range sub.Topics {
