@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench examples experiments report clean
+.PHONY: all build vet test race bench examples report clean
 
 all: build vet test
 
@@ -29,11 +29,7 @@ examples:
 	$(GO) run ./examples/cluster
 	$(GO) run ./examples/customcodec
 
-# Full-scale regeneration of every paper table/figure (~4 minutes).
-experiments:
-	$(GO) run ./cmd/experiments -run all
-
-# Full-scale reproduction report (EXPERIMENTS.md).
+# Full-scale regeneration of every paper table/figure into EXPERIMENTS.md.
 report:
 	$(GO) run ./cmd/report -out EXPERIMENTS.md
 

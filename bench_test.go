@@ -4,20 +4,23 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"pubsubcd/internal/experiments"
 )
 
 // benchScale shrinks the workload for the figure-regeneration benches so
-// `go test -bench=.` stays fast; cmd/experiments regenerates the figures
-// at the paper's full scale (-scale 1).
+// `go test -bench=.` stays fast; cmd/report regenerates the figures at
+// the paper's full scale (-scale 1).
 const benchScale = 50
 
-// benchExperiment measures regenerating one table/figure end to end:
-// workload generation, β selection and the full simulation matrix.
-func benchExperiment(b *testing.B, name string) {
+// benchDriver measures regenerating one table/figure end to end through
+// its experiment driver: workload generation, β selection and the full
+// simulation matrix, on a fresh harness each iteration.
+func benchDriver[T any](b *testing.B, driver func(*ExperimentHarness) (T, error)) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h := NewExperimentHarness(ExperimentConfig{Scale: benchScale, Seed: 1, TopologySeed: 7})
-		if err := RunExperiment(h, name, io.Discard); err != nil {
+		if _, err := driver(h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -25,24 +28,24 @@ func benchExperiment(b *testing.B, name string) {
 
 // One benchmark per table and figure in the paper's evaluation (§5).
 
-func BenchmarkTable1Taxonomy(b *testing.B)       { benchExperiment(b, "table1") }
-func BenchmarkBetaSweep(b *testing.B)            { benchExperiment(b, "beta") }
-func BenchmarkFig3DualFamily(b *testing.B)       { benchExperiment(b, "fig3") }
-func BenchmarkFig4HitRatios(b *testing.B)        { benchExperiment(b, "fig4") }
-func BenchmarkTable2Improvements(b *testing.B)   { benchExperiment(b, "table2") }
-func BenchmarkFig5SubscriptionQual(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig6HourlyHitRatio(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7Traffic(b *testing.B)          { benchExperiment(b, "fig7") }
+func BenchmarkTable1Taxonomy(b *testing.B) {
+	benchDriver(b, func(*ExperimentHarness) (struct{}, error) { return struct{}{}, experiments.Table1(io.Discard) })
+}
+func BenchmarkBetaSweep(b *testing.B)            { benchDriver(b, experiments.BetaSweep) }
+func BenchmarkFig3DualFamily(b *testing.B)       { benchDriver(b, experiments.Fig3) }
+func BenchmarkFig4HitRatios(b *testing.B)        { benchDriver(b, experiments.Fig4) }
+func BenchmarkTable2Improvements(b *testing.B)   { benchDriver(b, experiments.Table2) }
+func BenchmarkFig5SubscriptionQual(b *testing.B) { benchDriver(b, experiments.Fig5) }
+func BenchmarkFig6HourlyHitRatio(b *testing.B)   { benchDriver(b, experiments.Fig6) }
+func BenchmarkFig7Traffic(b *testing.B)          { benchDriver(b, experiments.Fig7) }
 
 // Extension benches: the ablations DESIGN.md calls out.
 
-func BenchmarkBaselinesAblation(b *testing.B)   { benchExperiment(b, "baselines") }
-func BenchmarkDCLAPBoundsAblation(b *testing.B) { benchExperiment(b, "dclap-bounds") }
-func BenchmarkMixedRequestsAblation(b *testing.B) {
-	benchExperiment(b, "mixed")
-}
-func BenchmarkClosedLoopValidation(b *testing.B) { benchExperiment(b, "closedloop") }
-func BenchmarkResponseTimes(b *testing.B)        { benchExperiment(b, "latency") }
+func BenchmarkBaselinesAblation(b *testing.B)     { benchDriver(b, experiments.Baselines) }
+func BenchmarkDCLAPBoundsAblation(b *testing.B)   { benchDriver(b, experiments.DCLAPBoundsSweep) }
+func BenchmarkMixedRequestsAblation(b *testing.B) { benchDriver(b, experiments.MixedRequests) }
+func BenchmarkClosedLoopValidation(b *testing.B)  { benchDriver(b, experiments.ClosedLoop) }
+func BenchmarkResponseTimes(b *testing.B)         { benchDriver(b, experiments.ResponseTimes) }
 
 // Micro-benches on the core building blocks.
 

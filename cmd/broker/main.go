@@ -218,6 +218,21 @@ func run(args []string, stop <-chan struct{}, out *os.File) error {
 		if *uplink != "" {
 			return fmt.Errorf("usage: -uplink cannot be combined with -cluster-peers")
 		}
+		// cluster.Start builds the member's server and partition brokers
+		// itself and takes none of these, so refuse them instead of
+		// dropping them silently.
+		var standaloneOnly string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "codecs", "max-frame", "idle-timeout", "write-timeout", "publish-slo":
+				if standaloneOnly == "" {
+					standaloneOnly = f.Name
+				}
+			}
+		})
+		if standaloneOnly != "" {
+			return fmt.Errorf("usage: -%s cannot be combined with -cluster-peers", standaloneOnly)
+		}
 		if peers, err = parsePeers(*clusterPeers); err != nil {
 			return fmt.Errorf("usage: %w", err)
 		}

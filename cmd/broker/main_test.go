@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,29 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, stop, os.Stdout); err == nil {
 		t.Error("bad flag should error")
+	}
+	// Cluster members build their own server and partition brokers, so
+	// the standalone server's flags are refused rather than ignored.
+	standaloneOnly := [][]string{
+		{"-codecs", "json"},
+		{"-max-frame", "1048576"},
+		{"-idle-timeout", "1m"},
+		{"-write-timeout", "1s"},
+		{"-publish-slo", "10ms"},
+	}
+	for _, flagArgs := range standaloneOnly {
+		args := append([]string{"-addr", "127.0.0.1:0", "-node-id", "n1", "-cluster-peers", "n1=127.0.0.1:0"}, flagArgs...)
+		err := run(args, stop, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "usage: "+flagArgs[0]) {
+			t.Errorf("%s with -cluster-peers: got %v, want a usage error naming it", flagArgs[0], err)
+		}
+	}
+	var all []string
+	for _, flagArgs := range standaloneOnly {
+		all = append(all, flagArgs...)
+	}
+	if err := run(append([]string{"-addr", "127.0.0.1:0"}, all...), stop, os.Stdout); err != nil {
+		t.Errorf("standalone broker should accept %v: %v", all, err)
 	}
 }
 

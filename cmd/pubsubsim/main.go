@@ -17,30 +17,13 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strings"
-	"time"
 
 	"pubsubcd/internal/core"
 	"pubsubcd/internal/sim"
 	"pubsubcd/internal/telemetry"
-	"pubsubcd/internal/telemetry/fleet"
 	"pubsubcd/internal/topology"
 	"pubsubcd/internal/workload"
 )
-
-// splitList parses a comma-separated flag value into a clean slice.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -66,15 +49,10 @@ func run(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the full simulation result as JSON instead of text")
 	catalog := fs.Bool("catalog", false, "list strategies and exit")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address during the run and print a telemetry summary (empty disables)")
-	fleetScrape := fs.String("fleet-scrape", "", "comma-separated admin addresses to scrape and aggregate; serves /fleet and /fleet/slo on -metrics-addr")
-	fleetInterval := fs.Duration("fleet-interval", 2*time.Second, "fleet scrape period")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *fleetScrape != "" && *metricsAddr == "" {
-		return fmt.Errorf("-fleet-scrape requires -metrics-addr")
 	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
@@ -146,17 +124,6 @@ func run(args []string) error {
 		logger.Info("admin endpoint up",
 			"metrics", fmt.Sprintf("http://%s/metrics", admin.Addr()),
 			"traces", fmt.Sprintf("http://%s/traces", admin.Addr()))
-		if *fleetScrape != "" {
-			scraper, err := fleet.New(splitList(*fleetScrape), fleet.Options{Interval: *fleetInterval})
-			if err != nil {
-				return err
-			}
-			scraper.Start()
-			defer scraper.Close()
-			admin.Handle("/fleet", scraper.FleetHandler())
-			admin.Handle("/fleet/slo", scraper.SLOHandler())
-			logger.Info("fleet aggregation up", "targets", *fleetScrape)
-		}
 	}
 	logger.Debug("simulation starting",
 		"strategy", f.Name, "trace", string(w.Config.Trace()),

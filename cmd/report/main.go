@@ -35,6 +35,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be ≥ 1, got %d", *scale)
+	}
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be ≥ 1, got %d", *parallel)
 	}

@@ -28,6 +28,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-out", "/nonexistent-dir/x.md", "-scale", "100"}); err == nil {
 		t.Error("unwritable output should error")
 	}
+	if err := run([]string{"-out", filepath.Join(t.TempDir(), "x.md"), "-scale", "0"}); err == nil {
+		t.Error("-scale 0 should error")
+	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Error("bad flag should error")
 	}

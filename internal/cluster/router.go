@@ -576,12 +576,3 @@ func (n *Node) FetchContext(ctx context.Context, pageID string) (broker.Content,
 func (n *Node) Fetch(pageID string) (broker.Content, error) {
 	return n.FetchContext(context.Background(), pageID)
 }
-
-// min is a small helper (the repo targets toolchains that predate
-// the builtin on some CI images).
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

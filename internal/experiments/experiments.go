@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"pubsubcd/internal/core"
 	"pubsubcd/internal/sim"
@@ -554,118 +553,4 @@ func ResponseTimes(h *Harness) (*Grid, error) {
 		g.Cells = append(g.Cells, []float64{ratios[i], mrts[i], (base - mrts[i]) / base})
 	}
 	return g, nil
-}
-
-// Names lists the runnable experiment identifiers.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// registry maps experiment names to drivers that render text output.
-var registry = map[string]func(h *Harness, w io.Writer) error{
-	"table1": func(h *Harness, w io.Writer) error { return Table1(w) },
-	"beta": func(h *Harness, w io.Writer) error {
-		grids, err := BetaSweep(h)
-		return writeGrids(grids, err, w)
-	},
-	"fig3": func(h *Harness, w io.Writer) error {
-		g, err := Fig3(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-	"fig4": func(h *Harness, w io.Writer) error {
-		grids, err := Fig4(h)
-		return writeGrids(grids, err, w)
-	},
-	"table2": func(h *Harness, w io.Writer) error {
-		g, err := Table2(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-	"fig5": func(h *Harness, w io.Writer) error {
-		grids, err := Fig5(h)
-		return writeGrids(grids, err, w)
-	},
-	"fig6": func(h *Harness, w io.Writer) error {
-		series, err := Fig6(h)
-		return writeSeries(series, err, w)
-	},
-	"fig7": func(h *Harness, w io.Writer) error {
-		series, err := Fig7(h)
-		return writeSeries(series, err, w)
-	},
-	"baselines": func(h *Harness, w io.Writer) error {
-		grids, err := Baselines(h)
-		return writeGrids(grids, err, w)
-	},
-	"dclap-bounds": func(h *Harness, w io.Writer) error {
-		g, err := DCLAPBoundsSweep(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-	"mixed": func(h *Harness, w io.Writer) error {
-		g, err := MixedRequests(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-	"closedloop": func(h *Harness, w io.Writer) error {
-		g, err := ClosedLoop(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-	"latency": func(h *Harness, w io.Writer) error {
-		g, err := ResponseTimes(h)
-		if err != nil {
-			return err
-		}
-		return g.WriteText(w)
-	},
-}
-
-// RunByName runs a named experiment, writing its text rendering to w.
-func RunByName(h *Harness, name string, w io.Writer) error {
-	driver, ok := registry[name]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
-	}
-	return driver(h, w)
-}
-
-func writeGrids(grids []*Grid, err error, w io.Writer) error {
-	if err != nil {
-		return err
-	}
-	for _, g := range grids {
-		if err := g.WriteText(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeSeries(series []*Series, err error, w io.Writer) error {
-	if err != nil {
-		return err
-	}
-	for _, s := range series {
-		if err := s.WriteText(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

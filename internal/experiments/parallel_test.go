@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -79,23 +80,35 @@ func TestBestBetaMatchesSweepCurve(t *testing.T) {
 	}
 }
 
-// TestParallelSchedulerDeterministicOutput renders the same experiment
+// TestParallelSchedulerDeterministicOutput renders the same experiments
 // at parallelism 1 and 8 and requires byte-identical text output — the
 // scheduler may only change wall-clock time, never results or ordering.
 func TestParallelSchedulerDeterministicOutput(t *testing.T) {
-	for _, name := range []string{"fig3", "table2", "fig7"} {
-		render := func(parallelism int) string {
-			h := New(Config{Scale: 200, Seed: 1, TopologySeed: 7, Parallelism: parallelism})
-			var buf bytes.Buffer
-			if err := RunByName(h, name, &buf); err != nil {
+	render := func(parallelism int) string {
+		h := New(Config{Scale: 200, Seed: 1, TopologySeed: 7, Parallelism: parallelism})
+		fig3, err := Fig3(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table2, err := Table2(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig7, err := Fig7(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, block := range []interface{ WriteText(io.Writer) error }{fig3, table2, fig7[0], fig7[1]} {
+			if err := block.WriteText(&buf); err != nil {
 				t.Fatal(err)
 			}
-			return buf.String()
 		}
-		seq, par := render(1), render(8)
-		if seq != par {
-			t.Errorf("%s: parallel rendering diverged from sequential:\n--- seq ---\n%s\n--- par ---\n%s", name, seq, par)
-		}
+		return buf.String()
+	}
+	seq, par := render(1), render(8)
+	if seq != par {
+		t.Errorf("parallel rendering diverged from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
 }
 

@@ -65,42 +65,6 @@ func (g *Grid) formatCell(v float64) string {
 	return fmt.Sprintf("%10.3f", v)
 }
 
-// WriteCSV renders the grid as CSV.
-func (g *Grid) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s", csvEscape(g.RowHeader)); err != nil {
-		return err
-	}
-	for _, c := range g.Cols {
-		if _, err := fmt.Fprintf(w, ",%s", csvEscape(c)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for r, name := range g.Rows {
-		if _, err := fmt.Fprintf(w, "%s", csvEscape(name)); err != nil {
-			return err
-		}
-		for c := range g.Cols {
-			if _, err := fmt.Fprintf(w, ",%g", g.Cells[r][c]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
-
 // Series is a set of named curves over a shared X axis, the shape of the
 // paper's line charts (Figs. 6–7).
 type Series struct {
@@ -143,33 +107,4 @@ func (s *Series) WriteText(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// WriteCSV renders the series as CSV.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s", csvEscape(s.XLabel)); err != nil {
-		return err
-	}
-	for _, n := range s.Names {
-		if _, err := fmt.Fprintf(w, ",%s", csvEscape(n)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for i, x := range s.X {
-		if _, err := fmt.Fprintf(w, "%g", x); err != nil {
-			return err
-		}
-		for si := range s.Names {
-			if _, err := fmt.Fprintf(w, ",%g", s.Y[si][i]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

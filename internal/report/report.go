@@ -27,8 +27,11 @@ type Data struct {
 	Fig6   []*experiments.Series
 	Fig7   []*experiments.Series
 	// Extensions beyond the paper's evaluation.
-	ClosedLoop *experiments.Grid
-	Latency    *experiments.Grid
+	ClosedLoop  *experiments.Grid
+	Latency     *experiments.Grid
+	Baselines   []*experiments.Grid
+	DCLAPBounds *experiments.Grid
+	Mixed       *experiments.Grid
 	// Telemetry is the harness registry's snapshot after the full
 	// matrix ran; nil when the harness was uninstrumented.
 	Telemetry *telemetry.Snapshot
@@ -64,6 +67,15 @@ func Collect(h *experiments.Harness, scale int) (*Data, error) {
 	}
 	if d.Latency, err = experiments.ResponseTimes(h); err != nil {
 		return nil, fmt.Errorf("report: latency: %w", err)
+	}
+	if d.Baselines, err = experiments.Baselines(h); err != nil {
+		return nil, fmt.Errorf("report: baselines: %w", err)
+	}
+	if d.DCLAPBounds, err = experiments.DCLAPBoundsSweep(h); err != nil {
+		return nil, fmt.Errorf("report: dclap-bounds: %w", err)
+	}
+	if d.Mixed, err = experiments.MixedRequests(h); err != nil {
+		return nil, fmt.Errorf("report: mixed: %w", err)
 	}
 	if reg := h.Telemetry(); reg != nil {
 		snap := reg.Snapshot()
@@ -660,7 +672,35 @@ paper-level staleness losses.
 	if err := d.Latency.WriteText(w); err != nil {
 		return err
 	}
-	if err := p("```\n\nThe closed-loop grid validates the workload construction: strategy\nrankings agree whether requests come from the open-loop trace or are\nregenerated from the subscriptions themselves. The response-time grid\ntranslates hit ratios into the paper's motivating metric under a 10 ms\nhit / ~200 ms origin-fetch model.\n\nHourly series (Figs. 6–7) are omitted here for size; regenerate with\n`go run ./cmd/experiments -run fig6,fig7`.\n"); err != nil {
+	if err := p("```\n\nThe closed-loop grid validates the workload construction: strategy\nrankings agree whether requests come from the open-loop trace or are\nregenerated from the subscriptions themselves. The response-time grid\ntranslates hit ratios into the paper's motivating metric under a 10 ms\nhit / ~200 ms origin-fetch model.\n"); err != nil {
+		return err
+	}
+
+	if err := fenced(w, "Table 1 — categorisation of schemes",
+		"When each scheme places content and what information values it\n(`core.Catalog`).\n\n",
+		experiments.Table1); err != nil {
+		return err
+	}
+	var extensions []func(io.Writer) error
+	for _, g := range d.Baselines {
+		extensions = append(extensions, g.WriteText)
+	}
+	extensions = append(extensions, d.DCLAPBounds.WriteText, d.Mixed.WriteText)
+	if err := fenced(w, "Baselines, ablation and mixed requests",
+		"GD* against the classic replacement algorithms the paper cites (the\npremise of §3.1), a sweep of DC-LAP's partition bounds, and the paper's\nfuture-work scenario (§7) in which only a fraction of requests follows\na notification.\n\n",
+		extensions...); err != nil {
+		return err
+	}
+	var hourly []func(io.Writer) error
+	for _, s := range d.Fig6 {
+		hourly = append(hourly, s.WriteText)
+	}
+	for _, s := range d.Fig7 {
+		hourly = append(hourly, s.WriteText)
+	}
+	if err := fenced(w, "Hourly series (Figs. 6–7)",
+		"Hourly hit ratio over the 7 simulated days (Fig. 6) and hourly traffic\nin pages under both pushing schemes (Fig. 7).\n\n",
+		hourly...); err != nil {
 		return err
 	}
 
@@ -676,6 +716,21 @@ paper-level staleness losses.
 		}
 	}
 	return nil
+}
+
+// fenced writes a Markdown section: the heading, a lead paragraph, and
+// the blocks' text renderings inside one code fence.
+func fenced(w io.Writer, heading, lead string, blocks ...func(io.Writer) error) error {
+	if _, err := fmt.Fprintf(w, "\n## %s\n\n%s```\n", heading, lead); err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if err := b(w); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprint(w, "```\n")
+	return err
 }
 
 // WorkloadSnapshot appends a workload-analysis appendix for a trace.

@@ -35,6 +35,12 @@ func TestCollectAndGenerate(t *testing.T) {
 		"Fig. 4",
 		"Fig. 5",
 		"Beta sweep",
+		"Baselines",
+		"DC-LAP partition bounds",
+		"mixed request streams",
+		"Table 1",
+		"Fig. 6",
+		"Fig. 7",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)

@@ -600,10 +600,3 @@ func NewExperimentHarness(cfg ExperimentConfig) *ExperimentHarness { return expe
 
 // DefaultExperimentConfig is the paper's full-scale setup.
 func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConfig() }
-
-// ExperimentNames lists the runnable experiments (table1, beta, fig3,
-// fig4, table2, fig5, fig6, fig7, baselines, dclap-bounds, mixed).
-var ExperimentNames = experiments.Names
-
-// RunExperiment runs a named experiment, writing its text rendering.
-var RunExperiment = experiments.RunByName

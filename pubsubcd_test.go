@@ -1,8 +1,6 @@
 package pubsubcd
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -120,16 +118,12 @@ func TestFacadeOpStats(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	h := NewExperimentHarness(ExperimentConfig{Scale: 100, Seed: 1, TopologySeed: 7})
-	var buf bytes.Buffer
-	if err := RunExperiment(h, "table1", &buf); err != nil {
+	res, err := h.Run("SG2", TraceNEWS, 0.05, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "SG2") {
-		t.Error("table1 output missing SG2")
-	}
-	names := ExperimentNames()
-	if len(names) < 10 {
-		t.Errorf("expected at least 10 experiments, got %v", names)
+	if res.Requests == 0 || res.HitRatio() <= 0 || res.HitRatio() > 1 {
+		t.Errorf("implausible SG2 cell: %d requests, hit ratio %g", res.Requests, res.HitRatio())
 	}
 }
 
