@@ -67,6 +67,13 @@
 // each partition journals and recovers under data-dir/part-NNNN). On
 // SIGINT/SIGTERM the member retires first — handing its partitions to
 // the survivors — unless -retire-on-shutdown=false.
+//
+// A flag that belongs to one mode is a usage error outside it: the
+// uplink client's flags without -uplink, the cluster member's
+// (-node-id, -partitions, -cluster-heartbeat, -retire-on-shutdown)
+// without -cluster-peers, and the standalone server's (-codecs,
+// -max-frame, -idle-timeout, -write-timeout, -publish-slo) with
+// -cluster-peers.
 package main
 
 import (
@@ -210,6 +217,29 @@ func run(args []string, stop <-chan struct{}, out *os.File) error {
 	if err != nil {
 		return fmt.Errorf("usage: %w (valid: always, interval, none)", err)
 	}
+	// Flags that belong to one mode are refused outside it instead of
+	// being dropped silently. Only flags given explicitly count.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	firstSet := func(names ...string) string {
+		for _, name := range names {
+			if set[name] {
+				return name
+			}
+		}
+		return ""
+	}
+	if *clusterPeers == "" {
+		if name := firstSet("node-id", "partitions", "cluster-heartbeat", "retire-on-shutdown"); name != "" {
+			return fmt.Errorf("usage: -%s requires -cluster-peers", name)
+		}
+	}
+	if *uplink == "" {
+		if name := firstSet("uplink-topics", "uplink-keywords", "backoff-initial", "backoff-max", "heartbeat",
+			"heartbeat-timeout", "retry-budget", "max-reconnects", "request-timeout", "uplink-codec"); name != "" {
+			return fmt.Errorf("usage: -%s requires -uplink", name)
+		}
+	}
 	var peers map[string]string
 	if *clusterPeers != "" {
 		if *nodeID == "" {
@@ -219,19 +249,9 @@ func run(args []string, stop <-chan struct{}, out *os.File) error {
 			return fmt.Errorf("usage: -uplink cannot be combined with -cluster-peers")
 		}
 		// cluster.Start builds the member's server and partition brokers
-		// itself and takes none of these, so refuse them instead of
-		// dropping them silently.
-		var standaloneOnly string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "codecs", "max-frame", "idle-timeout", "write-timeout", "publish-slo":
-				if standaloneOnly == "" {
-					standaloneOnly = f.Name
-				}
-			}
-		})
-		if standaloneOnly != "" {
-			return fmt.Errorf("usage: -%s cannot be combined with -cluster-peers", standaloneOnly)
+		// itself and takes none of these.
+		if name := firstSet("codecs", "max-frame", "idle-timeout", "write-timeout", "publish-slo"); name != "" {
+			return fmt.Errorf("usage: -%s cannot be combined with -cluster-peers", name)
 		}
 		if peers, err = parsePeers(*clusterPeers); err != nil {
 			return fmt.Errorf("usage: %w", err)

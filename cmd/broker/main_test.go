@@ -166,6 +166,61 @@ func TestRunErrors(t *testing.T) {
 	if err := run(append([]string{"-addr", "127.0.0.1:0"}, all...), stop, os.Stdout); err != nil {
 		t.Errorf("standalone broker should accept %v: %v", all, err)
 	}
+
+	// The cluster member's and the uplink's flags are refused outside
+	// their mode, and accepted in it.
+	clusterOnly := [][]string{
+		{"-node-id", "n1"},
+		{"-partitions", "4"},
+		{"-cluster-heartbeat", "50ms"},
+		{"-retire-on-shutdown=false"},
+	}
+	for _, flagArgs := range clusterOnly {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, flagArgs...), stop, os.Stdout)
+		name := strings.SplitN(flagArgs[0], "=", 2)[0]
+		if err == nil || !strings.Contains(err.Error(), "usage: "+name+" requires -cluster-peers") {
+			t.Errorf("%s without -cluster-peers: got %v, want a usage error naming it", name, err)
+		}
+	}
+	uplinkOnly := [][]string{
+		{"-uplink-topics", "news"},
+		{"-uplink-keywords", "breaking"},
+		{"-backoff-initial", "5ms"},
+		{"-backoff-max", "50ms"},
+		{"-heartbeat", "1s"},
+		{"-heartbeat-timeout", "3s"},
+		{"-retry-budget", "2"},
+		{"-max-reconnects", "5"},
+		{"-request-timeout", "1s"},
+		{"-uplink-codec", "binary,json"},
+	}
+	for _, flagArgs := range uplinkOnly {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, flagArgs...), stop, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "usage: "+flagArgs[0]+" requires -uplink") {
+			t.Errorf("%s without -uplink: got %v, want a usage error naming it", flagArgs[0], err)
+		}
+	}
+	args := []string{"-addr", "127.0.0.1:0", "-cluster-peers", "n1=127.0.0.1:0"}
+	for _, flagArgs := range clusterOnly {
+		args = append(args, flagArgs...)
+	}
+	if err := run(args, stop, os.Stdout); err != nil {
+		t.Errorf("cluster member should accept %v: %v", args, err)
+	}
+	upstream := broker.New()
+	defer upstream.Close()
+	upServer, err := broker.NewServer(upstream, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upServer.Close()
+	args = []string{"-addr", "127.0.0.1:0", "-uplink", upServer.Addr()}
+	for _, flagArgs := range uplinkOnly {
+		args = append(args, flagArgs...)
+	}
+	if err := run(args, stop, os.Stdout); err != nil {
+		t.Errorf("uplinked broker should accept %v: %v", args, err)
+	}
 }
 
 // startRun launches run in a goroutine and dials until the server

@@ -12,9 +12,13 @@
 //   - Keywords: every listed keyword must appear in the event (an AND, as
 //     in content-based keyword filtering at news sites).
 //
-// The engine is an inverted index keyed by topic and keyword, so matching
-// cost scales with the number of subscriptions actually touching the
-// event's terms rather than with the total subscription population.
+// The engine is an inverted index keyed by topic and keyword. Each
+// subscription is posted under its access terms only: its first keyword
+// when it has keywords, else each of its topics. Matching cost therefore
+// scales with the subscriptions reachable through the event's terms
+// rather than with the total subscription population, and a selective
+// topic+keyword subscription is never a candidate of an event that
+// merely shares its topic.
 package match
 
 import (
@@ -67,9 +71,10 @@ type Engine struct {
 	nextID int64
 	subs   map[int64]*Subscription
 	// byTopic and byKeyword are posting lists: for each term, the
-	// subscriptions listing it, sorted ascending by ID. Sorted lists
-	// make matching a merge instead of a hash-set union plus sort —
-	// the publish fan-out hot path walks them without allocating.
+	// subscriptions having it as an access term (accessTerms), sorted
+	// ascending by ID. Sorted lists make matching a merge instead of a
+	// hash-set union plus sort — the publish fan-out hot path walks
+	// them without allocating.
 	byTopic   map[string][]*Subscription
 	byKeyword map[string][]*Subscription
 }
@@ -125,18 +130,9 @@ func (e *Engine) Subscribe(sub Subscription) (int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.nextID++
-	stored := sub
-	stored.ID = e.nextID
-	stored.Topics = append([]string(nil), sub.Topics...)
-	stored.Keywords = append([]string(nil), sub.Keywords...)
-	e.subs[stored.ID] = &stored
-	for _, t := range stored.Topics {
-		insertPosting(e.byTopic, t, &stored)
-	}
-	for _, k := range stored.Keywords {
-		insertPosting(e.byKeyword, k, &stored)
-	}
-	return stored.ID, nil
+	sub.ID = e.nextID
+	e.storeLocked(sub)
+	return sub.ID, nil
 }
 
 // Restore re-inserts a subscription under its existing ID — the
@@ -160,20 +156,38 @@ func (e *Engine) Restore(sub Subscription) error {
 	if _, dup := e.subs[sub.ID]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, sub.ID)
 	}
-	stored := sub
-	stored.Topics = append([]string(nil), sub.Topics...)
-	stored.Keywords = append([]string(nil), sub.Keywords...)
-	e.subs[stored.ID] = &stored
-	for _, t := range stored.Topics {
-		insertPosting(e.byTopic, t, &stored)
-	}
-	for _, k := range stored.Keywords {
-		insertPosting(e.byKeyword, k, &stored)
-	}
-	if stored.ID > e.nextID {
-		e.nextID = stored.ID
+	e.storeLocked(sub)
+	if sub.ID > e.nextID {
+		e.nextID = sub.ID
 	}
 	return nil
+}
+
+// storeLocked stores a copy of sub under sub.ID and posts it under its
+// access terms. Caller holds e.mu for writing.
+func (e *Engine) storeLocked(sub Subscription) {
+	sub.Topics = append([]string(nil), sub.Topics...)
+	sub.Keywords = append([]string(nil), sub.Keywords...)
+	stored := &sub
+	e.subs[stored.ID] = stored
+	m, terms := e.accessTerms(stored)
+	for _, t := range terms {
+		insertPosting(m, t, stored)
+	}
+}
+
+// accessTerms returns the posting lists a subscription is reached
+// through: its first keyword when it has keywords — every keyword is
+// required, so an event it matches carries that one — and otherwise
+// each of its topics. One list per keyword subscription keeps a
+// selective event's candidates to the subscriptions naming that
+// keyword instead of everyone sharing its topic. Subscribe, Restore
+// and Unsubscribe all post and remove through this one rule.
+func (e *Engine) accessTerms(sub *Subscription) (map[string][]*Subscription, []string) {
+	if len(sub.Keywords) > 0 {
+		return e.byKeyword, sub.Keywords[:1]
+	}
+	return e.byTopic, sub.Topics
 }
 
 // AdvanceNextID raises the ID counter to at least n, so a recovered
@@ -212,11 +226,9 @@ func (e *Engine) Unsubscribe(id int64) error {
 		return ErrNotFound
 	}
 	delete(e.subs, id)
-	for _, t := range sub.Topics {
-		removePosting(e.byTopic, t, id)
-	}
-	for _, k := range sub.Keywords {
-		removePosting(e.byKeyword, k, id)
+	m, terms := e.accessTerms(sub)
+	for _, t := range terms {
+		removePosting(m, t, id)
 	}
 	return nil
 }
@@ -278,12 +290,11 @@ func (e *Engine) AppendMatchRefs(dst []MatchRef, ev Event) []MatchRef {
 }
 
 // forEachCandidate calls fn once per distinct subscription touching any
-// of the event's terms, ascending by ID. A subscription with only
-// keyword constraints is a candidate via its keywords; one with topics
-// via its topics; exact verification happens in matches. The posting
-// lists are sorted, so distinct-and-ordered falls out of a k-way merge
-// (k = the event's term count, usually 1) with no allocation and no
-// per-match sort. Callers must hold e.mu.
+// of the event's terms, ascending by ID. A subscription is a candidate
+// via its access terms (accessTerms); exact verification happens in
+// matches. The posting lists are sorted, so distinct-and-ordered falls
+// out of a k-way merge (k = the event's term count, usually 1) with no
+// allocation and no per-match sort. Callers must hold e.mu.
 func (e *Engine) forEachCandidate(ev Event, fn func(*Subscription)) {
 	var listsArr [8][]*Subscription
 	lists := listsArr[:0]
@@ -336,42 +347,23 @@ func (e *Engine) forEachCandidate(ev Event, fn func(*Subscription)) {
 	}
 }
 
-// matches verifies a candidate from forEachCandidate against ev. A
-// subscription without keywords needs no check: Subscribe and Restore
-// reject empty subscriptions, so it has topics and sits only in topic
-// posting lists, and forEachCandidate reaches it only through a topic
-// ev carries. A subscription with keywords may have been reached
-// through any one of its terms, so both predicates are checked.
+// matches verifies a candidate from forEachCandidate against ev.
+// forEachCandidate reaches a subscription only through a posting list
+// of one of ev's terms, and each subscription sits only in the lists
+// of its access terms (accessTerms). So a subscription without keywords
+// needs no check: Subscribe and Restore reject empty subscriptions, so
+// it has topics and was reached through one ev carries. A subscription
+// with keywords was reached through its first keyword, which ev
+// therefore carries; its topics and remaining keywords are checked.
 func (e *Engine) matches(sub *Subscription, ev Event) bool {
 	if len(sub.Keywords) == 0 {
 		return true
 	}
-	if len(sub.Topics) > 0 {
-		found := false
-		for _, want := range sub.Topics {
-			for _, got := range ev.Topics {
-				if want == got {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if len(sub.Topics) > 0 && !slices.ContainsFunc(sub.Topics, func(t string) bool { return slices.Contains(ev.Topics, t) }) {
+		return false
 	}
-	for _, want := range sub.Keywords {
-		found := false
-		for _, got := range ev.Keywords {
-			if want == got {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for _, want := range sub.Keywords[1:] {
+		if !slices.Contains(ev.Keywords, want) {
 			return false
 		}
 	}

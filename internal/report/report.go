@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"pubsubcd/internal/experiments"
-	"pubsubcd/internal/telemetry"
 	"pubsubcd/internal/workload"
 )
 
@@ -32,9 +31,6 @@ type Data struct {
 	Baselines   []*experiments.Grid
 	DCLAPBounds *experiments.Grid
 	Mixed       *experiments.Grid
-	// Telemetry is the harness registry's snapshot after the full
-	// matrix ran; nil when the harness was uninstrumented.
-	Telemetry *telemetry.Snapshot
 }
 
 // Collect runs every experiment needed for the report.
@@ -76,10 +72,6 @@ func Collect(h *experiments.Harness, scale int) (*Data, error) {
 	}
 	if d.Mixed, err = experiments.MixedRequests(h); err != nil {
 		return nil, fmt.Errorf("report: mixed: %w", err)
-	}
-	if reg := h.Telemetry(); reg != nil {
-		snap := reg.Snapshot()
-		d.Telemetry = &snap
 	}
 	return d, nil
 }
@@ -698,24 +690,9 @@ paper-level staleness losses.
 	for _, s := range d.Fig7 {
 		hourly = append(hourly, s.WriteText)
 	}
-	if err := fenced(w, "Hourly series (Figs. 6–7)",
+	return fenced(w, "Hourly series (Figs. 6–7)",
 		"Hourly hit ratio over the 7 simulated days (Fig. 6) and hourly traffic\nin pages under both pushing schemes (Fig. 7).\n\n",
-		hourly...); err != nil {
-		return err
-	}
-
-	if d.Telemetry != nil {
-		if err := p("\n## Telemetry summary\n\nLive counters accumulated by `internal/telemetry` across every\nsimulation of the matrix (sim.* are run outcomes, sim.strategy.* the\nproxies' placement decisions with sampled latencies in ns):\n\n```\n"); err != nil {
-			return err
-		}
-		if err := d.Telemetry.WriteSummary(w); err != nil {
-			return err
-		}
-		if err := p("```\n"); err != nil {
-			return err
-		}
-	}
-	return nil
+		hourly...)
 }
 
 // fenced writes a Markdown section: the heading, a lead paragraph, and
