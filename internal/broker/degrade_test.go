@@ -217,3 +217,93 @@ func TestProxyDropsBodyWhenRePushRejected(t *testing.T) {
 		t.Errorf("stats = %+v, want Hits=1 (unchanged) Fetches=1", st)
 	}
 }
+
+// TestProxyNeverServesEvictedCopy: a page the strategy evicted to make
+// room for another is no longer the proxy's copy, so with the fetch
+// path down a request for it fails instead of degrading to the old
+// body, while the page that displaced it is still a local hit.
+func TestProxyNeverServesEvictedCopy(t *testing.T) {
+	b := New()
+	fetcher := &flakyFetcher{}
+	strat, err := core.NewSUB(core.Params{Capacity: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProxy(4, b, strat, 1, WithProxyFetcher(fetcher))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Push(Content{ID: "old", Version: 1, Body: []byte("evicted")}, 1)
+	p.Push(Content{ID: "new", Version: 1, Body: []byte("resident")}, 5) // SUB evicts "old"
+	if strat.Len() != 1 {
+		t.Fatalf("strategy holds %d pages, want 1 after the eviction", strat.Len())
+	}
+
+	fetcher.down.Store(true)
+	if body, err := p.Request("new"); err != nil || string(body) != "resident" {
+		t.Fatalf("resident page: body %q, err %v; want a local hit", body, err)
+	}
+	before := p.Stats()
+	if body, err := p.Request("old"); err == nil {
+		t.Fatalf("evicted page served %q with the fetch path down", body)
+	}
+	st := p.Stats()
+	if st.FetchErrors != before.FetchErrors+1 || st.DegradedStale != before.DegradedStale {
+		t.Errorf("stats = %+v after %+v, want FetchErrors +1 and DegradedStale unchanged", st, before)
+	}
+}
+
+// dropOnHitStrategy is a store-all whose requests hit and then drop
+// the page, as DC-FP's move does with a page larger than the access
+// cache, reporting the eviction.
+type dropOnHitStrategy struct {
+	*storeAllStrategy
+	evicted []int
+}
+
+func (s *dropOnHitStrategy) Push(p core.PageMeta, version, subs int) bool {
+	s.evicted = s.evicted[:0]
+	return s.storeAllStrategy.Push(p, version, subs)
+}
+
+func (s *dropOnHitStrategy) Request(p core.PageMeta, version, subs int) (bool, bool) {
+	s.evicted = s.evicted[:0]
+	if _, ok := s.pages[p.ID]; ok {
+		delete(s.pages, p.ID)
+		s.evicted = append(s.evicted, p.ID)
+		return true, false
+	}
+	s.pages[p.ID] = p.Size
+	return false, true
+}
+
+func (s *dropOnHitStrategy) Evicted() []int { return s.evicted }
+
+// TestProxyServesHitItsStrategyThenDrops: a request the strategy
+// answers as a hit is served from the held body and counted as a hit
+// even when the same call evicts the page; the body is dropped after
+// it, so with the fetch path down the next request fails.
+func TestProxyServesHitItsStrategyThenDrops(t *testing.T) {
+	b := New()
+	fetcher := &flakyFetcher{}
+	p, err := NewProxy(6, b, &dropOnHitStrategy{storeAllStrategy: newStoreAll()}, 1, WithProxyFetcher(fetcher))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Push(Content{ID: "page", Version: 1, Body: []byte("v1")}, 1)
+	fetcher.down.Store(true)
+	if body, err := p.Request("page"); err != nil || string(body) != "v1" {
+		t.Fatalf("body %q, err %v; want the held v1 as a hit", body, err)
+	}
+	if st := p.Stats(); st.Hits != 1 {
+		t.Fatalf("stats = %+v, want Hits=1", st)
+	}
+	if body, err := p.Request("page"); err == nil {
+		t.Fatalf("dropped page served %q with the fetch path down", body)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.FetchErrors != 1 || st.DegradedStale != 0 {
+		t.Errorf("stats = %+v, want Hits=1 FetchErrors=1 DegradedStale=0", st)
+	}
+}

@@ -50,22 +50,31 @@ type Proxy struct {
 
 	mu       sync.Mutex
 	strategy core.Strategy
-	ids      map[string]int // page ID → the strategy's dense page index
-	pages    []proxyPage    // indexed by the dense page index
+	// evictions is the strategy's eviction report, nil when it has
+	// none: the proxy then drops a body only when a call on that page
+	// does not store it.
+	evictions core.EvictionReporter
+	ids       map[string]int // page ID → the strategy's dense page index
+	pages     []proxyPage    // indexed by the dense page index
 
 	stats ProxyStats
 }
 
 // proxyPage is what a proxy knows about one page it has seen. Like ids,
-// the records grow with every page seen and are never dropped: a page
-// the strategy evicts to make room for another keeps its body here
-// until it is next pushed or requested.
+// the records grow with every page seen and are never dropped. The body
+// is held only while the strategy holds the page: when a strategy call
+// evicts the page, the proxy drops the body (dropEvicted), so a proxy
+// holds the bytes its strategy's Used reports. The rest of the record
+// stays, and the next request for the page takes the same branch, and
+// tells the strategy the same size, as if the body were still there.
 type proxyPage struct {
 	body    []byte
-	cached  bool // body holds a copy, at version
+	held    bool // body holds a copy, at version
 	version int
-	latest  int // newest version learned through pushes and fetches
-	subs    int // matched subscriptions of the last push
+	stored  bool  // the last call on the page stored it: a request takes the refresh branch
+	size    int64 // the size the strategy was told when it stored the page
+	latest  int   // newest version learned through pushes and fetches
+	subs    int   // matched subscriptions of the last push
 }
 
 // ProxyStats counts a proxy's traffic.
@@ -123,6 +132,7 @@ func NewProxy(id int, b *Broker, strategy core.Strategy, cost float64, opts ...P
 		strategy: strategy,
 		ids:      make(map[string]int),
 	}
+	p.evictions, _ = strategy.(core.EvictionReporter)
 	if p.fetcher == nil {
 		p.fetcher = b
 	}
@@ -164,7 +174,9 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 	pg.subs = matched
 	pg.observe(c.Version)
 	meta := core.PageMeta{ID: idx, Size: bodySize(c.Body), Cost: p.cost}
-	if stored := p.strategy.Push(meta, c.Version, matched); stored {
+	stored := p.strategy.Push(meta, c.Version, matched)
+	p.dropEvicted()
+	if stored {
 		p.stats.PushesStored++
 		pg.store(c)
 		sp.SetAttr("stored", "true")
@@ -176,12 +188,31 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 
 // store keeps c's body as the page's cached copy.
 func (pg *proxyPage) store(c Content) {
-	pg.body, pg.cached, pg.version = c.Body, true, c.Version
+	pg.body, pg.held, pg.version = c.Body, true, c.Version
+	pg.stored, pg.size = true, bodySize(c.Body)
 }
 
-// evict drops the page's cached copy.
+// evict drops the page's cached copy after a call on the page did not
+// store it: the next request takes the miss branch.
 func (pg *proxyPage) evict() {
-	pg.body, pg.cached, pg.version = nil, false, 0
+	pg.drop()
+	pg.stored = false
+}
+
+// drop releases the page's body.
+func (pg *proxyPage) drop() {
+	pg.body, pg.held, pg.version = nil, false, 0
+}
+
+// dropEvicted drops the bodies of the pages the strategy's last call
+// evicted. Caller holds p.mu.
+func (p *Proxy) dropEvicted() {
+	if p.evictions == nil {
+		return
+	}
+	for _, idx := range p.evictions.Evicted() {
+		p.pages[idx].drop()
+	}
 }
 
 func (pg *proxyPage) observe(version int) {
@@ -191,7 +222,8 @@ func (pg *proxyPage) observe(version int) {
 }
 
 // fetch runs the fetch path and falls through the degradation ladder
-// on failure: serve the stale cached copy when one exists, else fail.
+// on failure: serve the stale cached copy when the proxy holds one,
+// else fail.
 // Caller holds p.mu. A stale serve is annotated on the active span in
 // ctx (degraded=stale) and returns only the stale body.
 func (p *Proxy) fetch(ctx context.Context, pageID string, staleBody []byte, haveStale bool) (Content, bool, error) {
@@ -236,21 +268,25 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 	p.stats.Requests++
 
 	idx, known := p.ids[pageID]
-	if known && p.pages[idx].cached {
+	if known && p.pages[idx].stored {
 		pg := &p.pages[idx]
 		body := pg.body
-		meta := core.PageMeta{ID: idx, Size: bodySize(body), Cost: p.cost}
+		meta := core.PageMeta{ID: idx, Size: pg.size, Cost: p.cost}
 		hit, stored := p.strategy.Request(meta, pg.latest, pg.subs)
-		if hit && pg.version >= pg.latest {
+		fresh := hit && pg.held && pg.version >= pg.latest
+		// After a hit too: DC-FP's move can drop the page it served.
+		p.dropEvicted()
+		if fresh {
 			p.stats.Hits++
 			sp.SetAttr("outcome", "hit")
 			return body, nil
 		}
-		// Stale copy: refetch and, when the strategy keeps the page,
-		// refresh the stored body. If the fetch path is down, degrade
-		// to the stale copy rather than failing the user.
+		// Stale or evicted copy: refetch and, when the strategy keeps
+		// the page, refresh the stored body. If the fetch path is down,
+		// degrade to a stale copy the proxy still holds rather than
+		// failing the user.
 		sp.SetAttr("outcome", "stale_refresh")
-		current, degraded, err := p.fetch(ctx, pageID, body, true)
+		current, degraded, err := p.fetch(ctx, pageID, pg.body, pg.held)
 		if err != nil {
 			return nil, err
 		}
@@ -280,6 +316,7 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 	pg.observe(current.Version)
 	meta := core.PageMeta{ID: idx, Size: bodySize(current.Body), Cost: p.cost}
 	_, stored := p.strategy.Request(meta, current.Version, pg.subs)
+	p.dropEvicted()
 	p.stats.Fetches++
 	if stored {
 		pg.store(current)

@@ -13,14 +13,18 @@ import (
 
 // mapProxy is the proxy's caching logic with one map per page
 // attribute, kept here as the model Proxy's per-page records must
-// agree with.
+// agree with. A page in sizes takes the refresh branch; a page in
+// bodies has its body held. The model drops a body when its own
+// strategy reports the page evicted.
 type mapProxy struct {
 	strategy core.Strategy
 	fetcher  Fetcher
 	cost     float64
 	ids      map[string]int
+	names    []string // by dense index
 	bodies   map[string][]byte
 	versions map[string]int
+	sizes    map[string]int64
 	latest   map[string]int
 	subs     map[string]int
 	stats    ProxyStats
@@ -30,7 +34,7 @@ func newMapProxy(strategy core.Strategy, fetcher Fetcher, cost float64) *mapProx
 	return &mapProxy{
 		strategy: strategy, fetcher: fetcher, cost: cost,
 		ids: map[string]int{}, bodies: map[string][]byte{}, versions: map[string]int{},
-		latest: map[string]int{}, subs: map[string]int{},
+		sizes: map[string]int64{}, latest: map[string]int{}, subs: map[string]int{},
 	}
 }
 
@@ -39,8 +43,24 @@ func (m *mapProxy) pageIndex(pageID string) int {
 	if !ok {
 		id = len(m.ids)
 		m.ids[pageID] = id
+		m.names = append(m.names, pageID)
 	}
 	return id
+}
+
+// dropEvicted drops the bodies of the pages the strategy's last call
+// reported evicted.
+func (m *mapProxy) dropEvicted() {
+	for _, id := range m.strategy.(core.EvictionReporter).Evicted() {
+		delete(m.bodies, m.names[id])
+		delete(m.versions, m.names[id])
+	}
+}
+
+func (m *mapProxy) store(c Content) {
+	m.bodies[c.ID] = c.Body
+	m.versions[c.ID] = c.Version
+	m.sizes[c.ID] = bodySize(c.Body)
 }
 
 func (m *mapProxy) observeVersion(pageID string, version int) {
@@ -52,6 +72,7 @@ func (m *mapProxy) observeVersion(pageID string, version int) {
 func (m *mapProxy) evict(pageID string) {
 	delete(m.bodies, pageID)
 	delete(m.versions, pageID)
+	delete(m.sizes, pageID)
 }
 
 func (m *mapProxy) push(c Content, matched int) {
@@ -59,10 +80,11 @@ func (m *mapProxy) push(c Content, matched int) {
 	m.subs[c.ID] = matched
 	m.observeVersion(c.ID, c.Version)
 	meta := core.PageMeta{ID: m.pageIndex(c.ID), Size: bodySize(c.Body), Cost: m.cost}
-	if m.strategy.Push(meta, c.Version, m.subs[c.ID]) {
+	stored := m.strategy.Push(meta, c.Version, m.subs[c.ID])
+	m.dropEvicted()
+	if stored {
 		m.stats.PushesStored++
-		m.bodies[c.ID] = c.Body
-		m.versions[c.ID] = c.Version
+		m.store(c)
 	} else {
 		m.evict(c.ID)
 	}
@@ -83,14 +105,18 @@ func (m *mapProxy) fetch(pageID string, staleBody []byte, haveStale bool) (Conte
 
 func (m *mapProxy) request(pageID string) ([]byte, error) {
 	m.stats.Requests++
-	if body, ok := m.bodies[pageID]; ok {
-		meta := core.PageMeta{ID: m.pageIndex(pageID), Size: bodySize(body), Cost: m.cost}
+	if size, ok := m.sizes[pageID]; ok {
+		meta := core.PageMeta{ID: m.pageIndex(pageID), Size: size, Cost: m.cost}
 		hit, stored := m.strategy.Request(meta, m.latest[pageID], m.subs[pageID])
-		if hit && m.versions[pageID] >= m.latest[pageID] {
+		body, held := m.bodies[pageID]
+		fresh := hit && held && m.versions[pageID] >= m.latest[pageID]
+		m.dropEvicted()
+		if fresh {
 			m.stats.Hits++
 			return body, nil
 		}
-		current, degraded, err := m.fetch(pageID, body, true)
+		body, held = m.bodies[pageID]
+		current, degraded, err := m.fetch(pageID, body, held)
 		if err != nil {
 			return nil, err
 		}
@@ -100,8 +126,7 @@ func (m *mapProxy) request(pageID string) ([]byte, error) {
 		m.observeVersion(pageID, current.Version)
 		m.stats.Fetches++
 		if stored {
-			m.bodies[pageID] = current.Body
-			m.versions[pageID] = current.Version
+			m.store(current)
 		} else {
 			m.evict(pageID)
 		}
@@ -117,10 +142,10 @@ func (m *mapProxy) request(pageID string) ([]byte, error) {
 	m.observeVersion(pageID, current.Version)
 	meta := core.PageMeta{ID: m.pageIndex(pageID), Size: bodySize(current.Body), Cost: m.cost}
 	_, stored := m.strategy.Request(meta, current.Version, m.subs[pageID])
+	m.dropEvicted()
 	m.stats.Fetches++
 	if stored {
-		m.bodies[pageID] = current.Body
-		m.versions[pageID] = current.Version
+		m.store(current)
 	}
 	return current.Body, nil
 }
@@ -150,7 +175,10 @@ func (o *modelOrigin) Fetch(pageID string) (Content, error) {
 // version) and requests, with the fetch path down for about a quarter
 // of the operations, give the same
 // bodies, errors and Stats from Proxy as from mapProxy, for every
-// strategy family at a capacity small enough to evict.
+// strategy family at a capacity small enough to evict. A pushing
+// strategy must have served a stale copy; an access-time-only one
+// (GD*) must not have: every push drops its copy and every fetch
+// stores the current version, so it never holds a stale body.
 func TestProxyMatchesMapModel(t *testing.T) {
 	for _, sc := range []struct {
 		name        string
@@ -209,15 +237,23 @@ func TestProxyMatchesMapModel(t *testing.T) {
 			total.FetchErrors += st.FetchErrors
 			p.Close()
 		}
-		if total.Hits == 0 || total.DegradedStale == 0 || total.FetchErrors == total.DegradedStale {
+		f, err := core.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total.Hits == 0 || (f.UsesPush() && total.DegradedStale == 0) || total.FetchErrors == total.DegradedStale {
 			t.Errorf("%s: the runs missed a path (hit, stale serve, failed miss): %+v", name, total)
+		}
+		if !f.UsesPush() && total.DegradedStale != 0 {
+			t.Errorf("%s: an access-time-only proxy served %d stale copies", name, total.DegradedStale)
 		}
 	}
 }
 
 // TestProxyPushAndHitZeroAlloc pins the proxy's steady state at zero
-// allocations: a push of a page it already holds, and a request that
-// hits.
+// allocations: a push of a page it already holds, a request that hits,
+// and on a full proxy a push that evicts and a request miss that
+// evicts, each dropping the evicted page's body.
 func TestProxyPushAndHitZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -247,6 +283,239 @@ func TestProxyPushAndHitZeroAlloc(t *testing.T) {
 	if p.Stats().Hits == before {
 		t.Error("requests did not hit")
 	}
+
+	// Pages of 100 bytes cycle over twice as many IDs as the cache
+	// holds, all seen in the warm-up, so every op admits a page the
+	// strategy no longer holds and evicts one.
+	ids := make([]string, 20)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("page-%d", i)
+	}
+	body := make([]byte, 100)
+	for _, c := range []struct {
+		name        string
+		newStrategy func(core.Params) (core.Strategy, error)
+		op          func(p *Proxy, n int)
+	}{
+		// SUB admits each push: it carries more subscriptions than any
+		// page before it.
+		{"push that evicts", core.NewSUB, func(p *Proxy, n int) {
+			p.PushContext(ctx, Content{ID: ids[n%len(ids)], Version: n, Body: body}, n)
+		}},
+		// GD* admits every miss, and the cycle is longer than the cache.
+		{"request miss that evicts", core.NewGDStar, func(p *Proxy, n int) {
+			if _, err := p.RequestContext(ctx, ids[n%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		strat, err := c.newStrategy(core.Params{Capacity: 1000, Beta: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := NewProxy(1, b, strat, 1, WithProxyFetcher(&flakyFetcher{content: Content{Body: body}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		op := func() {
+			n++
+			before := strat.(core.StatsProvider).OpStats().Evictions
+			c.op(full, n)
+			if n > 2*len(ids) && strat.(core.StatsProvider).OpStats().Evictions != before+1 {
+				t.Fatalf("%s: op %d did not evict one page", c.name, n)
+			}
+		}
+		for n < 2*len(ids) {
+			op()
+		}
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", c.name, allocs)
+		}
+		if pages, bytes := heldBodies(full); pages != strat.Len() || bytes != strat.Used() {
+			t.Errorf("%s: proxy holds %d bodies of %d bytes, strategy %d pages of %d bytes",
+				c.name, pages, bytes, strat.Len(), strat.Used())
+		}
+		full.Close()
+	}
+}
+
+// heldBodies counts the pages whose body a proxy holds and their bytes,
+// by the size each body gives the strategy.
+func heldBodies(p *Proxy) (pages int, bytes int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.pages {
+		if pg := &p.pages[i]; pg.held {
+			pages++
+			bytes += bodySize(pg.body)
+		}
+	}
+	return pages, bytes
+}
+
+// TestProxyHoldsWhatItsStrategyHolds drives proxies with seeded random
+// pushes (some overtaken by a newer version) and requests, the fetch
+// path up, at a capacity small enough to evict on most ops. Each page
+// keeps its size across versions, so the size the strategy was told is
+// the size of every body. After every op, a proxy with a pushing
+// strategy holds a body for exactly the pages its strategy holds: as
+// many pages as Len and as many bytes as Used. An access-time-only
+// strategy (GD*) is pushed too, and each push drops the proxy's now
+// stale copy while GD* keeps the page until a request refetches it, so
+// its proxy holds at most what GD* holds, and exactly that once every
+// page has been requested after the last push.
+func TestProxyHoldsWhatItsStrategyHolds(t *testing.T) {
+	for _, name := range []string{"GD*", "SUB", "SG2", "DM", "DC-LAP"} {
+		f, err := core.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evictions int64
+		for seed := int64(1); seed <= 5; seed++ {
+			strat, err := f.New(core.Params{Capacity: 2000, Beta: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			origin := &sizedOrigin{versions: map[string]int{}, sizes: map[string]int{}}
+			p, err := NewProxy(0, New(), strat, 1.5, WithProxyFetcher(origin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			const pushSteps, pageCount = 400, 30
+			for step := 0; step < 600; step++ {
+				page := fmt.Sprintf("page-%d", rng.Intn(pageCount))
+				if sweep := step - pushSteps; sweep >= 0 && sweep < pageCount {
+					page = fmt.Sprintf("page-%d", sweep) // request every page once
+				}
+				if _, ok := origin.sizes[page]; !ok {
+					origin.sizes[page] = 1 + rng.Intn(400)
+				}
+				if step < pushSteps && rng.Intn(2) == 0 {
+					origin.versions[page]++
+					c := origin.content(page)
+					if rng.Intn(8) == 0 && c.Version > 2 {
+						c.Version -= 2 // a push overtaken by a newer one
+					}
+					p.Push(c, rng.Intn(6))
+				} else if _, err := p.Request(page); err != nil {
+					t.Fatal(err)
+				}
+				pages, bytes := heldBodies(p)
+				exact := f.UsesPush() || step >= pushSteps+pageCount-1
+				if pages > strat.Len() || bytes > strat.Used() ||
+					exact && (pages != strat.Len() || bytes != strat.Used()) {
+					t.Fatalf("%s seed %d step %d: proxy holds %d bodies of %d bytes, strategy %d pages of %d bytes",
+						name, seed, step, pages, bytes, strat.Len(), strat.Used())
+				}
+			}
+			evictions += strat.(core.StatsProvider).OpStats().Evictions
+			p.Close()
+		}
+		if evictions == 0 {
+			t.Errorf("%s: no op evicted; the test exercises nothing", name)
+		}
+	}
+}
+
+// hiddenReport wraps a strategy without forwarding its eviction report,
+// as a third-party strategy or a decorator would.
+type hiddenReport struct{ core.Strategy }
+
+// TestProxyReportKeepsOutcomes: with the fetch path up, dropping the
+// evicted bodies changes no outcome. Two proxies take the same seeded
+// pushes (some overtaken by a newer version) and requests, one reading
+// its strategy's eviction report and one whose strategy hides it; after
+// every op their served bodies and Stats are equal. The last strategy
+// starts DC-LAP at its lower bound, so first accesses take DC-FP's
+// move, which can drop the very page a request hits.
+func TestProxyReportKeepsOutcomes(t *testing.T) {
+	lowerBound := func(p core.Params) (core.Strategy, error) {
+		return core.NewDCLAPBounded(p, 0.5, core.DefaultDCLAPUpper)
+	}
+	for _, sc := range []struct {
+		name        string
+		newStrategy func(core.Params) (core.Strategy, error)
+	}{
+		{"GD*", core.NewGDStar}, {"SUB", core.NewSUB}, {"SG2", core.NewSG2}, {"DM", core.NewDM},
+		{"DC-LAP", core.NewDCLAP}, {"DC-LAP-at-lower-bound", lowerBound},
+	} {
+		var drops int
+		for seed := int64(1); seed <= 5; seed++ {
+			params := core.Params{Capacity: 2000, Beta: 2}
+			reporting, err := sc.newStrategy(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			silent, err := sc.newStrategy(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			origin := &sizedOrigin{versions: map[string]int{}, sizes: map[string]int{}}
+			b := New()
+			p, err := NewProxy(0, b, reporting, 1.5, WithProxyFetcher(origin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := NewProxy(1, b, hiddenReport{silent}, 1.5, WithProxyFetcher(origin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 600; step++ {
+				page := fmt.Sprintf("page-%d", rng.Intn(30))
+				if _, ok := origin.sizes[page]; !ok {
+					origin.sizes[page] = 1 + rng.Intn(700)
+				}
+				if rng.Intn(2) == 0 {
+					origin.versions[page]++
+					c, matched := origin.content(page), rng.Intn(6)
+					if rng.Intn(8) == 0 && c.Version > 2 {
+						c.Version -= 2 // a push overtaken by a newer one
+					}
+					p.Push(c, matched)
+					plain.Push(c, matched)
+				} else {
+					got, err := p.Request(page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := plain.Request(page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s seed %d step %d: Request(%s) served %d bytes, %d without the report", sc.name, seed, step, page, len(got), len(want))
+					}
+				}
+				if got, want := p.Stats(), plain.Stats(); got != want {
+					t.Fatalf("%s seed %d step %d: Stats = %+v, %+v without the report", sc.name, seed, step, got, want)
+				}
+				drops += len(reporting.(core.EvictionReporter).Evicted())
+			}
+			p.Close()
+			plain.Close()
+		}
+		if drops == 0 {
+			t.Errorf("%s: no op evicted; the test exercises nothing", sc.name)
+		}
+	}
+}
+
+// sizedOrigin serves each page at its current version with a body of
+// the page's fixed size.
+type sizedOrigin struct {
+	versions map[string]int
+	sizes    map[string]int
+}
+
+func (o *sizedOrigin) content(pageID string) Content {
+	return Content{ID: pageID, Version: o.versions[pageID], Body: make([]byte, o.sizes[pageID])}
+}
+
+func (o *sizedOrigin) Fetch(pageID string) (Content, error) {
+	return o.content(pageID), nil
 }
 
 // BenchmarkProxyPush offers one publish to 100 DC-LAP proxies, as the

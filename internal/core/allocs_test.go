@@ -22,10 +22,14 @@ func TestRejectedPushZeroAlloc(t *testing.T) {
 		if s.Used() != s.Capacity() {
 			t.Fatalf("%s: cache holds %d of %d bytes, want full", s.Name(), s.Used(), s.Capacity())
 		}
+		er := s.(EvictionReporter)
 		low := page(100, 100)
 		allocs := testing.AllocsPerRun(100, func() {
 			if s.Push(low, 0, 1) {
 				t.Fatalf("%s stored a push valued below every resident page", s.Name())
+			}
+			if n := len(er.Evicted()); n != 0 {
+				t.Fatalf("%s: a rejected push reports %d evictions", s.Name(), n)
 			}
 		})
 		if allocs != 0 {
@@ -94,7 +98,8 @@ func TestRefreshPushZeroAlloc(t *testing.T) {
 }
 
 // TestEvictingAdmissionZeroAlloc pins admissions that evict at zero
-// allocations: the victim's entry is recycled for the admitted page.
+// allocations, the eviction report included: the victim's entry is
+// recycled for the admitted page, and its ID goes into a reused slice.
 // Each op offers a page that is not resident (ids cycle through twice
 // as many pages as the cache holds) with more subscriptions than any
 // before it, so SUB's gate always admits and every op evicts; the
@@ -132,6 +137,7 @@ func TestEvictingAdmissionZeroAlloc(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := mustStrategy(t, c.f, Params{Capacity: 1000, Beta: 2})
+			er := s.(EvictionReporter)
 			n := 0
 			op := func() {
 				n++
@@ -141,6 +147,9 @@ func TestEvictingAdmissionZeroAlloc(t *testing.T) {
 				}
 				if n > 2*ids && opStats(t, s).Evictions != before+1 {
 					t.Fatalf("op %d: %d evictions, want 1", n, opStats(t, s).Evictions-before)
+				}
+				if n > 2*ids && len(er.Evicted()) != 1 {
+					t.Fatalf("op %d: %d evictions reported, want 1", n, len(er.Evicted()))
 				}
 			}
 			for n < 2*ids {

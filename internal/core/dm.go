@@ -18,8 +18,10 @@ type dm struct {
 	spare    freeList[dmEntry]
 
 	stats   OpStats
+	evicted evictionLog
 	metrics *StrategyMetrics
 	flushed OpStats
+	_       [24]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 type dmEntry struct {
@@ -77,6 +79,7 @@ func (d *dm) subEval(e *dmEntry) float64 {
 
 // Push runs the SUB placement module.
 func (d *dm) Push(p PageMeta, version, subs int) bool {
+	d.evicted.reset()
 	m := d.metrics
 	if m == nil || !sampleOp(d.seq) {
 		return d.push(p, version, subs)
@@ -129,6 +132,7 @@ func (d *dm) subAdmits(size int64, v float64) bool {
 
 // Request runs the GD* caching module.
 func (d *dm) Request(p PageMeta, version, subs int) (hit, stored bool) {
+	d.evicted.reset()
 	m := d.metrics
 	if m == nil || !sampleOp(d.seq) {
 		return d.request(p, version, subs)
@@ -187,6 +191,7 @@ func (d *dm) evict(e *dmEntry) {
 	d.remove(e)
 	d.stats.Evictions++
 	d.stats.EvictedBytes += e.Size
+	d.evicted.add(e.ID)
 	d.spare.put(e)
 }
 

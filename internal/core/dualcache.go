@@ -44,8 +44,10 @@ type dualCache struct {
 	spare  freeList[Entry]
 
 	stats   OpStats
+	evicted evictionLog
 	metrics *StrategyMetrics
 	flushed OpStats
+	_       [24]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 var _ Strategy = (*dualCache)(nil)
@@ -127,6 +129,7 @@ func (d *dualCache) subEval(e *Entry) float64 {
 
 // Push implements the placing algorithm.
 func (d *dualCache) Push(p PageMeta, version, subs int) bool {
+	d.evicted.reset()
 	m := d.metrics
 	if m == nil || !sampleOp(d.seq) {
 		return d.push(p, version, subs)
@@ -186,11 +189,12 @@ func (d *dualCache) push(p PageMeta, version, subs int) bool {
 }
 
 // discard accounts replacement victims, which no store holds any more,
-// and recycles them.
+// reports them and recycles them.
 func (d *dualCache) discard(evicted ...*Entry) {
 	for _, ev := range evicted {
 		d.stats.Evictions++
 		d.stats.EvictedBytes += ev.Size
+		d.evicted.add(ev.ID)
 	}
 	d.spare.put(evicted...)
 }
@@ -275,6 +279,7 @@ func (d *dualCache) reclaimable(need int64) (chosen []*Entry, freed int64) {
 
 // Request implements the locating algorithm.
 func (d *dualCache) Request(p PageMeta, version, subs int) (hit, stored bool) {
+	d.evicted.reset()
 	m := d.metrics
 	if m == nil || !sampleOp(d.seq) {
 		return d.request(p, version, subs)

@@ -47,6 +47,9 @@ type engine struct {
 
 	cand  Entry // admission scratch: the page being valued
 	spare freeList[Entry]
+
+	evicted evictionLog
+	_       [8]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 var _ Strategy = (*engine)(nil)
@@ -67,6 +70,7 @@ func (g *engine) Len() int        { return g.store.Len() }
 // Push implements Strategy. The wrapper keeps the uninstrumented and
 // unsampled paths down to two predictable branches.
 func (g *engine) Push(p PageMeta, version, subs int) bool {
+	g.evicted.reset()
 	m := g.metrics
 	if m == nil || !sampleOp(g.seq) {
 		return g.push(p, version, subs)
@@ -109,6 +113,7 @@ func (g *engine) push(p PageMeta, version, subs int) bool {
 
 // Request implements Strategy; see Push for the instrumentation shape.
 func (g *engine) Request(p PageMeta, version, subs int) (hit, stored bool) {
+	g.evicted.reset()
 	m := g.metrics
 	if m == nil || !sampleOp(g.seq) {
 		return g.request(p, version, subs)
@@ -192,6 +197,7 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 		}
 		g.stats.Evictions++
 		g.stats.EvictedBytes += ev.Size
+		g.evicted.add(ev.ID)
 	}
 	g.spare.put(evicted...)
 	if !ok {

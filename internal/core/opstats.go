@@ -52,11 +52,56 @@ type StatsProvider interface {
 	OpStats() OpStats
 }
 
+// EvictionReporter is implemented by strategies that name the pages
+// each operation removed from the cache: replacement victims, DC-AP's
+// reclaimed pages and the page a DC-FP move drops, the same removals
+// OpStats.Evictions counts. Every strategy in the catalog implements
+// it. A caller that mirrors residency, as broker.Proxy does with page
+// bodies, reads it after every Push and Request.
+type EvictionReporter interface {
+	// Evicted returns the IDs of the pages the last Push or Request
+	// removed, in eviction order. The slice is reused by the next Push
+	// or Request.
+	Evicted() []int
+}
+
 var (
-	_ StatsProvider = (*engine)(nil)
-	_ StatsProvider = (*dm)(nil)
-	_ StatsProvider = (*dualCache)(nil)
+	_ StatsProvider    = (*engine)(nil)
+	_ StatsProvider    = (*dm)(nil)
+	_ StatsProvider    = (*dualCache)(nil)
+	_ EvictionReporter = (*engine)(nil)
+	_ EvictionReporter = (*dm)(nil)
+	_ EvictionReporter = (*dualCache)(nil)
 )
+
+// Evicted implements EvictionReporter for the single-cache engine
+// family.
+func (g *engine) Evicted() []int { return g.evicted.ids }
+
+// Evicted implements EvictionReporter for Dual-Methods.
+func (d *dm) Evicted() []int { return d.evicted.ids }
+
+// Evicted implements EvictionReporter for the Dual-Caches family.
+func (d *dualCache) Evicted() []int { return d.evicted.ids }
+
+// evictionLog is a strategy's eviction report: the page IDs the current
+// op evicted. The first few go into an inline buffer and the slice is
+// reused across ops, so reporting allocates only if one op ever evicts
+// more pages than the buffer holds.
+type evictionLog struct {
+	ids []int
+	buf [4]int
+}
+
+// reset starts a new op's report.
+func (l *evictionLog) reset() { l.ids = l.ids[:0] }
+
+func (l *evictionLog) add(id int) {
+	if l.ids == nil {
+		l.ids = l.buf[:0]
+	}
+	l.ids = append(l.ids, id)
+}
 
 // OpStats implements StatsProvider for the single-cache engine family.
 // Reading it also flushes any counter deltas the sampled telemetry path

@@ -94,10 +94,13 @@ var (
 )
 
 // OpStats exposes a strategy's placement-decision counters; every
-// strategy in the catalog implements StatsProvider.
+// strategy in the catalog implements StatsProvider. EvictionReporter
+// names the pages each Push or Request evicted; every catalog strategy
+// implements it too, and a Proxy drops the evicted pages' bodies.
 type (
-	OpStats       = core.OpStats
-	StatsProvider = core.StatsProvider
+	OpStats          = core.OpStats
+	StatsProvider    = core.StatsProvider
+	EvictionReporter = core.EvictionReporter
 	// StrategyMetrics streams a strategy's hot-path decisions and
 	// sampled latencies into a telemetry registry (StrategyParams.Metrics).
 	StrategyMetrics = core.StrategyMetrics

@@ -1,0 +1,138 @@
+package main
+
+// catalog lists the mutants, grouped by the gate they prove. A snippet
+// is matched byte for byte, tabs included, and must occur exactly once
+// in its file.
+var catalog = []mutant{
+	// The eviction report: each of the three sites that count
+	// OpStats.Evictions also names the page, and the proxy acts on it.
+	{
+		name:    "core/engine-drops-report",
+		file:    "internal/core/engine.go",
+		snippet: "\t\tg.evicted.add(ev.ID)\n",
+		replace: "",
+		pkg:     "internal/core",
+		run:     "^TestEvictedMatchesResidencyDiff$",
+	},
+	{
+		name:    "core/dm-drops-report",
+		file:    "internal/core/dm.go",
+		snippet: "\td.evicted.add(e.ID)\n",
+		replace: "",
+		pkg:     "internal/core",
+		run:     "^TestEvictedMatchesResidencyDiff$",
+	},
+	{
+		name:    "core/dualcache-drops-report",
+		file:    "internal/core/dualcache.go",
+		snippet: "\t\td.evicted.add(ev.ID)\n",
+		replace: "",
+		pkg:     "internal/core",
+		run:     "^TestEvictedMatchesResidencyDiff$",
+	},
+	{
+		name:    "proxy/drops-before-serving-hit",
+		file:    "internal/broker/proxy.go",
+		snippet: "\t\thit, stored := p.strategy.Request(meta, pg.latest, pg.subs)\n",
+		replace: "\t\thit, stored := p.strategy.Request(meta, pg.latest, pg.subs)\n\t\tp.dropEvicted()\n",
+		pkg:     "internal/broker",
+		run:     "^(TestProxyServesHitItsStrategyThenDrops|TestProxyReportKeepsOutcomes)$",
+	},
+	{
+		name:    "proxy/ignores-report",
+		file:    "internal/broker/proxy.go",
+		snippet: "\tp.evictions, _ = strategy.(core.EvictionReporter)\n",
+		replace: "",
+		pkg:     "internal/broker",
+		run:     "^(TestProxyNeverServesEvictedCopy|TestProxyHoldsWhatItsStrategyHolds|TestProxyMatchesMapModel)$",
+	},
+
+	{
+		name:    "core/engine-unpadded",
+		file:    "internal/core/engine.go",
+		snippet: "\t_       [8]byte // to whole cache lines (TestStrategyStructsFillCacheLines)\n",
+		replace: "",
+		pkg:     "internal/core",
+		run:     "^TestStrategyStructsFillCacheLines$",
+	},
+
+	// The proxy's per-page record against its map model.
+	{
+		name:    "proxy/evict-keeps-stored",
+		file:    "internal/broker/proxy.go",
+		snippet: "\tpg.drop()\n\tpg.stored = false\n",
+		replace: "\tpg.drop()\n",
+		pkg:     "internal/broker",
+		run:     "^TestProxyMatchesMapModel$",
+	},
+	{
+		name:    "proxy/hit-without-version-test",
+		file:    "internal/broker/proxy.go",
+		snippet: "fresh := hit && pg.held && pg.version >= pg.latest",
+		replace: "fresh := hit && pg.held",
+		pkg:     "internal/broker",
+		run:     "^TestProxyMatchesMapModel$",
+	},
+	{
+		name:    "proxy/sums-matched-counts",
+		file:    "internal/broker/proxy.go",
+		snippet: "\tpg.subs = matched\n",
+		replace: "\tpg.subs += matched\n",
+		pkg:     "internal/broker",
+		run:     "^TestProxyMatchesMapModel$",
+	},
+	{
+		name:    "proxy/keeps-rejected-push",
+		file:    "internal/broker/proxy.go",
+		snippet: "\t} else {\n\t\tpg.evict()\n\t\tsp.SetAttr(\"stored\", \"false\")\n",
+		replace: "\t} else {\n\t\tsp.SetAttr(\"stored\", \"false\")\n",
+		pkg:     "internal/broker",
+		run:     "^TestProxyDropsBodyWhenRePushRejected$",
+	},
+
+	// The match engine's posting rule and its verification.
+	{
+		name:    "match/no-verify-single-keyword",
+		file:    "internal/match/match.go",
+		snippet: "\tif len(sub.Keywords) == 0 {\n\t\treturn true\n\t}\n",
+		replace: "\tif len(sub.Keywords) <= 1 {\n\t\treturn true\n\t}\n",
+		pkg:     "internal/match",
+		run:     "^TestMatchEqualsBruteForce$",
+	},
+	{
+		name:    "match/post-every-keyword",
+		file:    "internal/match/match.go",
+		snippet: "return e.byKeyword, sub.Keywords[:1]",
+		replace: "return e.byKeyword, sub.Keywords",
+		pkg:     "internal/match",
+		run:     "^TestPostingListCensus$",
+	},
+	{
+		name:    "match/unsubscribe-skips-removal",
+		file:    "internal/match/match.go",
+		snippet: "\t\tremovePosting(m, t, id)\n",
+		replace: "\t\t_, _ = m, t\n",
+		pkg:     "internal/match",
+		run:     "^TestPostingListCensus$",
+	},
+
+	// The strategies' arithmetic.
+	{
+		name:    "core/invpow-no-subnormal-fallback",
+		file:    "internal/core/engine.go",
+		snippet: "\t\tif r >= 0x1p-1022 {\n\t\t\treturn r\n\t\t}\n",
+		replace: "\t\treturn r\n",
+		pkg:     "internal/core",
+		run:     "^TestInvPowMatchesMathPow$",
+	},
+
+	// The broker command's mode checks.
+	{
+		name:    "cmd/broker-accepts-standalone-flags-in-cluster",
+		file:    "cmd/broker/main.go",
+		snippet: `firstSet("codecs", "max-frame", "idle-timeout", "write-timeout", "publish-slo"); name != ""`,
+		replace: `firstSet("codecs", "max-frame", "idle-timeout", "write-timeout", "publish-slo"); name == "-"`,
+		pkg:     "cmd/broker",
+		run:     "^TestRunErrors$",
+	},
+}
