@@ -22,25 +22,29 @@ import (
 //     response or a request ack (a full shared buffer used to delay
 //     pongs long enough to trip peers' failure detectors).
 //
-// Notifications sit in the queue unencoded (a Notification is a few
-// value fields), which is what makes the slow-consumer policies
-// possible: evicting the oldest queued notification is a ring-buffer
-// pop, impossible once frames are flattened into a byte stream. The
-// flusher encodes at drain time into the same pooled, double-buffered
-// byte slices as before, so the steady-state fan-out path stays
-// allocation-free.
+// Notifications sit in the queue unencoded, which is what makes the
+// slow-consumer policies possible: evicting the oldest queued
+// notification is a ring-buffer pop, impossible once frames are
+// flattened into a byte stream. The unit of the queue is a run, not a
+// notification: the fan-out queues a publish's notifications for a
+// connection in one call (enqueueRun: one lock, one wakeup after the
+// whole run), and the lane keeps one entry per such call (per part of
+// it, when the block policy makes the rest of a run wait for room),
+// holding the notification's shared fields once, beside one ring of
+// subscription IDs that every entry takes a window of. The accounting
+// stays per notification: an entry charges its byte estimate once per
+// ID, a pop takes IDs off the front of the head entry, and drop-oldest
+// and gap counts evict and count single notifications. The flusher encodes at
+// drain time into pooled, double-buffered byte slices, so the
+// steady-state fan-out path stays allocation-free.
 //
 // On a connection whose peer advertised capCoalesce, the flusher also
-// coalesces at drain time: the queued notifications directly behind the
-// one it pops that come from the same publish (same page, version,
-// size, trace context and ingress instant) leave in the same notify
-// frame, their subscription IDs in Message.MoreSubIDs. The fan-out
-// queues a publish's notifications for a connection as one run
-// (enqueueRun: one lock, one wakeup after the whole run), so a publish
+// coalesces at drain time: one notify frame carries the head entry's
+// remaining IDs and those of directly following entries from the same
+// publish (same page, version, size, trace context and ingress
+// instant), their subscription IDs in Message.MoreSubIDs. So a publish
 // that matched N subscriptions on the connection costs one frame, not
-// N. Only what is already queued merges — there is no timer — and the
-// ring itself stays per-notification, so the slow-consumer policies,
-// gap counts and pending-bytes accounting do not change.
+// N. Only what is already queued merges — there is no timer.
 //
 // When the notify queue is full the connection's SlowConsumerPolicy
 // decides: block the publisher briefly and sever on timeout, drop the
@@ -96,18 +100,26 @@ func putEncodeBuf(b []byte) {
 	encodeBufPool.Put(&b)
 }
 
-// queuedNotify is one notify-lane entry: the notification by value, its
-// trace context, and the byte estimate charged against the queue bound.
-// The flusher stamps the frame's PublishedAt field with the elapsed time
-// since the notification's ingress instant (when it has one) at encode
-// time, so the wire value covers every queueing delay up to the flush.
-// enq is the enqueue instant, the zero of the enqueue→flush stage timer;
-// it is stamped only while that timer is attached.
-type queuedNotify struct {
+// notifyRun is one notify-lane entry: what one enqueueRun call queued
+// in one step, usually a publish's whole run on the connection. It
+// holds the notification's shared fields once (n.SubscriptionID is
+// unused), its trace context, the byte estimate charged per
+// notification against the lane bound, and how many of its
+// subscription IDs are still queued. The IDs themselves sit in the
+// writer's ID ring; the entries' IDs tile that ring in queue order from
+// its head, so the head entry's first ID is the ring's first and an
+// entry needs no start of its own. The flusher stamps the frame's
+// PublishedAt field with the elapsed time since the notification's
+// ingress instant (when it has one) at encode time, so the wire value
+// covers every queueing delay up to the flush. enq is the enqueue
+// instant, the zero of the enqueue→flush stage timer; it is stamped
+// only while that timer is attached.
+type notifyRun struct {
 	n     Notification
 	trace string
 	est   int64
 	enq   time.Time
+	ids   int
 }
 
 // connWriter serialises and batches all writes of one connection. A
@@ -136,10 +148,16 @@ type connWriter struct {
 	spare    []byte  // the buffer not currently filling; nil while in flight
 	msg      Message // send's encode slot
 
-	ring      []queuedNotify // notify lane, a growable ring up to maxPending bytes
-	head      int
-	count     int
-	ringBytes int64
+	// The notify lane, bounded at maxPending bytes: a ring of run
+	// entries and a ring of their subscription IDs, both growable with
+	// power-of-two lengths.
+	runs      []notifyRun
+	runHead   int
+	runCount  int
+	ids       []int64
+	idHead    int
+	count     int   // notifications queued: the entries' IDs
+	ringBytes int64 // Σ est × IDs over the entries
 	gap       int64 // notifications dropped since the last flushed frame
 
 	// stageFlush, when set, observes the enqueue→flush latency of each
@@ -265,18 +283,22 @@ func (cw *connWriter) send(m *Message) error {
 // in ids (n.SubscriptionID is ignored) under a single acquisition of
 // cw.mu, and wakes the flusher once, after the whole run is queued — so
 // the flusher finds the run complete and sends it as one frame on a
-// coalescing connection. The ring, its byte estimates and the gap and
-// pending-bytes accounting stay per notification, and when the notify
-// lane is at capacity the connection's slow-consumer policy applies to
-// each notification as it would to a lone one:
+// coalescing connection. What fits in the notify lane is queued as one
+// ring entry; the byte estimates and the gap and pending-bytes
+// accounting stay per notification, and when the lane is at capacity
+// the connection's slow-consumer policy applies to each notification
+// as it would to a lone one:
 //
-//   - SlowConsumerBlock: wait up to defaultBlockTimeout for the flusher to
-//     drain; a consumer still stalled after the grace is severed. The
-//     flusher is woken before the wait, since the part of the run already
-//     queued may be all it has to drain.
-//   - SlowConsumerDropOldest: evict the oldest queued notification and
-//     record the gap; the next flush carries a gap-marker frame.
-//   - SlowConsumerSever: sever immediately and (via onSever) quarantine.
+//   - SlowConsumerBlock: queue what fits, then wait up to
+//     defaultBlockTimeout for the flusher to drain; a consumer still
+//     stalled after the grace is severed. The flusher is woken before
+//     the wait, since the part of the run already queued may be all it
+//     has to drain.
+//   - SlowConsumerDropOldest: evict the oldest queued notifications to
+//     make room for the rest of the run in one step, and record the
+//     gap; the next flush carries a gap-marker frame.
+//   - SlowConsumerSever: queue what fits, then sever immediately and
+//     (via onSever) quarantine.
 //
 // It returns how many notifications it queued. A policy-conformant drop
 // returns a nil error — the caller's fan-out must not treat shedding as
@@ -284,28 +306,15 @@ func (cw *connWriter) send(m *Message) error {
 // is then not queued. A zero n.ingress leaves the frame's PublishedAt
 // unset.
 func (cw *connWriter) enqueueRun(n Notification, ids []int64, trace string) (int, error) {
-	est := notifyFrameOverhead + int64(len(n.PageID)) + int64(len(trace))
-	qn := queuedNotify{n: n, trace: trace, est: est}
+	r := notifyRun{n: n, trace: trace, est: notifyFrameOverhead + int64(len(n.PageID)) + int64(len(trace))}
 	cw.mu.Lock()
 	if cw.stageFlush != nil {
-		qn.enq = time.Now()
+		r.enq = time.Now()
 	}
-	wake := false   // the flusher may be asleep on work queued by this run
-	var added int64 // bytes queued but not yet in pendingTotal
+	wake := false // the flusher may be asleep on work queued by this run
 	sent := 0
 	var err error
-	for _, id := range ids {
-		if cw.ringBytes+est > cw.maxPending {
-			if added != 0 && cw.pendingTotal != nil {
-				cw.pendingTotal.Add(added)
-			}
-			added = 0
-			if wake {
-				cw.cond.Broadcast()
-				wake = false
-			}
-			cw.makeRoomLocked(est)
-		}
+	for len(ids) > 0 {
 		if cw.err != nil {
 			err = cw.err
 			break
@@ -314,36 +323,67 @@ func (cw *connWriter) enqueueRun(n Notification, ids []int64, trace string) (int
 			err = errWriterClosed
 			break
 		}
-		wake = wake || (cw.count == 0 && cw.gap == 0 && len(cw.pend) == 0)
-		qn.n.SubscriptionID = id
-		cw.pushLocked(qn)
-		added += est
-		sent++
-	}
-	if added != 0 && cw.pendingTotal != nil {
-		cw.pendingTotal.Add(added)
-	}
-	if wake {
 		// The flusher only sleeps while it has no work at all, so just
 		// the nothing→something transition needs a wakeup.
+		wake = wake || (cw.count == 0 && cw.gap == 0 && len(cw.pend) == 0)
+		fit := len(ids)
+		if room := (cw.maxPending - cw.ringBytes) / r.est; room < int64(fit) {
+			fit = int(max(room, 0))
+		}
+		if fit < len(ids) && cw.policy == SlowConsumerDropOldest {
+			skip := cw.dropOldestLocked(r.est, len(ids))
+			sent += skip
+			ids = ids[skip:]
+			fit = len(ids)
+		}
+		if fit > 0 {
+			cw.pushLocked(r, ids[:fit])
+			sent += fit
+			ids = ids[fit:]
+			continue
+		}
+		if wake {
+			cw.cond.Broadcast()
+			wake = false
+		}
+		cw.makeRoomLocked(r.est)
+	}
+	if wake {
 		cw.cond.Broadcast()
 	}
 	cw.mu.Unlock()
 	return sent, err
 }
 
-// makeRoomLocked applies the slow-consumer policy to a notification of
-// est bytes that does not fit in the notify lane; see enqueueRun.
-func (cw *connWriter) makeRoomLocked(est int64) {
-	if cw.err != nil || cw.closed {
-		return
+// dropOldestLocked makes room for k notifications of est bytes under
+// the drop-oldest policy in one step: it evicts the oldest queued
+// notifications until the k fit, and records them in the gap. When the
+// k alone exceed the lane, only the newest that fit (at least one) are
+// to be queued, and the rest count as queued and evicted at once; it
+// returns how many of the k that is.
+func (cw *connWriter) dropOldestLocked(est int64, k int) int {
+	keep := k
+	if int64(k)*est > cw.maxPending {
+		keep = int(max(1, cw.maxPending/est))
 	}
-	switch cw.policy {
-	case SlowConsumerDropOldest:
-		for cw.count > 0 && cw.ringBytes+est > cw.maxPending {
-			cw.dropLocked(1)
-		}
-	case SlowConsumerSever:
+	drop := 0
+	need := cw.ringBytes + int64(keep)*est - cw.maxPending
+	for i := 0; need > 0 && i < cw.runCount; i++ {
+		r := &cw.runs[(cw.runHead+i)&(len(cw.runs)-1)]
+		d := min(int64(r.ids), (need+r.est-1)/r.est)
+		drop += int(d)
+		need -= d * r.est
+	}
+	cw.popLocked(drop)
+	skip := k - keep
+	cw.recordGapLocked(int64(drop + skip))
+	return skip
+}
+
+// makeRoomLocked applies the block or sever policy to a notification
+// of est bytes that does not fit in the notify lane; see enqueueRun.
+func (cw *connWriter) makeRoomLocked(est int64) {
+	if cw.policy == SlowConsumerSever {
 		cw.severLocked()
 		if cw.onAction != nil {
 			cw.onAction(slowActionSevered, 1)
@@ -351,19 +391,19 @@ func (cw *connWriter) makeRoomLocked(est int64) {
 		if cw.onSever != nil {
 			cw.onSever()
 		}
-	default: // SlowConsumerBlock
-		deadline := time.Now().Add(defaultBlockTimeout)
-		if cw.onAction != nil {
-			cw.onAction(slowActionBlocked, 1)
-		}
-		for cw.err == nil && !cw.closed && cw.ringBytes+est > cw.maxPending {
-			if !cw.waitUntilLocked(deadline) {
-				cw.severLocked()
-				if cw.onAction != nil {
-					cw.onAction(slowActionSevered, 1)
-				}
-				break
+		return
+	}
+	deadline := time.Now().Add(defaultBlockTimeout)
+	if cw.onAction != nil {
+		cw.onAction(slowActionBlocked, 1)
+	}
+	for cw.err == nil && !cw.closed && cw.ringBytes+est > cw.maxPending {
+		if !cw.waitUntilLocked(deadline) {
+			cw.severLocked()
+			if cw.onAction != nil {
+				cw.onAction(slowActionSevered, 1)
 			}
+			break
 		}
 	}
 }
@@ -382,85 +422,127 @@ func (cw *connWriter) waitUntilLocked(deadline time.Time) bool {
 	return time.Now().Before(deadline)
 }
 
-// pushLocked appends to the notify ring, growing it geometrically. The
-// byte bound, not the slice, is the real capacity limit.
-func (cw *connWriter) pushLocked(qn queuedNotify) {
-	if cw.count == len(cw.ring) {
-		newCap := 64
-		if len(cw.ring) > 0 {
-			newCap = 2 * len(cw.ring)
-		}
-		grown := make([]queuedNotify, newCap)
-		for i := 0; i < cw.count; i++ {
-			grown[i] = cw.ring[(cw.head+i)%len(cw.ring)]
-		}
-		cw.ring = grown
-		cw.head = 0
+// minRing is the slot count a ring starts at.
+const minRing = 16
+
+// regrow returns a ring of at least need slots, a power of two, holding
+// the count entries of ring from head on in order from slot 0.
+func regrow[T any](ring []T, head, count, need int) []T {
+	size := max(minRing, len(ring))
+	for size < need {
+		size *= 2
 	}
-	cw.ring[(cw.head+cw.count)%len(cw.ring)] = qn
-	cw.count++
-	cw.ringBytes += qn.est
+	grown := make([]T, size)
+	c := copy(grown, ring[head:min(head+count, len(ring))])
+	copy(grown[c:count], ring)
+	return grown
 }
 
-// popRunLocked removes the n oldest queued notifications, releasing
-// their accounting in one step. Callers check count >= n.
-func (cw *connWriter) popRunLocked(n int) {
-	var est int64
-	for i := 0; i < n; i++ {
-		est += cw.ring[cw.head].est
-		cw.ring[cw.head] = queuedNotify{} // drop string refs
-		cw.head = (cw.head + 1) % len(cw.ring)
+// pushLocked queues ids as one entry shaped like r, growing the rings
+// geometrically. The byte bound, not the slices, is the real capacity
+// limit.
+func (cw *connWriter) pushLocked(r notifyRun, ids []int64) {
+	if cw.runCount == len(cw.runs) {
+		cw.runs = regrow(cw.runs, cw.runHead, cw.runCount, cw.runCount+1)
+		cw.runHead = 0
 	}
-	cw.count -= n
+	if cw.count+len(ids) > len(cw.ids) {
+		cw.ids = regrow(cw.ids, cw.idHead, cw.count, cw.count+len(ids))
+		cw.idHead = 0
+	}
+	tail := (cw.idHead + cw.count) & (len(cw.ids) - 1)
+	c := copy(cw.ids[tail:], ids)
+	copy(cw.ids, ids[c:])
+	r.ids = len(ids)
+	cw.runs[(cw.runHead+cw.runCount)&(len(cw.runs)-1)] = r
+	cw.runCount++
+	cw.count += len(ids)
+	est := r.est * int64(len(ids))
+	cw.ringBytes += est
+	if cw.pendingTotal != nil {
+		cw.pendingTotal.Add(est)
+	}
+}
+
+// popLocked removes the k oldest queued notifications, taking IDs off
+// the front of the head entries and releasing their accounting in one
+// step. Callers check count >= k.
+func (cw *connWriter) popLocked(k int) {
+	cw.count -= k
+	cw.idHead = (cw.idHead + k) & (len(cw.ids) - 1)
+	var est int64
+	for k > 0 {
+		r := &cw.runs[cw.runHead]
+		t := min(k, r.ids)
+		est += r.est * int64(t)
+		k -= t
+		if r.ids -= t; r.ids == 0 {
+			*r = notifyRun{} // drop string refs
+			cw.runHead = (cw.runHead + 1) & (len(cw.runs) - 1)
+			cw.runCount--
+		}
+	}
 	cw.ringBytes -= est
 	if cw.pendingTotal != nil {
 		cw.pendingTotal.Add(-est)
 	}
 }
 
-// dropLocked evicts the n oldest queued notifications and records the
-// wire-visible gap: the drop-oldest policy's evictions, and
-// notifications whose frame cannot be sent.
-func (cw *connWriter) dropLocked(n int) {
-	cw.popRunLocked(n)
-	cw.gap += int64(n)
+// recordGapLocked records n dropped notifications: the drop-oldest
+// policy's evictions, and notifications whose frame cannot be sent.
+// The next flush carries them in a gap marker.
+func (cw *connWriter) recordGapLocked(n int64) {
+	cw.gap += n
 	if cw.onAction != nil {
-		cw.onAction(slowActionDropped, int64(n))
+		cw.onAction(slowActionDropped, n)
 	}
 }
 
-// runLocked counts the queued notifications, from the ring head on,
-// that come from the head's publish: same page, version, size, trace
-// context and ingress instant. Callers check count > 0.
+// runLocked counts the queued notifications, from the head on, that
+// come from the head entry's publish: the head entry's own and those
+// of directly following entries with the same page, version, size,
+// trace context and ingress instant (a run the block policy split, or
+// one publish queued by separate calls). Callers check count > 0.
 func (cw *connWriter) runLocked() int {
-	h := &cw.ring[cw.head]
-	n := 1
-	for ; n < cw.count; n++ {
-		q := &cw.ring[(cw.head+n)%len(cw.ring)]
+	h := &cw.runs[cw.runHead]
+	n := h.ids
+	for i := 1; i < cw.runCount; i++ {
+		q := &cw.runs[(cw.runHead+i)&(len(cw.runs)-1)]
 		if q.n.PageID != h.n.PageID || q.n.Version != h.n.Version || q.n.Size != h.n.Size ||
 			q.trace != h.trace || !q.n.ingress.Equal(h.n.ingress) {
 			break
 		}
+		n += q.ids
 	}
 	return n
 }
 
+// appendIDsLocked appends the k queued subscription IDs that follow
+// the first off ones to dst, in at most two slices.
+func (cw *connWriter) appendIDsLocked(dst []int64, off, k int) []int64 {
+	from := (cw.idHead + off) & (len(cw.ids) - 1)
+	end := min(from+k, len(cw.ids))
+	dst = append(dst, cw.ids[from:end]...)
+	return append(dst, cw.ids[:k-(end-from)]...)
+}
+
 // appendNotifyLocked appends one notify frame for the notification at
-// the ring head to buf and pops what the frame carries: the head alone,
-// or, when coalescing, the head's run (runLocked), cut short so the
-// frame stays within the frame limit and defaultMaxBatch. em is the
+// the head of the lane to buf and pops what the frame carries: the head
+// alone, or, when coalescing, the head's run (runLocked), cut short so
+// the frame stays within the frame limit and defaultMaxBatch. em is the
 // flusher's reusable envelope; its MoreSubIDs array is reused across
-// frames. A notification whose
-// frame cannot be sent — it fails to encode, or exceeds the frame limit
-// even alone — is dropped and counted in the gap, so the receiver's next
-// gap marker accounts for it.
+// frames. A notification whose frame cannot be sent — it fails to
+// encode, or exceeds the frame limit even alone — is dropped and
+// counted in the gap, so the receiver's next gap marker accounts for
+// it.
 func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
-	head := &cw.ring[cw.head]
+	head := &cw.runs[cw.runHead]
 	run := 1
 	if cw.coalesce {
 		run = cw.runLocked()
 	}
 	em.notifScratch = head.n
+	em.notifScratch.SubscriptionID = cw.ids[cw.idHead]
 	em.Trace = head.trace
 	// PublishedAt is stamped at encode time on this (the broker's)
 	// monotonic clock, so it covers matching, fan-out and every
@@ -475,16 +557,14 @@ func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
 	}
 	start := len(buf)
 	for {
-		em.MoreSubIDs = em.MoreSubIDs[:0]
-		for i := 1; i < run; i++ {
-			em.MoreSubIDs = append(em.MoreSubIDs, cw.ring[(cw.head+i)%len(cw.ring)].n.SubscriptionID)
-		}
+		em.MoreSubIDs = cw.appendIDsLocked(em.MoreSubIDs[:0], 1, run-1)
 		nb, err := cw.codec.AppendFrame(buf, em)
 		if nb != nil {
 			buf = nb[:start]
 		}
 		if err != nil {
-			cw.dropLocked(run)
+			cw.popLocked(run)
+			cw.recordGapLocked(int64(run))
 			return buf
 		}
 		size := len(nb) - start
@@ -493,7 +573,8 @@ func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
 			break
 		}
 		if run == 1 {
-			cw.dropLocked(1)
+			cw.popLocked(1)
+			cw.recordGapLocked(1)
 			return buf
 		}
 		// Frame size is close to linear in the run length: shrink in
@@ -502,13 +583,16 @@ func (cw *connWriter) appendNotifyLocked(buf []byte, em *Message) []byte {
 	}
 	if cw.stageFlush != nil {
 		now := time.Now()
-		for i := 0; i < run; i++ {
-			if enq := cw.ring[(cw.head+i)%len(cw.ring)].enq; !enq.IsZero() {
-				cw.stageFlush.Observe(now.Sub(enq).Nanoseconds())
+		for i, left := 0, run; left > 0; i++ {
+			r := &cw.runs[(cw.runHead+i)&(len(cw.runs)-1)]
+			t := min(left, r.ids)
+			if !r.enq.IsZero() {
+				cw.stageFlush.ObserveN(now.Sub(r.enq).Nanoseconds(), int64(t))
 			}
+			left -= t
 		}
 	}
-	cw.popRunLocked(run)
+	cw.popLocked(run)
 	return buf
 }
 
@@ -529,7 +613,8 @@ func (cw *connWriter) releaseRingLocked() {
 	if cw.pendingTotal != nil && cw.ringBytes > 0 {
 		cw.pendingTotal.Add(-cw.ringBytes)
 	}
-	cw.ring, cw.head, cw.count, cw.ringBytes = nil, 0, 0, 0
+	cw.runs, cw.runHead, cw.runCount = nil, 0, 0
+	cw.ids, cw.idHead, cw.count, cw.ringBytes = nil, 0, 0, 0
 }
 
 func (cw *connWriter) flushLoop() {
@@ -564,13 +649,14 @@ func (cw *connWriter) flushLoop() {
 		for {
 			if cw.gap > 0 {
 				// A notify frame with a Gap count and no Notification: the
-				// wire-visible marker for dropped deliveries. Gap frames
-				// are rare (one per overload episode per flush), so the
-				// extra envelope allocation is irrelevant.
-				gm := Message{Type: msgNotify, Gap: cw.gap}
-				if nb, err := cw.codec.AppendFrame(buf, &gm); err == nil {
+				// wire-visible marker for dropped deliveries. It is
+				// encoded from send's slot, free while cw.mu is held, so a
+				// lane that drops on every flush allocates nothing.
+				cw.msg = Message{Type: msgNotify, Gap: cw.gap}
+				if nb, err := cw.codec.AppendFrame(buf, &cw.msg); err == nil {
 					buf = nb
 				}
+				cw.msg = Message{}
 				cw.gap = 0
 			}
 			if cw.count == 0 || len(buf) >= defaultMaxBatch {

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -146,9 +147,40 @@ func readSlowly(conn net.Conn, c Codec, delay time.Duration) *slowReader {
 	return sr
 }
 
+// laneInvariants checks a writer's notify-lane accounting against its
+// run entries, under cw.mu, and describes the first violation: count is
+// the entries' IDs, ringBytes is Σ est × IDs and stays within the bound
+// unless the lane holds one over-sized notification, and no entry is
+// empty.
+func laneInvariants(cw *connWriter) string {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	ids, bytes := 0, int64(0)
+	for i := 0; i < cw.runCount; i++ {
+		r := &cw.runs[(cw.runHead+i)%len(cw.runs)]
+		if r.ids <= 0 {
+			return fmt.Sprintf("entry %d of %d holds %d IDs", i, cw.runCount, r.ids)
+		}
+		ids += r.ids
+		bytes += r.est * int64(r.ids)
+	}
+	switch {
+	case ids != cw.count:
+		return fmt.Sprintf("count %d, entries hold %d IDs", cw.count, ids)
+	case bytes != cw.ringBytes:
+		return fmt.Sprintf("ringBytes %d, entries charge %d", cw.ringBytes, bytes)
+	case cw.ringBytes > cw.maxPending && cw.count != 1:
+		return fmt.Sprintf("ringBytes %d over the bound %d with %d notifications queued", cw.ringBytes, cw.maxPending, cw.count)
+	}
+	return ""
+}
+
 // TestEnqueueRunSlowConsumerProperty drives enqueueRun with random run
 // lengths (1 to 4× the lane's capacity), lane sizes and reader speeds
-// under each slow-consumer policy, and checks each policy's contract:
+// under each slow-consumer policy. After every run the lane's
+// accounting matches its entries (laneInvariants), and once the writer
+// has closed the shared pending-bytes gauge is back to 0. Each policy
+// keeps its contract:
 //
 //   - drop-oldest: delivered + Σgap = enqueued, and what is delivered
 //     keeps its order;
@@ -175,7 +207,8 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 			var mu sync.Mutex
 			actions := map[string]int64{}
 			var severs atomic.Int64
-			cw.configureNotifyLane(policy, int64(lane)*est, nil,
+			var pending atomic.Int64
+			cw.configureNotifyLane(policy, int64(lane)*est, &pending,
 				func(a string, n int64) { mu.Lock(); actions[a] += n; mu.Unlock() },
 				func() { severs.Add(1) })
 			cw.setCodec(BinaryCodec(), 0, coalesce)
@@ -199,6 +232,9 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 				var sent int
 				sent, runErr = cw.enqueueRun(Notification{PageID: page, Version: r + 1, ingress: time.Now()}, ids, "")
 				enqueued += sent
+				if msg := laneInvariants(cw); msg != "" {
+					t.Fatalf("%s: after run %d: %s", name, r, msg)
+				}
 				if runErr == nil && sent != len(ids) {
 					t.Fatalf("%s: run %d queued %d of %d with no error", name, r, sent, len(ids))
 				}
@@ -209,6 +245,9 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 				_ = cp.Close()
 			} else {
 				<-sr.done
+			}
+			if got := pending.Load(); got != 0 {
+				t.Fatalf("%s: pending-bytes gauge reads %d after the writer closed, want 0", name, got)
 			}
 			mu.Lock()
 			severed, dropped := actions[slowActionSevered], actions[slowActionDropped]
@@ -258,57 +297,178 @@ func TestEnqueueRunSlowConsumerProperty(t *testing.T) {
 	}
 }
 
+// TestNotifyLaneFramesAcrossWrapsAndSplits drains a lane whose runs
+// wrap the ID ring's end, whose ID ring grows while wrapped, and whose
+// publishes are split over several entries, as the block policy splits
+// a run that waits for room. With coalescing, each publish leaves as
+// one frame, byte-identical to the frame encoded straight from its IDs,
+// so the IDs the reader receives, concatenated, are the enqueued IDs in
+// order. Without, each notification is its own frame, in the same
+// order.
+func TestNotifyLaneFramesAcrossWrapsAndSplits(t *testing.T) {
+	steps := []struct {
+		parts []int // IDs queued per enqueueRun call of the publish
+		drain bool  // drain the lane after queueing
+		check func(cw *connWriter) bool
+	}{
+		{[]int{10}, true, nil}, // the ring starts at minRing slots; its head moves to 10
+		{[]int{12}, false, func(cw *connWriter) bool { return cw.idHead+cw.count > len(cw.ids) }},
+		{[]int{5, 7}, true, func(cw *connWriter) bool { return cw.runCount == 3 && len(cw.ids) == 2*minRing }},
+		{[]int{5, 6}, false, func(cw *connWriter) bool { return cw.runCount == 2 && cw.idHead+cw.count > len(cw.ids) }},
+		{[]int{3}, true, nil},
+	}
+	for _, coalesce := range []bool{true, false} {
+		cw := flusherlessWriters(1, coalesce, SlowConsumerBlock, 0)[0]
+		var d laneDrainer
+		var want []byte
+		next := int64(1)
+		for i, st := range steps {
+			n := Notification{PageID: "p", Version: i + 1, Size: 7}
+			var ids []int64
+			for _, k := range st.parts {
+				part := make([]int64, k)
+				for j := range part {
+					part[j] = next
+					next++
+				}
+				if sent, err := cw.enqueueRun(n, part, ""); sent != k || err != nil {
+					t.Fatalf("coalesce=%v publish %d: queued %d of %d, err %v", coalesce, i, sent, k, err)
+				}
+				ids = append(ids, part...)
+			}
+			if st.check != nil && !st.check(cw) {
+				t.Fatalf("coalesce=%v publish %d: lane of %d entries, %d IDs from %d of %d slots is not the shape under test",
+					coalesce, i, cw.runCount, cw.count, cw.idHead, len(cw.ids))
+			}
+			for len(ids) > 0 {
+				k := len(ids)
+				if !coalesce {
+					k = 1
+				}
+				n.SubscriptionID = ids[0]
+				var err error
+				if want, err = BinaryCodec().AppendFrame(want, &Message{Type: msgNotify, Notification: &n, MoreSubIDs: ids[1:k]}); err != nil {
+					t.Fatal(err)
+				}
+				ids = ids[k:]
+			}
+			if !st.drain {
+				continue
+			}
+			if got := d.drain(cw); !bytes.Equal(got, want) {
+				t.Fatalf("coalesce=%v publish %d: drained frames\n%x\nwant\n%x", coalesce, i, got, want)
+			}
+			want = want[:0]
+		}
+	}
+}
+
+// flusherlessWriters makes connection writers with no flusher, for
+// tests that drain their lanes themselves. lane is each lane's bound
+// in notifications of page "p" (0: unbounded).
+func flusherlessWriters(n int, coalesce bool, policy SlowConsumerPolicy, lane int64) []*connWriter {
+	writers := make([]*connWriter, n)
+	for i := range writers {
+		cw := &connWriter{maxPending: 1 << 30, policy: policy, codec: BinaryCodec(), coalesce: coalesce}
+		if lane > 0 {
+			cw.maxPending = lane * (notifyFrameOverhead + 1)
+		}
+		cw.cond = sync.NewCond(&cw.mu)
+		writers[i] = cw
+	}
+	return writers
+}
+
+// laneDrainer drains a flusherless writer's notify lane through the
+// flusher's encode path into a reused buffer and envelope.
+type laneDrainer struct {
+	buf []byte
+	em  Message
+}
+
+func (d *laneDrainer) drain(cw *connWriter) []byte {
+	if d.em.Notification == nil {
+		d.em.Type = msgNotify
+		d.em.Notification = &d.em.notifScratch
+	}
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	d.buf = d.buf[:0]
+	for cw.count > 0 {
+		d.buf = cw.appendNotifyLocked(d.buf, &d.em)
+	}
+	return d.buf
+}
+
 // TestFanoutRunZeroAlloc: in the steady state, grouping 1 024 matches
-// into runs and queueing them on a connection's notify lane allocates
-// nothing — neither Fanout nor enqueueRun.
+// into runs, queueing them on two connections' notify lanes and
+// draining the lanes through the flusher's encode path allocates
+// nothing, with coalescing on and off. Neither does a publish into a
+// full drop-oldest lane, which evicts in one step and leaves the lane
+// one entry per connection, not one per notification.
 func TestFanoutRunZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	s := &Server{}
-	// Two connection writers with no flusher: the test pops their lanes
-	// itself, so only the fan-out and the enqueue are measured.
-	writers := []*connWriter{{maxPending: 1 << 30}, {maxPending: 1 << 30}}
-	notifiers := map[*connWriter]*connNotifier{}
-	for _, cw := range writers {
-		cw.cond = sync.NewCond(&cw.mu)
-		notifiers[cw] = &connNotifier{s: s, cw: cw}
-	}
-	targets := make([]Target, 1024)
-	for i := range targets {
-		cw := writers[0]
-		if i%8 == 7 {
-			cw = writers[1] // a second connection interleaved by ID
-		}
-		targets[i] = ResolveTarget(Relabel(int64(5000+i), notifiers[cw]), int64(i+1))
-	}
-	var f Fanout
-	publish := func() {
-		for _, tg := range targets {
-			f.Add(tg)
-		}
-		if got := f.Deliver(context.Background(), Notification{PageID: "p", Version: 1}); got != len(targets) {
-			t.Fatalf("delivered %d, want %d", got, len(targets))
-		}
+	for _, tc := range []struct {
+		name     string
+		coalesce bool
+		lane     int64 // notifications; 0 leaves the lane unbounded and drains it
+	}{
+		{"coalesced", true, 0},
+		{"frame per notification", false, 0},
+		{"full drop-oldest lane", true, 128},
+	} {
+		s := &Server{}
+		writers := flusherlessWriters(2, tc.coalesce, SlowConsumerDropOldest, tc.lane)
+		notifiers := map[*connWriter]*connNotifier{}
 		for _, cw := range writers {
-			cw.mu.Lock()
-			cw.popRunLocked(cw.count)
-			cw.mu.Unlock()
+			notifiers[cw] = &connNotifier{s: s, cw: cw}
 		}
-	}
-	publish() // grow the buffers
-	if allocs := testing.AllocsPerRun(50, publish); allocs != 0 {
-		t.Fatalf("fan-out of %d matches: %.1f allocations per publish, want 0", len(targets), allocs)
-	}
-	for _, tg := range targets {
-		f.Add(tg)
-	}
-	f.Deliver(context.Background(), Notification{PageID: "p", Version: 2})
-	if cw := writers[0]; cw.count != 896 || cw.ring[cw.head].n.SubscriptionID != 5000 {
-		t.Fatalf("first connection queued %d, head ID %d; want 896 from the relabeled 5000", cw.count, cw.ring[cw.head].n.SubscriptionID)
-	}
-	if got := writers[1].ring[writers[1].head].n.SubscriptionID; got != 5007 {
-		t.Fatalf("second connection's head ID %d, want 5007", got)
+		targets := make([]Target, 1024)
+		for i := range targets {
+			cw := writers[0]
+			if i%8 == 7 {
+				cw = writers[1] // a second connection interleaved by ID
+			}
+			targets[i] = ResolveTarget(Relabel(int64(5000+i), notifiers[cw]), int64(i+1))
+		}
+		var f Fanout
+		var d laneDrainer
+		deliver := func() {
+			for _, tg := range targets {
+				f.Add(tg)
+			}
+			if got := f.Deliver(context.Background(), Notification{PageID: "p", Version: 1}); got != len(targets) {
+				t.Fatalf("%s: delivered %d, want %d", tc.name, got, len(targets))
+			}
+		}
+		publish := func() {
+			deliver()
+			for _, cw := range writers {
+				if tc.lane == 0 {
+					d.drain(cw)
+				} else if cw.count != int(tc.lane) || cw.runCount != 1 {
+					t.Fatalf("%s: full lane holds %d notifications in %d entries, want %d in 1", tc.name, cw.count, cw.runCount, tc.lane)
+				}
+			}
+		}
+		publish() // grow the buffers
+		publish() // fill the lanes
+		if allocs := testing.AllocsPerRun(50, publish); allocs != 0 {
+			t.Fatalf("%s: fan-out of %d matches: %.1f allocations per publish, want 0", tc.name, len(targets), allocs)
+		}
+		if tc.lane != 0 {
+			continue
+		}
+		deliver()
+		for i, want := range []struct{ ids, head int64 }{{896, 5000}, {128, 5007}} {
+			cw := writers[i]
+			if r := &cw.runs[cw.runHead]; cw.runCount != 1 || cw.count != int(want.ids) || r.ids != int(want.ids) || cw.ids[cw.idHead] != want.head {
+				t.Fatalf("%s: connection %d queued %d notifications in %d entries (head entry %d IDs from %d); want one entry of %d from the relabeled %d",
+					tc.name, i, cw.count, cw.runCount, r.ids, cw.ids[cw.idHead], want.ids, want.head)
+			}
+		}
 	}
 }
 

@@ -64,17 +64,15 @@ type Proxy struct {
 // the records grow with every page seen and are never dropped. The body
 // is held only while the strategy holds the page: when a strategy call
 // evicts the page, the proxy drops the body (dropEvicted), so a proxy
-// holds the bytes its strategy's Used reports. The rest of the record
-// stays, and the next request for the page takes the same branch, and
-// tells the strategy the same size, as if the body were still there.
+// holds the bytes its strategy's Used reports, and the next request
+// for the page takes the miss branch: fetch first, then tell the
+// strategy the fetched version.
 type proxyPage struct {
 	body    []byte
-	held    bool // body holds a copy, at version
+	held    bool // body holds a copy, at version: a request takes the refresh branch
 	version int
-	stored  bool  // the last call on the page stored it: a request takes the refresh branch
-	size    int64 // the size the strategy was told when it stored the page
-	latest  int   // newest version learned through pushes and fetches
-	subs    int   // matched subscriptions of the last push
+	latest  int // newest version learned through pushes and fetches
+	subs    int // matched subscriptions of the last push
 }
 
 // ProxyStats counts a proxy's traffic.
@@ -189,18 +187,11 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 // store keeps c's body as the page's cached copy.
 func (pg *proxyPage) store(c Content) {
 	pg.body, pg.held, pg.version = c.Body, true, c.Version
-	pg.stored, pg.size = true, bodySize(c.Body)
 }
 
-// evict drops the page's cached copy after a call on the page did not
-// store it: the next request takes the miss branch.
+// evict drops the page's cached copy: the next request takes the miss
+// branch.
 func (pg *proxyPage) evict() {
-	pg.drop()
-	pg.stored = false
-}
-
-// drop releases the page's body.
-func (pg *proxyPage) drop() {
 	pg.body, pg.held, pg.version = nil, false, 0
 }
 
@@ -211,7 +202,7 @@ func (p *Proxy) dropEvicted() {
 		return
 	}
 	for _, idx := range p.evictions.Evicted() {
-		p.pages[idx].drop()
+		p.pages[idx].evict()
 	}
 }
 
@@ -268,12 +259,12 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 	p.stats.Requests++
 
 	idx, known := p.ids[pageID]
-	if known && p.pages[idx].stored {
+	if known && p.pages[idx].held {
 		pg := &p.pages[idx]
 		body := pg.body
-		meta := core.PageMeta{ID: idx, Size: pg.size, Cost: p.cost}
+		meta := core.PageMeta{ID: idx, Size: bodySize(body), Cost: p.cost}
 		hit, stored := p.strategy.Request(meta, pg.latest, pg.subs)
-		fresh := hit && pg.held && pg.version >= pg.latest
+		fresh := hit && pg.version >= pg.latest
 		// After a hit too: DC-FP's move can drop the page it served.
 		p.dropEvicted()
 		if fresh {
@@ -281,10 +272,10 @@ func (p *Proxy) RequestContext(ctx context.Context, pageID string) (body []byte,
 			sp.SetAttr("outcome", "hit")
 			return body, nil
 		}
-		// Stale or evicted copy: refetch and, when the strategy keeps
-		// the page, refresh the stored body. If the fetch path is down,
-		// degrade to a stale copy the proxy still holds rather than
-		// failing the user.
+		// Stale copy, or one the strategy does not keep: refetch and,
+		// when the strategy keeps the page, refresh the stored body. If
+		// the fetch path is down, degrade to the stale copy if the proxy
+		// still holds it rather than failing the user.
 		sp.SetAttr("outcome", "stale_refresh")
 		current, degraded, err := p.fetch(ctx, pageID, pg.body, pg.held)
 		if err != nil {

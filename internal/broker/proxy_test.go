@@ -14,8 +14,9 @@ import (
 // mapProxy is the proxy's caching logic with one map per page
 // attribute, kept here as the model Proxy's per-page records must
 // agree with. A page in sizes takes the refresh branch; a page in
-// bodies has its body held. The model drops a body when its own
-// strategy reports the page evicted.
+// bodies has its body held. When its own strategy reports a page
+// evicted, the model forgets the page's body and size, so the next
+// request for it takes the miss branch.
 type mapProxy struct {
 	strategy core.Strategy
 	fetcher  Fetcher
@@ -48,12 +49,11 @@ func (m *mapProxy) pageIndex(pageID string) int {
 	return id
 }
 
-// dropEvicted drops the bodies of the pages the strategy's last call
-// reported evicted.
+// dropEvicted evicts the pages the strategy's last call reported
+// evicted.
 func (m *mapProxy) dropEvicted() {
 	for _, id := range m.strategy.(core.EvictionReporter).Evicted() {
-		delete(m.bodies, m.names[id])
-		delete(m.versions, m.names[id])
+		m.evict(m.names[id])
 	}
 }
 
@@ -419,17 +419,89 @@ func TestProxyHoldsWhatItsStrategyHolds(t *testing.T) {
 	}
 }
 
+// TestEvictedPageTakesTheMissBranch: a page its strategy evicted is
+// requested as a miss, whatever the proxy once stored. Two 60-byte
+// pages share a cache that holds one (DC-LAP's access part holds one of
+// 200 bytes); the second request evicts the first page, and the origin
+// then moves the first page to v2 without a push. The next request
+// fetches v2 and only then tells the strategy, so the strategy admits
+// v2 and the request after it hits: 1 fetch and 1 hit. Telling the
+// strategy the pushed version before the fetch admits v1 beside the
+// stored v2 body and costs a second fetch. With the fetch path down
+// for that request, the request fails and the strategy still holds
+// only the page whose body the proxy holds.
+func TestEvictedPageTakesTheMissBranch(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		capacity int64
+	}{{"GD*", 100}, {"DM", 100}, {"DC-LAP", 200}} {
+		for _, down := range []bool{false, true} {
+			name := fmt.Sprintf("%s/fetch-down=%v", sc.name, down)
+			f, err := core.Lookup(sc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			strat, err := f.New(core.Params{Capacity: sc.capacity, Beta: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// "a@1;" repeated 15 times: 60 bytes.
+			origin := &modelOrigin{versions: map[string]int{"a": 1, "b": 1}, sizes: map[string]int{"a": 15, "b": 15}}
+			p, err := NewProxy(0, New(), strat, 1.5, WithProxyFetcher(origin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, page := range []string{"a", "b"} {
+				if _, err := p.Request(page); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pages, _ := heldBodies(p); pages != 1 || strat.Len() != 1 {
+				t.Fatalf("%s: proxy holds %d bodies, strategy %d pages; want the second page to evict the first", name, pages, strat.Len())
+			}
+			origin.versions["a"] = 2
+			before := p.Stats()
+			origin.down = down
+			body, err := p.Request("a")
+			if down {
+				pages, bytes := heldBodies(p)
+				if err == nil || pages != strat.Len() || bytes != strat.Used() {
+					t.Errorf("%s: request served %q, err %v; proxy holds %d bodies of %d bytes, strategy %d pages of %d bytes",
+						name, body, err, pages, bytes, strat.Len(), strat.Used())
+				}
+				p.Close()
+				continue
+			}
+			if err != nil || !bytes.Equal(body, origin.content("a").Body) {
+				t.Fatalf("%s: request served %q, err %v; want v2", name, body, err)
+			}
+			if _, err := p.Request("a"); err != nil {
+				t.Fatal(err)
+			}
+			st := p.Stats()
+			if fetches, hits := st.Fetches-before.Fetches, st.Hits-before.Hits; fetches != 1 || hits != 1 {
+				t.Errorf("%s: two requests after the move took %d fetches and %d hits, want 1 and 1", name, fetches, hits)
+			}
+			p.Close()
+		}
+	}
+}
+
 // hiddenReport wraps a strategy without forwarding its eviction report,
 // as a third-party strategy or a decorator would.
 type hiddenReport struct{ core.Strategy }
 
-// TestProxyReportKeepsOutcomes: with the fetch path up, dropping the
-// evicted bodies changes no outcome. Two proxies take the same seeded
-// pushes (some overtaken by a newer version) and requests, one reading
-// its strategy's eviction report and one whose strategy hides it; after
+// TestProxyReportKeepsOutcomes: with the fetch path up and every
+// origin version pushed, dropping the evicted bodies changes no
+// outcome. Two proxies take the same seeded pushes (some followed by a
+// late push of an older version) and requests, one reading its
+// strategy's eviction report and one whose strategy hides it; after
 // every op their served bodies and Stats are equal. The last strategy
 // starts DC-LAP at its lower bound, so first accesses take DC-FP's
-// move, which can drop the very page a request hits.
+// move, which can drop the very page a request hits. (When the origin
+// is ahead of every push, the report does change outcomes: a dropped
+// page's request tells the strategy the fetched version, not the
+// pushed one; TestEvictedPageTakesTheMissBranch pins that.)
 func TestProxyReportKeepsOutcomes(t *testing.T) {
 	lowerBound := func(p core.Params) (core.Strategy, error) {
 		return core.NewDCLAPBounded(p, 0.5, core.DefaultDCLAPUpper)
@@ -471,11 +543,13 @@ func TestProxyReportKeepsOutcomes(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					origin.versions[page]++
 					c, matched := origin.content(page), rng.Intn(6)
-					if rng.Intn(8) == 0 && c.Version > 2 {
-						c.Version -= 2 // a push overtaken by a newer one
-					}
 					p.Push(c, matched)
 					plain.Push(c, matched)
+					if rng.Intn(8) == 0 && c.Version > 2 {
+						c.Version -= 2 // a push overtaken by the newer one, arriving late
+						p.Push(c, matched)
+						plain.Push(c, matched)
+					}
 				} else {
 					got, err := p.Request(page)
 					if err != nil {

@@ -125,7 +125,8 @@ func BenchmarkRingRebuild(b *testing.B) {
 // edge subscriber has all 1 024 notifications. The ns/notify metric
 // covers the owner's match and fan-out, the member-link frame, the
 // relay's mapping and fan-out, and the edge client's mapping and
-// callback. CI publishes it with the handoff rows.
+// callback. CI publishes it with the publish-path layer benches, at a
+// fixed 2 000 publishes per run (-benchtime=2000x -count=5).
 func BenchmarkRelayFanout(b *testing.B) {
 	const subs = 1024
 	nodes := benchCluster(b, 2)

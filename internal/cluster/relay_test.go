@@ -206,57 +206,62 @@ func (b *captureBackend) FetchContext(context.Context, string) (broker.Content, 
 
 // TestFanoutRunZeroAlloc: relaying a 1 024-ID notify frame —
 // memberLink.onNotify mapping the link IDs to edge routes and fanning
-// the routes out as one run on the edge connection — allocates nothing
-// in the steady state.
+// the routes out as one run on the edge connection, whose flusher
+// encodes it — allocates nothing in the steady state, on an edge
+// connection that coalesces (one frame) and on one that does not (a
+// frame per notification).
 func TestFanoutRunZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	// One edge connection: a raw peer that negotiates binary with
-	// coalescing, subscribes once, then discards what it reads.
 	be := &captureBackend{}
 	srv, err := broker.NewServer(be, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := &broker.Message{Type: "hello", Seq: 1, Codecs: []string{"binary"}, Caps: []string{"coalesce"}}
-	frame, _ := broker.JSONCodec().AppendFrame(nil, hello)
-	frame, _ = broker.BinaryCodec().AppendFrame(frame, &broker.Message{Type: "subscribe", Seq: 2, Topics: []string{"t"}})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _, _ = io.Copy(io.Discard, conn) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		be.mu.Lock()
-		ready := len(be.notifiers) == 1
-		be.mu.Unlock()
-		if ready {
-			break
+	for i, caps := range [][]string{{"coalesce"}, nil} {
+		// An edge connection: a raw peer that negotiates binary, with
+		// or without coalescing, subscribes once, then discards what it
+		// reads.
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("the edge subscription never arrived")
+		defer conn.Close()
+		hello := &broker.Message{Type: "hello", Seq: 1, Codecs: []string{"binary"}, Caps: caps}
+		frame, _ := broker.JSONCodec().AppendFrame(nil, hello)
+		frame, _ = broker.BinaryCodec().AppendFrame(frame, &broker.Message{Type: "subscribe", Seq: 2, Topics: []string{"t"}})
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		go func() { _, _ = io.Copy(io.Discard, conn) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			be.mu.Lock()
+			ready := len(be.notifiers) == i+1
+			be.mu.Unlock()
+			if ready {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the edge subscription never arrived")
+			}
+			time.Sleep(time.Millisecond)
+		}
 
-	l := &memberLink{}
-	ids := make([]int64, 1024)
-	for i := range ids {
-		ids[i] = int64(7000 + i)
-		l.track(ids[i], &edgeSub{id: int64(100 + i), notifier: be.notifiers[0]})
-	}
-	relay := func() {
-		l.onNotify(context.Background(), broker.Notification{PageID: "p", Version: 1, SubscriptionID: ids[0]}, ids)
-	}
-	relay() // grow the buffers
-	if allocs := testing.AllocsPerRun(50, relay); allocs != 0 {
-		t.Fatalf("relaying a %d-ID frame: %.1f allocations, want 0", len(ids), allocs)
+		l := &memberLink{}
+		ids := make([]int64, 1024)
+		for j := range ids {
+			ids[j] = int64(7000 + j)
+			l.track(ids[j], &edgeSub{id: int64(100 + j), notifier: be.notifiers[i]})
+		}
+		relay := func() {
+			l.onNotify(context.Background(), broker.Notification{PageID: "p", Version: 1, SubscriptionID: ids[0]}, ids)
+		}
+		relay() // grow the buffers
+		if allocs := testing.AllocsPerRun(50, relay); allocs != 0 {
+			t.Fatalf("caps %v: relaying a %d-ID frame: %.1f allocations, want 0", caps, len(ids), allocs)
+		}
 	}
 }

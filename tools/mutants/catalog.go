@@ -58,20 +58,28 @@ var catalog = []mutant{
 
 	// The proxy's per-page record against its map model.
 	{
-		name:    "proxy/evict-keeps-stored",
+		name:    "proxy/evict-keeps-held",
 		file:    "internal/broker/proxy.go",
-		snippet: "\tpg.drop()\n\tpg.stored = false\n",
-		replace: "\tpg.drop()\n",
+		snippet: "\tpg.body, pg.held, pg.version = nil, false, 0\n",
+		replace: "\tpg.body, pg.version = nil, 0\n",
 		pkg:     "internal/broker",
 		run:     "^TestProxyMatchesMapModel$",
 	},
 	{
 		name:    "proxy/hit-without-version-test",
 		file:    "internal/broker/proxy.go",
-		snippet: "fresh := hit && pg.held && pg.version >= pg.latest",
-		replace: "fresh := hit && pg.held",
+		snippet: "fresh := hit && pg.version >= pg.latest",
+		replace: "fresh := hit",
 		pkg:     "internal/broker",
 		run:     "^TestProxyMatchesMapModel$",
+	},
+	{
+		name:    "proxy/evicted-page-stays-on-refresh-branch",
+		file:    "internal/broker/proxy.go",
+		snippet: "\t\tp.pages[idx].evict()\n",
+		replace: "\t\tp.pages[idx].body, p.pages[idx].version = nil, 0\n",
+		pkg:     "internal/broker",
+		run:     "^TestEvictedPageTakesTheMissBranch$",
 	},
 	{
 		name:    "proxy/sums-matched-counts",
@@ -88,6 +96,24 @@ var catalog = []mutant{
 		replace: "\t} else {\n\t\tsp.SetAttr(\"stored\", \"false\")\n",
 		pkg:     "internal/broker",
 		run:     "^TestProxyDropsBodyWhenRePushRejected$",
+	},
+
+	// The connection writer's notify lane: run entries over one ID ring.
+	{
+		name:    "broker/chunk-ignores-free-room",
+		file:    "internal/broker/batch.go",
+		snippet: "room := (cw.maxPending - cw.ringBytes) / r.est",
+		replace: "room := cw.maxPending / r.est",
+		pkg:     "internal/broker",
+		run:     "^TestEnqueueRunSlowConsumerProperty$",
+	},
+	{
+		name:    "broker/gather-repeats-first-id",
+		file:    "internal/broker/batch.go",
+		snippet: "cw.appendIDsLocked(em.MoreSubIDs[:0], 1, run-1)",
+		replace: "cw.appendIDsLocked(em.MoreSubIDs[:0], 0, run-1)",
+		pkg:     "internal/broker",
+		run:     "^TestNotifyLaneFramesAcrossWrapsAndSplits$",
 	},
 
 	// The match engine's posting rule and its verification.
