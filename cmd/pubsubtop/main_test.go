@@ -194,7 +194,7 @@ func TestHitRatioByStrategy(t *testing.T) {
 	counters := map[string]int64{
 		`sim.strategy.hits{strategy="X"}`:     3,
 		`sim.strategy.requests{strategy="X"}`: 4,
-		`sim.strategy.requests{strategy="Y"}`: 0, // zero requests: dropped
+		`sim.strategy.requests{strategy="Y"}`: 0,  // zero requests: dropped
 		"sim.strategy.hits":                   99, // no strategy label: ignored
 	}
 	got := hitRatioByStrategy(counters)

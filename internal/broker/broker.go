@@ -172,11 +172,13 @@ func (b *Broker) publishSLO() time.Duration {
 }
 
 // fanoutScratch is the per-publish working set the fan-out hot path
-// reuses across publishes — matched refs, the fan-out's runs and the
-// per-proxy push counts — so a steady stream of publishes allocates
-// nothing for matching, delivery or push placement.
+// reuses across publishes — matched aggregates and their subscription
+// IDs, the fan-out's runs and the per-proxy push counts — so a steady
+// stream of publishes allocates nothing for matching, delivery or push
+// placement.
 type fanoutScratch struct {
-	refs   []match.MatchRef
+	groups []match.MatchGroup
+	ids    []int64 // the groups' subscription IDs, group after group
 	fan    Fanout
 	hits   []int // matched subscriptions per entry of Broker.sinks
 	pushes []proxyPush
@@ -357,8 +359,8 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	_, msp := telemetry.StartSpan(ctx, "broker.match")
 	fs := fanoutPool.Get().(*fanoutScratch)
 	defer fanoutPool.Put(fs)
-	fs.refs = b.engine.AppendMatchRefs(fs.refs[:0], ev)
-	matched := fs.refs
+	fs.groups, fs.ids = b.engine.AppendMatchGroups(fs.groups[:0], fs.ids[:0], ev)
+	matched := fs.ids
 	if msp != nil {
 		msp.SetAttrInt("matched", int64(len(matched)))
 		msp.End()
@@ -377,7 +379,7 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	// push sinks consume it.
 	b.mu.RLock()
 	fs.fan.reserve(len(matched))
-	b.addTargets(&fs.fan, matched)
+	b.addTargets(&fs.fan, fs.groups, matched)
 	if b.sinks.Len() > 0 {
 		b.collectPushes(fs)
 	}
@@ -427,29 +429,42 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 }
 
 // addTargets adds the delivery target of every matched subscription to
-// f. The matches ascend by ID, so one cursor walks the target table in
-// step with them. Callers hold b.mu.
-func (b *Broker) addTargets(f *Fanout, matched []match.MatchRef) {
-	cur := b.targets.Cursor()
-	for _, sub := range matched {
-		if t, ok := cur.Find(sub.ID); ok {
+// f. The IDs run aggregate by aggregate (groups), ascending within each.
+// Aggregates come in creation order, so their first members ascend as
+// long as they were created by Subscribe: one cursor walks the target
+// table through the first members, and a copy of it walks the rest of
+// each aggregate's members, so no lookup starts over from the front of
+// the table. Callers hold b.mu.
+func (b *Broker) addTargets(f *Fanout, groups []match.MatchGroup, ids []int64) {
+	firsts := b.targets.Cursor()
+	for _, g := range groups {
+		run := ids[:g.N]
+		ids = ids[g.N:]
+		if t, ok := firsts.Find(run[0]); ok {
 			f.Add(t)
+		}
+		rest := firsts
+		for _, id := range run[1:] {
+			if t, ok := rest.Find(id); ok {
+				f.Add(t)
+			}
 		}
 	}
 }
 
 // collectPushes sets fs.pushes to one push per attached proxy with at
-// least one subscription among the matches in fs.refs, ascending by
-// proxy. Each match finds its proxy in the sink table by binary search
-// and counts into fs.hits, which is laid out in step with the table's
+// least one subscription among the matched aggregates in fs.groups,
+// ascending by proxy, its count the proxy's fS. Each aggregate finds
+// its proxy in the sink table by binary search and adds its
+// multiplicity into fs.hits, which is laid out in step with the table's
 // entries. Callers hold b.mu.
 func (b *Broker) collectPushes(fs *fanoutScratch) {
 	ents := b.sinks.ents
 	hits := slices.Grow(fs.hits[:0], len(ents))[:len(ents)]
 	clear(hits)
-	for _, sub := range fs.refs {
-		if i, ok := b.sinks.slot(int64(sub.Proxy)); ok {
-			hits[i]++
+	for _, g := range fs.groups {
+		if i, ok := b.sinks.slot(int64(g.Proxy)); ok {
+			hits[i] += g.N
 		}
 	}
 	fs.pushes = fs.pushes[:0]

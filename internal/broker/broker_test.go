@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,6 +208,73 @@ func TestProxyPushPassesPublishMatchedCount(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(rec.subs), "[2 2 2]"; got != want {
 		t.Errorf("strategy Push subs = %s, want %s", got, want)
+	}
+}
+
+// countingSink records the matched count of each push it is offered.
+type countingSink struct{ got map[string]int }
+
+func (s *countingSink) Push(c Content, matched int) { s.got[c.ID] = matched }
+
+// TestPublishCountsAndNotifiesEveryMember: with 300 subscriptions over
+// 24 predicates (so each aggregate has many members) and some of them
+// unsubscribed again, a publish returns the number of subscriptions it
+// matched, notifies each of them once under its own ID, and pushes each
+// attached proxy its fS — the engine's MatchCounts for it — not its
+// number of matched aggregates. Proxy 3 has no sink and gets no push.
+func TestPublishCountsAndNotifiesEveryMember(t *testing.T) {
+	b := New()
+	sinks := make([]*countingSink, 3)
+	for p := range sinks {
+		sinks[p] = &countingSink{got: map[string]int{}}
+		if err := b.AttachProxy(p, sinks[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	notified := map[int64]int{}
+	n := NotifierFunc(func(nt Notification) { notified[nt.SubscriptionID]++ })
+	rng := rand.New(rand.NewSource(1))
+	topics := []string{"a", "b", "c"}
+	for i := 0; i < 300; i++ {
+		sub := match.Subscription{Proxy: rng.Intn(4), Topics: []string{topics[rng.Intn(3)]}}
+		if rng.Intn(2) == 0 {
+			sub.Keywords = []string{"k"}
+		}
+		id, err := b.Subscribe(sub, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(5) == 0 {
+			if err := b.Unsubscribe(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, topic := range topics {
+		c := Content{ID: "page-" + topic, Version: 1, Topics: []string{topic}}
+		if i%2 == 0 {
+			c.Keywords = []string{"k"}
+		}
+		ev := match.Event{ID: c.ID, Topics: c.Topics, Keywords: c.Keywords}
+		want, counts := b.engine.Match(ev), b.engine.MatchCounts(ev)
+		clear(notified)
+		got, err := b.Publish(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != len(want) || len(notified) != len(want) {
+			t.Fatalf("publish %s matched %d and notified %d subscriptions, want %d", c.ID, got, len(notified), len(want))
+		}
+		for _, sub := range want {
+			if notified[sub.ID] != 1 {
+				t.Fatalf("publish %s notified subscription %d %d times, want once", c.ID, sub.ID, notified[sub.ID])
+			}
+		}
+		for p, s := range sinks {
+			if s.got[c.ID] != counts[p] {
+				t.Errorf("publish %s pushed proxy %d matched=%d, want %d", c.ID, p, s.got[c.ID], counts[p])
+			}
+		}
 	}
 }
 

@@ -97,7 +97,10 @@ type Fanout struct {
 }
 
 // Add schedules delivery to t. A connection's IDs keep the order they
-// are added in, so ascending matches make ascending runs.
+// are added in: a publish adds its matches aggregate by aggregate
+// (match.Engine.AppendMatchGroups), so a run ascends within each
+// aggregate, and across the run only while each aggregate has one
+// member.
 func (f *Fanout) Add(t Target) {
 	cn := t.conn
 	if cn == nil {

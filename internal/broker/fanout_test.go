@@ -473,9 +473,10 @@ func TestFanoutRunZeroAlloc(t *testing.T) {
 }
 
 // TestPublishTargetWalkZeroAlloc: resolving 1 024 matched subscriptions
-// to their delivery targets — PublishContext's cursor walk of the
-// target table in step with the ascending matches — allocates nothing,
-// and skips matches whose target is gone.
+// in 100 aggregates to their delivery targets — PublishContext's cursor
+// walk of the target table in step with the matched IDs, aggregate by
+// aggregate — allocates nothing, keeps the match order, and skips
+// matches whose target is gone.
 func TestPublishTargetWalkZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -484,26 +485,24 @@ func TestPublishTargetWalkZeroAlloc(t *testing.T) {
 	cw := &connWriter{maxPending: 1 << 30}
 	cw.cond = sync.NewCond(&cw.mu)
 	cn := &connNotifier{s: &Server{}, cw: cw}
-	var refs []match.MatchRef
 	for i := 0; i < 1024; i++ {
-		id, err := b.Subscribe(match.Subscription{Topics: []string{"t"}}, cn)
-		if err != nil {
+		if _, err := b.Subscribe(match.Subscription{Proxy: i % 100, Topics: []string{"t"}}, cn); err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, match.MatchRef{ID: id})
 	}
-	for _, r := range refs[:64] {
+	groups, refs := b.engine.AppendMatchGroups(nil, nil, match.Event{Topics: []string{"t"}})
+	for _, id := range refs[:64] {
 		b.mu.Lock()
-		b.targets.Delete(r.ID) // matched, but its target already removed
+		b.targets.Delete(id) // matched, but its target already removed
 		b.mu.Unlock()
 	}
 	var f Fanout
 	walk := func() {
 		b.mu.RLock()
-		b.addTargets(&f, refs)
+		b.addTargets(&f, groups, refs)
 		b.mu.RUnlock()
-		if len(f.adds) != 960 || f.adds[0].id != refs[64].ID {
-			t.Fatalf("walk added %d targets starting at %d, want 960 from %d", len(f.adds), f.adds[0].id, refs[64].ID)
+		if len(f.adds) != 960 || f.adds[0].id != refs[64] {
+			t.Fatalf("walk added %d targets starting at %d, want 960 from %d", len(f.adds), f.adds[0].id, refs[64])
 		}
 		f.reset()
 	}

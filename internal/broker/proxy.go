@@ -51,8 +51,9 @@ type Proxy struct {
 	mu       sync.Mutex
 	strategy core.Strategy
 	// evictions is the strategy's eviction report, nil when it has
-	// none: the proxy then drops a body only when a call on that page
-	// does not store it.
+	// none: the proxy then drops a body when a call on that page does
+	// not store it. With a report, a declined push leaves the body to
+	// the report.
 	evictions core.EvictionReporter
 	ids       map[string]int // page ID → the strategy's dense page index
 	pages     []proxyPage    // indexed by the dense page index
@@ -178,10 +179,15 @@ func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
 		p.stats.PushesStored++
 		pg.store(c)
 		sp.SetAttr("stored", "true")
-	} else {
-		pg.evict()
-		sp.SetAttr("stored", "false")
+		return
 	}
+	// A rejected push leaves a page the strategy still holds in place
+	// (GD* declines every push and keeps the page until a request
+	// refreshes it): only an eviction report says the page is gone.
+	if p.evictions == nil {
+		pg.evict()
+	}
+	sp.SetAttr("stored", "false")
 }
 
 // store keeps c's body as the page's cached copy.

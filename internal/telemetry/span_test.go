@@ -31,7 +31,7 @@ func TestParseSpanContextRejectsGarbage(t *testing.T) {
 	bad := []string{
 		"",
 		"abc",
-		strings.Repeat("0", 49),                               // no separator
+		strings.Repeat("0", 49), // no separator
 		strings.Repeat("g", 32) + "-" + strings.Repeat("a", 16), // bad hex trace
 		strings.Repeat("a", 32) + "-" + strings.Repeat("z", 16), // bad hex span
 		strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16), // zero IDs

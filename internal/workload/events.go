@@ -59,7 +59,7 @@ func buildEventView(w *Workload) *EventView {
 	servers := w.Config.Servers
 	v := &EventView{
 		Streams:     make([][]ServerEvent, servers),
-		UniqueBytes: make([]int64, servers),
+		UniqueBytes: uniqueBytes(w),
 	}
 
 	// Pre-count events per server so each stream is allocated exactly
@@ -84,7 +84,6 @@ func buildEventView(w *Workload) *EventView {
 	for i := range current {
 		current[i] = -1 // not yet published
 	}
-	seen := make([]bool, len(w.Pages)*servers)
 	pubs, reqs := w.Publications, w.Requests
 	pi, ri := 0, 0
 	for pi < len(pubs) || ri < len(reqs) {
@@ -125,26 +124,39 @@ func buildEventView(w *Workload) *EventView {
 			Subs:    w.Subscriptions[r.Page][r.Server],
 			Request: true,
 		})
-		if !seen[r.Page*servers+r.Server] {
-			seen[r.Page*servers+r.Server] = true
-			v.UniqueBytes[r.Server] += w.Pages[r.Page].Size
-		}
 	}
 	return v
 }
 
+// uniqueBytes returns, for each server, the total size of the distinct
+// pages it requests over the trace: one pass over the requests, which
+// both the event view and the workload's cache sizing use.
+func uniqueBytes(w *Workload) []int64 {
+	servers := w.Config.Servers
+	out := make([]int64, servers)
+	seen := make([]bool, len(w.Pages)*servers)
+	for _, r := range w.Requests {
+		if k := r.Page*servers + r.Server; !seen[k] {
+			seen[k] = true
+			out[r.Server] += w.Pages[r.Page].Size
+		}
+	}
+	return out
+}
+
 // CacheCapacities returns per-server cache capacities in bytes for a
 // capacity fraction, computed from the view's unique-byte totals.
-// Servers that request nothing get a minimal 1-byte cache so the
-// strategies stay well-defined.
 func (v *EventView) CacheCapacities(fraction float64) []int64 {
-	out := make([]int64, len(v.UniqueBytes))
-	for i, u := range v.UniqueBytes {
-		c := int64(float64(u) * fraction)
-		if c < 1 {
-			c = 1
-		}
-		out[i] = c
+	return capacities(v.UniqueBytes, fraction)
+}
+
+// capacities scales per-server unique-byte totals by a capacity
+// fraction. Servers that request nothing get a minimal 1-byte cache so
+// the strategies stay well-defined.
+func capacities(unique []int64, fraction float64) []int64 {
+	out := make([]int64, len(unique))
+	for i, u := range unique {
+		out[i] = max(int64(float64(u)*fraction), 1)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -83,6 +84,40 @@ func TestEventViewMatchesSequentialReplay(t *testing.T) {
 	for s, c := range cursors {
 		if c != len(v.Streams[s]) {
 			t.Errorf("server %d stream has %d events, replay consumed %d", s, len(v.Streams[s]), c)
+		}
+	}
+}
+
+// TestCacheCapacitiesWithoutEventView: the workload sizes caches from
+// one pass over its requests, to the capacities the event view gives,
+// for both traces at two scales, and leaves the view unbuilt.
+func TestCacheCapacitiesWithoutEventView(t *testing.T) {
+	fractions := []float64{0.05, 0.3}
+	for _, trace := range []TraceName{TraceNEWS, TraceALTERNATIVE} {
+		for _, scale := range []int{20, 100} {
+			w, err := Generate(ScaledConfig(trace, scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps := make([][]int64, len(fractions))
+			for i, f := range fractions {
+				if caps[i], err = w.CacheCapacities(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unique := w.UniqueBytesPerServer()
+			if w.events != nil {
+				t.Fatalf("%s scale %d: cache sizing built the event view", trace, scale)
+			}
+			view := w.Events()
+			for i, f := range fractions {
+				if want := view.CacheCapacities(f); !slices.Equal(caps[i], want) {
+					t.Errorf("%s scale %d fraction %g: capacities %v, event view %v", trace, scale, f, caps[i], want)
+				}
+			}
+			if !slices.Equal(unique, view.UniqueBytes) {
+				t.Errorf("%s scale %d: unique bytes %v, event view %v", trace, scale, unique, view.UniqueBytes)
+			}
 		}
 	}
 }

@@ -73,13 +73,10 @@ func (w *Workload) SubCount(page, server int) int {
 
 // UniqueBytesPerServer returns, for each server, the total size of the
 // distinct pages it requests over the whole trace. The paper sizes each
-// proxy cache as a percentage of this quantity (§5.1). The totals come
-// from the cached event view, so repeated calls are free.
+// proxy cache as a percentage of this quantity (§5.1). It takes one
+// pass over the requests and does not build the event view.
 func (w *Workload) UniqueBytesPerServer() []int64 {
-	unique := w.Events().UniqueBytes
-	out := make([]int64, len(unique))
-	copy(out, unique)
-	return out
+	return uniqueBytes(w)
 }
 
 // versionTimeline returns, per page, the ascending publication times of
@@ -115,12 +112,13 @@ func (w *Workload) versionAt(timeline [][]float64, page int, t float64) int {
 // CacheCapacities returns per-server cache capacities in bytes for a
 // capacity fraction (e.g. 0.05 for the paper's 5 % setting). Servers that
 // request nothing get a minimal 1-byte cache so the strategies stay
-// well-defined.
+// well-defined. Like UniqueBytesPerServer, it does not build the event
+// view.
 func (w *Workload) CacheCapacities(fraction float64) ([]int64, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("workload: capacity fraction must be in (0, 1], got %g", fraction)
 	}
-	return w.Events().CacheCapacities(fraction), nil
+	return capacities(uniqueBytes(w), fraction), nil
 }
 
 // RequestsPerServer returns the number of requests issued at each server.

@@ -92,10 +92,18 @@ var catalog = []mutant{
 	{
 		name:    "proxy/keeps-rejected-push",
 		file:    "internal/broker/proxy.go",
-		snippet: "\t} else {\n\t\tpg.evict()\n\t\tsp.SetAttr(\"stored\", \"false\")\n",
-		replace: "\t} else {\n\t\tsp.SetAttr(\"stored\", \"false\")\n",
+		snippet: "\tif p.evictions == nil {\n\t\tpg.evict()\n\t}\n",
+		replace: "",
 		pkg:     "internal/broker",
 		run:     "^TestProxyDropsBodyWhenRePushRejected$",
+	},
+	{
+		name:    "proxy/reporter-drops-rejected-push",
+		file:    "internal/broker/proxy.go",
+		snippet: "\tif p.evictions == nil {\n\t\tpg.evict()\n\t}\n",
+		replace: "\tpg.evict()\n",
+		pkg:     "internal/broker",
+		run:     "^TestProxyHoldsWhatItsStrategyHolds$",
 	},
 
 	// The connection writer's notify lane: run entries over one ID ring.
@@ -116,30 +124,73 @@ var catalog = []mutant{
 		run:     "^TestNotifyLaneFramesAcrossWrapsAndSplits$",
 	},
 
-	// The match engine's posting rule and its verification.
+	// The match engine's aggregates, posting rule and verification,
+	// and the publish path's use of the aggregates' multiplicity.
 	{
 		name:    "match/no-verify-single-keyword",
 		file:    "internal/match/match.go",
-		snippet: "\tif len(sub.Keywords) == 0 {\n\t\treturn true\n\t}\n",
-		replace: "\tif len(sub.Keywords) <= 1 {\n\t\treturn true\n\t}\n",
+		snippet: "\tif len(kw) == 0 {\n\t\treturn true\n\t}\n",
+		replace: "\tif len(kw) <= 1 {\n\t\treturn true\n\t}\n",
 		pkg:     "internal/match",
 		run:     "^TestMatchEqualsBruteForce$",
 	},
 	{
 		name:    "match/post-every-keyword",
 		file:    "internal/match/match.go",
-		snippet: "return e.byKeyword, sub.Keywords[:1]",
-		replace: "return e.byKeyword, sub.Keywords",
+		snippet: "return e.byKeyword, kw[:1]",
+		replace: "return e.byKeyword, kw",
 		pkg:     "internal/match",
 		run:     "^TestPostingListCensus$",
 	},
 	{
 		name:    "match/unsubscribe-skips-removal",
 		file:    "internal/match/match.go",
-		snippet: "\t\tremovePosting(m, t, id)\n",
+		snippet: "\t\tremovePosting(m, t, a)\n",
 		replace: "\t\t_, _ = m, t\n",
 		pkg:     "internal/match",
 		run:     "^TestPostingListCensus$",
+	},
+	{
+		name:    "match/duplicate-opens-aggregate",
+		file:    "internal/match/match.go",
+		snippet: "\ta := e.preds.find(h, sub.Proxy, sub.Topics, sub.Keywords)\n",
+		replace: "\ta := (*aggregate)(nil)\n",
+		pkg:     "internal/match",
+		run:     "^TestPostingListCensus$",
+	},
+	{
+		name:    "match/unsubscribe-drops-aggregate",
+		file:    "internal/match/match.go",
+		snippet: "\tif a.remove(id) {\n\t\treturn nil\n\t}\n",
+		replace: "\ta.remove(id)\n",
+		pkg:     "internal/match",
+		run:     "^TestMatchEqualsBruteForce$",
+	},
+	{
+		name:    "match/predicate-delete-leaves-hole",
+		file:    "internal/match/match.go",
+		snippet: "(j-home)&mask >= (j-i)&mask {",
+		replace: "false && (j-home)&mask >= (j-i)&mask {",
+		pkg:     "internal/match",
+		run:     "^TestPostingListCensus$",
+	},
+	{
+		name:    "broker/pushes-count-aggregates",
+		file:    "internal/broker/broker.go",
+		snippet: "\t\t\thits[i] += g.N\n",
+		replace: "\t\t\thits[i]++\n",
+		pkg:     "internal/broker",
+		run:     "^(TestProxyPushPassesPublishMatchedCount|TestPublishCountsAndNotifiesEveryMember)$",
+	},
+
+	// Cache sizing reads the requests, not the event view.
+	{
+		name:    "workload/capacities-build-view",
+		file:    "internal/workload/workload.go",
+		snippet: "return capacities(uniqueBytes(w), fraction), nil",
+		replace: "return w.Events().CacheCapacities(fraction), nil",
+		pkg:     "internal/workload",
+		run:     "^TestCacheCapacitiesWithoutEventView$",
 	},
 
 	// The strategies' arithmetic.
