@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"os"
 	"strings"
@@ -12,44 +13,14 @@ import (
 )
 
 func TestRunServesUntilStopped(t *testing.T) {
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	go func() {
-		defer wg.Done()
-		errc <- run([]string{"-addr", "127.0.0.1:39917"}, stop, devnull)
-	}()
-
-	// Wait for the server to accept, then exercise it over the wire.
+	l, client := startRun(t, []string{"-addr", "127.0.0.1:0"})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var client *broker.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		client, err = broker.Dial(ctx, "127.0.0.1:39917")
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			close(stop)
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	if _, err := client.Publish(ctx, broker.Content{ID: "p", Topics: []string{"t"}, Body: []byte("x")}); err != nil {
 		t.Error(err)
 	}
 	_ = client.Close()
-
-	close(stop)
-	wg.Wait()
-	if err := <-errc; err != nil {
+	if err := l.shutdown(); err != nil {
 		t.Fatalf("run returned error: %v", err)
 	}
 }
@@ -63,42 +34,19 @@ func TestRunWithUplinkBridgesRemotePublications(t *testing.T) {
 	}
 	defer upServer.Close()
 
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	const localAddr = "127.0.0.1:39919"
-	go func() {
-		defer wg.Done()
-		errc <- run([]string{
-			"-addr", localAddr,
-			"-uplink", upServer.Addr(),
-			"-uplink-topics", "news",
-			"-backoff-initial", "5ms",
-			"-backoff-max", "50ms",
-		}, stop, devnull)
-	}()
-
+	l := launch(t, []string{
+		"-addr", "127.0.0.1:0",
+		"-uplink", upServer.Addr(),
+		"-uplink-topics", "news",
+		"-backoff-initial", "5ms",
+		"-backoff-max", "50ms",
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	notified := make(chan broker.Notification, 4)
-	var client *broker.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		client, err = broker.Dial(ctx, localAddr, broker.WithNotify(func(n broker.Notification) { notified <- n }))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			close(stop)
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	client, err := broker.Dial(ctx, l.attr(t, "broker listening", "addr"), broker.WithNotify(func(n broker.Notification) { notified <- n }))
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer client.Close()
 	if _, err := client.Subscribe(ctx, 1, []string{"news"}, nil); err != nil {
@@ -119,9 +67,7 @@ func TestRunWithUplinkBridgesRemotePublications(t *testing.T) {
 		t.Fatal("publication never crossed the uplink")
 	}
 
-	close(stop)
-	wg.Wait()
-	if err := <-errc; err != nil {
+	if err := l.shutdown(); err != nil {
 		t.Fatalf("run returned error: %v", err)
 	}
 }
@@ -223,63 +169,113 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// startRun launches run in a goroutine and dials until the server
-// accepts, returning the connected client and the run channels.
-func startRun(t *testing.T, args []string) (*broker.Client, chan struct{}, chan error, *sync.WaitGroup) {
+// launched is a run of the command in a goroutine, its log on a pipe.
+type launched struct {
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{} // closed when run returns
+	err      error         // run's result, once done is closed
+	mu       sync.Mutex
+	log      []string // the log lines so far
+}
+
+// launch starts run(args), to be stopped by shutdown or at the end of
+// the test. Its log is read as it is written, so the command never
+// blocks on it.
+func launch(t *testing.T, args []string) *launched {
 	t.Helper()
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = devnull.Close() })
+	l := &launched{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer wg.Done()
-		errc <- run(args, stop, devnull)
+		l.err = run(args, l.stop, w)
+		_ = w.Close()
+		close(l.done)
 	}()
-	addr := args[1] // args start with "-addr", addr
+	t.Cleanup(func() { _ = l.shutdown() })
+	go func() {
+		defer r.Close()
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			l.mu.Lock()
+			l.log = append(l.log, sc.Text())
+			l.mu.Unlock()
+		}
+	}()
+	return l
+}
+
+// attr waits for the log line whose message is msg and returns the
+// value of its attribute key: the bound address of a listener started
+// on port 0, for one.
+func (l *launched) attr(t *testing.T, msg, key string) string {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		l.mu.Lock()
+		for _, line := range l.log {
+			if !strings.Contains(line, "msg=\""+msg+"\" ") {
+				continue
+			}
+			for _, field := range strings.Fields(line) {
+				if v, ok := strings.CutPrefix(field, key+"="); ok {
+					l.mu.Unlock()
+					return v
+				}
+			}
+		}
+		l.mu.Unlock()
+		select {
+		case <-l.done:
+			t.Fatalf("run exited before logging %q: %v", msg, l.err)
+		default:
+		}
+	}
+	t.Fatalf("no %q log line with %s", msg, key)
+	return ""
+}
+
+// shutdown stops the command and returns run's error.
+func (l *launched) shutdown() error {
+	l.stopOnce.Do(func() { close(l.stop) })
+	<-l.done
+	return l.err
+}
+
+// startRun launches the command and dials the address it logs.
+func startRun(t *testing.T, args []string) (*launched, *broker.Client) {
+	t.Helper()
+	l := launch(t, args)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		client, err := broker.Dial(ctx, addr)
-		if err == nil {
-			return client, stop, errc, &wg
-		}
-		if time.Now().After(deadline) {
-			close(stop)
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	client, err := broker.Dial(ctx, l.attr(t, "broker listening", "addr"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
+	return l, client
 }
 
 func TestRunDurableStateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	const addr = "127.0.0.1:39921"
-	args := []string{"-addr", addr, "-data-dir", dir, "-fsync", "always", "-snapshot-interval", "1m"}
+	args := []string{"-addr", "127.0.0.1:0", "-data-dir", dir, "-fsync", "always", "-snapshot-interval", "1m"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// First incarnation: subscribe, then shut down gracefully while the
 	// client is still connected.
-	client, stop, errc, wg := startRun(t, args)
+	l, client := startRun(t, args)
 	if _, err := client.Subscribe(ctx, 0, []string{"news"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
-	if err := <-errc; err != nil {
+	if err := l.shutdown(); err != nil {
 		t.Fatalf("first run exited with error: %v", err)
 	}
 	_ = client.Close()
 
 	// Second incarnation on the same data dir: the subscription must be
 	// back, so a publish matches it even though no client resubscribed.
-	client2, stop2, errc2, wg2 := startRun(t, args)
+	l2, client2 := startRun(t, args)
 	matched, err := client2.Publish(ctx, broker.Content{ID: "story", Version: 1, Topics: []string{"news"}, Body: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +296,7 @@ func TestRunDurableStateSurvivesRestart(t *testing.T) {
 		t.Errorf("publish matched %d subscriptions, want recovered+fresh = 2", matched)
 	}
 	_ = client2.Close()
-	close(stop2)
-	wg2.Wait()
-	if err := <-errc2; err != nil {
+	if err := l2.shutdown(); err != nil {
 		t.Fatalf("second run exited with error: %v", err)
 	}
 }

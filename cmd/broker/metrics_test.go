@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,44 +17,18 @@ import (
 // serves live transport + match counters, latency histograms, the span
 // traces of one page, and pprof.
 func TestMetricsEndpoint(t *testing.T) {
-	const (
-		brokerAddr  = "127.0.0.1:39919"
-		metricsAddr = "127.0.0.1:39921"
-	)
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	go func() {
-		defer wg.Done()
-		errc <- run([]string{"-addr", brokerAddr, "-metrics-addr", metricsAddr}, stop, devnull)
-	}()
+	l := launch(t, []string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"})
 	defer func() {
-		close(stop)
-		wg.Wait()
-		if err := <-errc; err != nil {
+		if err := l.shutdown(); err != nil {
 			t.Errorf("run returned error: %v", err)
 		}
 	}()
-
+	base := strings.TrimSuffix(l.attr(t, "admin endpoint up", "metrics"), "/metrics")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var client *broker.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		client, err = broker.Dial(ctx, brokerAddr, broker.WithNotify(func(broker.Notification) {}))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	client, err := broker.Dial(ctx, l.attr(t, "broker listening", "addr"), broker.WithNotify(func(broker.Notification) {}))
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer client.Close()
 	if _, err := client.Subscribe(ctx, 1, []string{"news"}, nil); err != nil {
@@ -69,7 +41,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := fmt.Sprintf("http://%s", metricsAddr)
 	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(base + path)

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pubsubcd/internal/idtable"
 	"pubsubcd/internal/journal"
 	"pubsubcd/internal/match"
 	"pubsubcd/internal/telemetry"
@@ -117,8 +118,11 @@ func push(ctx context.Context, s PushSink, c Content, matched int) {
 var ErrUnknownPage = errors.New("broker: unknown page")
 
 // Broker is an in-process publish/subscribe broker with a content store.
+// Its match engine is its only subscription registry: each subscription
+// is stored there with its delivery Target, resolved once at subscribe
+// (see fanout.go), so a match yields the targets to notify directly.
 type Broker struct {
-	engine *match.Engine
+	engine *match.Engine[Target]
 
 	// tel holds the telemetry handles; nil until EnableTelemetry.
 	// Atomic so telemetry can be attached while traffic is flowing.
@@ -142,10 +146,9 @@ type Broker struct {
 	// tuned while traffic flows.
 	sloBudgetNs atomic.Int64
 
-	mu      sync.RWMutex
-	store   map[string]Content
-	targets IDTable[Target]   // resolved at subscribe; see fanout.go
-	sinks   IDTable[PushSink] // attached proxies' sinks, keyed by proxy
+	mu    sync.RWMutex
+	store map[string]Content
+	sinks idtable.Table[PushSink] // attached proxies' sinks, keyed by proxy
 }
 
 // DefaultPublishSLO is the publish-to-placement latency budget used
@@ -172,16 +175,15 @@ func (b *Broker) publishSLO() time.Duration {
 }
 
 // fanoutScratch is the per-publish working set the fan-out hot path
-// reuses across publishes — matched aggregates and their subscription
-// IDs, the fan-out's runs and the per-proxy push counts — so a steady
-// stream of publishes allocates nothing for matching, delivery or push
-// placement.
+// reuses across publishes — matched aggregates and their members, the
+// fan-out's runs and the per-proxy push counts — so a steady stream of
+// publishes allocates nothing for matching, delivery or push placement.
 type fanoutScratch struct {
-	groups []match.MatchGroup
-	ids    []int64 // the groups' subscription IDs, group after group
-	fan    Fanout
-	hits   []int // matched subscriptions per entry of Broker.sinks
-	pushes []proxyPush
+	groups  []match.MatchGroup
+	members []match.Member[Target] // the groups' members, group after group
+	fan     Fanout
+	hits    []int // matched subscriptions per entry of Broker.sinks
+	pushes  []proxyPush
 }
 
 // proxyPush is one push of a publish: a proxy with a sink and the
@@ -197,7 +199,7 @@ var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 // New returns an empty broker.
 func New() *Broker {
 	return &Broker{
-		engine: match.NewEngine(),
+		engine: match.New[Target](),
 		store:  make(map[string]Content),
 	}
 }
@@ -221,7 +223,7 @@ func (b *Broker) SubscribeContext(ctx context.Context, sub match.Subscription, n
 		defer sp.End()
 	}
 	b.jmu.Lock()
-	id, err := b.engine.Subscribe(sub)
+	id, err := b.engine.SubscribeWith(sub, func(id int64) Target { return ResolveTarget(n, id) })
 	if err != nil {
 		b.jmu.Unlock()
 		sp.SetError(err)
@@ -240,10 +242,6 @@ func (b *Broker) SubscribeContext(ctx context.Context, sub match.Subscription, n
 		}
 	}
 	b.jmu.Unlock()
-	t := ResolveTarget(n, id)
-	b.mu.Lock()
-	b.targets.Set(id, t)
-	b.mu.Unlock()
 	if bt := b.telemetryHandles(); bt != nil {
 		bt.subscribes.Inc()
 		bt.liveSubs.Set(int64(b.engine.Len()))
@@ -263,9 +261,6 @@ func (b *Broker) Unsubscribe(id int64) error {
 		jerr = b.journalUnsubscribe(id)
 	}
 	b.jmu.Unlock()
-	b.mu.Lock()
-	b.targets.Delete(id)
-	b.mu.Unlock()
 	if jerr != nil {
 		// The engine change stands; report that durability is behind.
 		return fmt.Errorf("broker: journal unsubscribe: %w", jerr)
@@ -359,8 +354,8 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	_, msp := telemetry.StartSpan(ctx, "broker.match")
 	fs := fanoutPool.Get().(*fanoutScratch)
 	defer fanoutPool.Put(fs)
-	fs.groups, fs.ids = b.engine.AppendMatchGroups(fs.groups[:0], fs.ids[:0], ev)
-	matched := fs.ids
+	fs.groups, fs.members = b.engine.AppendMatchGroups(fs.groups[:0], fs.members[:0], ev)
+	matched := fs.members
 	if msp != nil {
 		msp.SetAttrInt("matched", int64(len(matched)))
 		msp.End()
@@ -373,13 +368,15 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 		bt.stageMatch.Observe(sinceNanos(start))
 	}
 
-	// Resolve each matched subscription's target under one read-lock
-	// (the fan-out groups them into one run per connection), then
-	// deliver outside it. The per-proxy breakdown is only taken when
-	// push sinks consume it.
-	b.mu.RLock()
+	// The fan-out groups the matched targets into one run per
+	// connection. The per-proxy breakdown is only taken when push sinks
+	// consume it.
 	fs.fan.reserve(len(matched))
-	b.addTargets(&fs.fan, fs.groups, matched)
+	for _, m := range matched {
+		fs.fan.Add(m.Value)
+	}
+	clear(matched) // the pooled scratch keeps no targets
+	b.mu.RLock()
 	if b.sinks.Len() > 0 {
 		b.collectPushes(fs)
 	}
@@ -428,30 +425,6 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 	return len(matched), nil
 }
 
-// addTargets adds the delivery target of every matched subscription to
-// f. The IDs run aggregate by aggregate (groups), ascending within each.
-// Aggregates come in creation order, so their first members ascend as
-// long as they were created by Subscribe: one cursor walks the target
-// table through the first members, and a copy of it walks the rest of
-// each aggregate's members, so no lookup starts over from the front of
-// the table. Callers hold b.mu.
-func (b *Broker) addTargets(f *Fanout, groups []match.MatchGroup, ids []int64) {
-	firsts := b.targets.Cursor()
-	for _, g := range groups {
-		run := ids[:g.N]
-		ids = ids[g.N:]
-		if t, ok := firsts.Find(run[0]); ok {
-			f.Add(t)
-		}
-		rest := firsts
-		for _, id := range run[1:] {
-			if t, ok := rest.Find(id); ok {
-				f.Add(t)
-			}
-		}
-	}
-}
-
 // collectPushes sets fs.pushes to one push per attached proxy with at
 // least one subscription among the matched aggregates in fs.groups,
 // ascending by proxy, its count the proxy's fS. Each aggregate finds
@@ -459,18 +432,19 @@ func (b *Broker) addTargets(f *Fanout, groups []match.MatchGroup, ids []int64) {
 // multiplicity into fs.hits, which is laid out in step with the table's
 // entries. Callers hold b.mu.
 func (b *Broker) collectPushes(fs *fanoutScratch) {
-	ents := b.sinks.ents
-	hits := slices.Grow(fs.hits[:0], len(ents))[:len(ents)]
+	slots := b.sinks.Slots()
+	hits := slices.Grow(fs.hits[:0], slots)[:slots]
 	clear(hits)
 	for _, g := range fs.groups {
-		if i, ok := b.sinks.slot(int64(g.Proxy)); ok {
+		if i, ok := b.sinks.Slot(int64(g.Proxy)); ok {
 			hits[i] += g.N
 		}
 	}
 	fs.pushes = fs.pushes[:0]
 	for i, n := range hits {
 		if n > 0 {
-			fs.pushes = append(fs.pushes, proxyPush{proxy: int(ents[i].id), sink: ents[i].v, matched: n})
+			proxy, sink, _ := b.sinks.At(i)
+			fs.pushes = append(fs.pushes, proxyPush{proxy: int(proxy), sink: sink, matched: n})
 		}
 	}
 	fs.hits = hits

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,6 +277,59 @@ func TestPublishCountsAndNotifiesEveryMember(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAggregateMembersKeepTheirTargets: subscriptions of one (proxy,
+// topics, keywords) predicate share one aggregate in the match engine,
+// and each keeps its own delivery target there. Every notifier receives
+// exactly its own subscription IDs, and an unsubscribed member — the
+// first, a middle or the last of the aggregate — receives nothing.
+func TestAggregateMembersKeepTheirTargets(t *testing.T) {
+	b := New()
+	sub := match.Subscription{Proxy: 3, Topics: []string{"news"}, Keywords: []string{"k"}}
+	recs := make([]*recordingNotifier, 4)
+	for i := range recs {
+		recs[i] = &recordingNotifier{}
+	}
+	ids := make([][]int64, len(recs)) // ids[i]: recs[i]'s subscriptions
+	for round := 0; round < 2; round++ {
+		for i, r := range recs {
+			id, err := b.Subscribe(sub, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = append(ids[i], id)
+		}
+	}
+	check := func(version int) {
+		t.Helper()
+		for _, r := range recs {
+			r.notes = nil // Publish notifies them before it returns
+		}
+		if _, err := b.Publish(Content{ID: "p", Version: version, Topics: []string{"news"}, Keywords: []string{"k"}}); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range recs {
+			var got []int64
+			for _, n := range r.notes {
+				got = append(got, n.SubscriptionID)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, ids[i]) {
+				t.Fatalf("publish v%d: notifier %d received IDs %v, want its own %v", version, i, got, ids[i])
+			}
+		}
+	}
+	check(1)
+	// The aggregate's members ascend 1..8; drop its first, a middle and
+	// its last member.
+	for _, drop := range []struct{ rec, k int }{{0, 0}, {2, 0}, {3, 1}} {
+		if err := b.Unsubscribe(ids[drop.rec][drop.k]); err != nil {
+			t.Fatal(err)
+		}
+		ids[drop.rec] = slices.Delete(ids[drop.rec], drop.k, drop.k+1)
+	}
+	check(2)
 }
 
 // TestProxyDistinctPagesNeverAlias checks that two page IDs are two

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pubsubcd/internal/idtable"
 	"pubsubcd/internal/telemetry"
 )
 
@@ -141,7 +142,7 @@ type Client struct {
 	seq            uint64
 	pending        map[uint64]pendingReq
 	subs           map[int64]*clientSub
-	byServer       IDTable[int64] // server sub ID -> client sub ID
+	byServer       idtable.Table[int64] // server sub ID -> client sub ID
 	nextSubID      int64
 	closed         bool
 	dead           bool

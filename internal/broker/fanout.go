@@ -19,7 +19,8 @@ import (
 //
 // Broker.PublishContext and the cluster's member-link relay both fan out
 // through Fanout. What a subscription is delivered through is resolved
-// once, when it is registered (ResolveTarget), not per notification.
+// once, when it is registered (ResolveTarget), and stored with it in
+// the match engine, not looked up per notification.
 
 // Relabel returns a Notifier that delivers to n under subscription ID
 // id, whatever ID the caller notifies it with. A cluster member uses it
@@ -97,7 +98,8 @@ type Fanout struct {
 }
 
 // Add schedules delivery to t. A connection's IDs keep the order they
-// are added in: a publish adds its matches aggregate by aggregate
+// are added in: a publish adds the targets the match engine stores
+// with its matches, aggregate by aggregate
 // (match.Engine.AppendMatchGroups), so a run ascends within each
 // aggregate, and across the run only while each aggregate has one
 // member.

@@ -472,46 +472,6 @@ func TestFanoutRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPublishTargetWalkZeroAlloc: resolving 1 024 matched subscriptions
-// in 100 aggregates to their delivery targets — PublishContext's cursor
-// walk of the target table in step with the matched IDs, aggregate by
-// aggregate — allocates nothing, keeps the match order, and skips
-// matches whose target is gone.
-func TestPublishTargetWalkZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector instruments allocations")
-	}
-	b := New()
-	cw := &connWriter{maxPending: 1 << 30}
-	cw.cond = sync.NewCond(&cw.mu)
-	cn := &connNotifier{s: &Server{}, cw: cw}
-	for i := 0; i < 1024; i++ {
-		if _, err := b.Subscribe(match.Subscription{Proxy: i % 100, Topics: []string{"t"}}, cn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	groups, refs := b.engine.AppendMatchGroups(nil, nil, match.Event{Topics: []string{"t"}})
-	for _, id := range refs[:64] {
-		b.mu.Lock()
-		b.targets.Delete(id) // matched, but its target already removed
-		b.mu.Unlock()
-	}
-	var f Fanout
-	walk := func() {
-		b.mu.RLock()
-		b.addTargets(&f, groups, refs)
-		b.mu.RUnlock()
-		if len(f.adds) != 960 || f.adds[0].id != refs[64] {
-			t.Fatalf("walk added %d targets starting at %d, want 960 from %d", len(f.adds), f.adds[0].id, refs[64])
-		}
-		f.reset()
-	}
-	walk() // grow the buffers
-	if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
-		t.Fatalf("walking %d matches: %.1f allocations, want 0", len(refs), allocs)
-	}
-}
-
 // TestClientDeliverZeroAlloc: Client.deliver mapping a 1 024-ID notify
 // frame's server IDs to client IDs and handing them to the
 // WithNotifyContext callback allocates nothing in the steady state,

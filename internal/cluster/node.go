@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pubsubcd/internal/broker"
+	"pubsubcd/internal/idtable"
 	"pubsubcd/internal/journal"
 	"pubsubcd/internal/telemetry"
 )
@@ -451,7 +452,7 @@ type memberLink struct {
 
 	mu     sync.Mutex
 	client *broker.Client
-	subs   broker.IDTable[broker.Target] // link-client sub ID -> edge route's target
+	subs   idtable.Table[broker.Target] // link-client sub ID -> edge route's target
 
 	// relayMu guards the relay's fan-out scratch, reused across notify
 	// frames so relaying allocates nothing.

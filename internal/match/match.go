@@ -15,10 +15,13 @@
 // The engine stores aggregates, not subscriptions, as the paper's proxies
 // do: every subscription with the same proxy, topics and keywords (the
 // same slices, in the same order) joins one aggregate, which holds the
-// predicate once, its multiplicity and the ascending run of its member
-// subscription IDs. A duplicate Subscribe or Restore, and the Unsubscribe
-// of a member, change only the run. Subscriber names live in a side map
-// that holds only the non-empty ones.
+// predicate once, its multiplicity and the ascending run of its members.
+// A member is a subscription ID and the value of type V its subscriber
+// gave (SubscribeWith): a broker keeps each subscription's delivery
+// target there, so the engine is its only subscription registry. A
+// duplicate Subscribe or Restore, and the Unsubscribe of a member, change
+// only the run. Subscriber names live in a side map that holds only the
+// non-empty ones.
 //
 // The index is inverted, keyed by topic and keyword. Each aggregate is
 // posted under its access terms only: its first keyword when it has
@@ -30,7 +33,7 @@
 //
 // AppendMatchGroups, the publish path's match, returns the matched
 // aggregates in creation order and each one's members ascending, so its
-// IDs run aggregate by aggregate. While every aggregate has one member
+// members run aggregate by aggregate. While every aggregate has one member
 // and subscriptions only arrive through Subscribe, that order is
 // ascending by ID. AppendMatchRefs, Match and Dump return subscriptions
 // ascending by ID.
@@ -44,6 +47,8 @@ import (
 	"hash/maphash"
 	"slices"
 	"sync"
+
+	"pubsubcd/internal/idtable"
 )
 
 // Event is a published unit of content as seen by the matching engine.
@@ -81,33 +86,40 @@ var ErrNotFound = errors.New("match: subscription not found")
 // ErrDuplicateID is returned by Restore for an ID already in use.
 var ErrDuplicateID = errors.New("match: duplicate subscription ID")
 
-// aggregate is one (proxy, topics, keywords) predicate and the
-// subscriptions that share it. The first member is held inline, so a
-// predicate with one subscription costs one 64-byte record and one term
-// slice.
-type aggregate struct {
-	seq     uint64   // creation order: posting lists ascend by it
-	proxy   int      // the proxy every member belongs to
-	terms   []string // the topics, then the keywords
-	nTopics int32    // how many of terms are topics
-	hash    uint32   // the predicate's hash, which predTable probes by
-	first   int64    // the smallest member ID
-	more    *[]int64 // the other member IDs, ascending; nil when there are none
+// Member is one subscription of an aggregate: its ID and the value
+// stored with it. Value comes first, so a zero-size V adds no padding.
+type Member[V any] struct {
+	Value V
+	ID    int64
 }
 
-func (a *aggregate) topics() []string   { return a.terms[:a.nTopics:a.nTopics] }
-func (a *aggregate) keywords() []string { return a.terms[a.nTopics:] }
+// aggregate is one (proxy, topics, keywords) predicate and the
+// subscriptions that share it. The first member is held inline, so a
+// predicate with one subscription costs one record and one term slice:
+// 64 bytes when V is empty.
+type aggregate[V any] struct {
+	seq     uint64       // creation order: posting lists ascend by it
+	proxy   int          // the proxy every member belongs to
+	terms   []string     // the topics, then the keywords
+	nTopics int32        // how many of terms are topics
+	hash    uint32       // the predicate's hash, which predTable probes by
+	first   Member[V]    // the member with the smallest ID
+	more    *[]Member[V] // the other members, ascending by ID; nil when there are none
+}
+
+func (a *aggregate[V]) topics() []string   { return a.terms[:a.nTopics:a.nTopics] }
+func (a *aggregate[V]) keywords() []string { return a.terms[a.nTopics:] }
 
 // size returns the aggregate's multiplicity, its number of members.
-func (a *aggregate) size() int {
+func (a *aggregate[V]) size() int {
 	if a.more == nil {
 		return 1
 	}
 	return 1 + len(*a.more)
 }
 
-// appendMembers appends the member IDs, ascending, to dst.
-func (a *aggregate) appendMembers(dst []int64) []int64 {
+// appendMembers appends the members, ascending by ID, to dst.
+func (a *aggregate[V]) appendMembers(dst []Member[V]) []Member[V] {
 	dst = append(dst, a.first)
 	if a.more != nil {
 		dst = append(dst, *a.more...)
@@ -115,30 +127,32 @@ func (a *aggregate) appendMembers(dst []int64) []int64 {
 	return dst
 }
 
-// add makes id, which is no member yet, a member.
-func (a *aggregate) add(id int64) {
+func byID[V any](m Member[V], id int64) int { return cmp.Compare(m.ID, id) }
+
+// add makes m, whose ID is no member's yet, a member.
+func (a *aggregate[V]) add(m Member[V]) {
 	if a.more == nil {
-		a.more = new([]int64)
+		a.more = new([]Member[V])
 	}
-	if id < a.first {
-		a.first, id = id, a.first
+	if m.ID < a.first.ID {
+		a.first, m = m, a.first
 	}
 	more := *a.more
-	i, _ := slices.BinarySearch(more, id)
-	*a.more = slices.Insert(more, i, id)
+	i, _ := slices.BinarySearchFunc(more, m.ID, byID[V])
+	*a.more = slices.Insert(more, i, m)
 }
 
 // remove drops the member id and reports whether any member is left.
-func (a *aggregate) remove(id int64) bool {
+func (a *aggregate[V]) remove(id int64) bool {
 	if a.more == nil {
 		return false
 	}
 	more := *a.more
 	i := 0
-	if id == a.first {
+	if id == a.first.ID {
 		a.first = more[0]
 	} else {
-		i, _ = slices.BinarySearch(more, id)
+		i, _ = slices.BinarySearchFunc(more, id, byID[V])
 	}
 	if more = slices.Delete(more, i, i+1); len(more) == 0 {
 		a.more = nil
@@ -150,7 +164,7 @@ func (a *aggregate) remove(id int64) bool {
 
 // is reports whether the aggregate's predicate is (proxy, topics,
 // keywords).
-func (a *aggregate) is(proxy int, topics, keywords []string) bool {
+func (a *aggregate[V]) is(proxy int, topics, keywords []string) bool {
 	return a.proxy == proxy && slices.Equal(a.topics(), topics) && slices.Equal(a.keywords(), keywords)
 }
 
@@ -179,14 +193,14 @@ var predicateHash = func(seed maphash.Seed, proxy int, topics, keywords []string
 // the aggregate's stored hash, so growing and deleting hash no strings,
 // and a delete shifts back the entries whose probe run crosses the
 // freed slot instead of leaving a tombstone.
-type predTable struct {
-	slots []*aggregate // len is a power of two
+type predTable[V any] struct {
+	slots []*aggregate[V] // len is a power of two
 	n     int
 }
 
 // find returns the aggregate of the predicate (proxy, topics, keywords),
 // whose hash is h, or nil when there is none.
-func (t *predTable) find(h uint32, proxy int, topics, keywords []string) *aggregate {
+func (t *predTable[V]) find(h uint32, proxy int, topics, keywords []string) *aggregate[V] {
 	if len(t.slots) == 0 {
 		return nil
 	}
@@ -200,10 +214,10 @@ func (t *predTable) find(h uint32, proxy int, topics, keywords []string) *aggreg
 }
 
 // insert adds a, whose predicate the table does not hold.
-func (t *predTable) insert(a *aggregate) {
+func (t *predTable[V]) insert(a *aggregate[V]) {
 	if 4*(t.n+1) > 3*len(t.slots) {
 		old := t.slots
-		t.slots = make([]*aggregate, max(8, 2*len(old)))
+		t.slots = make([]*aggregate[V], max(8, 2*len(old)))
 		for _, b := range old {
 			if b != nil {
 				t.place(b)
@@ -214,7 +228,7 @@ func (t *predTable) insert(a *aggregate) {
 	t.n++
 }
 
-func (t *predTable) place(a *aggregate) {
+func (t *predTable[V]) place(a *aggregate[V]) {
 	mask := uint32(len(t.slots) - 1)
 	i := a.hash & mask
 	for t.slots[i] != nil {
@@ -224,7 +238,7 @@ func (t *predTable) place(a *aggregate) {
 }
 
 // delete removes a if the table holds it.
-func (t *predTable) delete(a *aggregate) {
+func (t *predTable[V]) delete(a *aggregate[V]) {
 	if len(t.slots) == 0 {
 		return
 	}
@@ -247,60 +261,14 @@ func (t *predTable) delete(a *aggregate) {
 	t.n--
 }
 
-// idIndex maps each subscription ID to its aggregate: entries sorted by
-// ID. Subscribe hands out ascending IDs, so adding one appends; removing
-// one leaves a nil tombstone, and the entries are compacted once half of
-// them are dead, so a removal costs a binary search plus amortized O(1).
-type idIndex struct {
-	ents []idEntry
-	dead int
-}
-
-type idEntry struct {
-	id  int64
-	agg *aggregate // nil once removed
-}
-
-func (x *idIndex) len() int { return len(x.ents) - x.dead }
-
-// search returns the position of id's entry, or where it would go, and
-// whether id is live.
-func (x *idIndex) search(id int64) (int, bool) {
-	i, found := slices.BinarySearchFunc(x.ents, id, func(e idEntry, id int64) int { return cmp.Compare(e.id, id) })
-	return i, found && x.ents[i].agg != nil
-}
-
-// add maps id, which is not live, to a.
-func (x *idIndex) add(id int64, a *aggregate) {
-	if n := len(x.ents); n == 0 || x.ents[n-1].id < id {
-		x.ents = append(x.ents, idEntry{id: id, agg: a})
-		return
-	}
-	i, _ := x.search(id)
-	if i < len(x.ents) && x.ents[i].id == id {
-		x.ents[i].agg = a // a tombstone comes back to life
-		x.dead--
-		return
-	}
-	x.ents = slices.Insert(x.ents, i, idEntry{id: id, agg: a})
-}
-
-// remove drops the live entry at position i.
-func (x *idIndex) remove(i int) {
-	x.ents[i].agg = nil
-	if x.dead++; 2*x.dead >= len(x.ents) {
-		x.ents = slices.DeleteFunc(x.ents, func(e idEntry) bool { return e.agg == nil })
-		x.dead = 0
-	}
-}
-
-// Engine is a thread-safe matching engine.
-type Engine struct {
+// Engine is a thread-safe matching engine whose subscriptions each
+// carry a value of type V.
+type Engine[V any] struct {
 	mu      sync.RWMutex
 	nextID  int64
 	nextSeq uint64
-	ids     idIndex   // every stored subscription's aggregate
-	preds   predTable // every aggregate, by predicate
+	ids     idtable.Table[*aggregate[V]] // every stored subscription's aggregate
+	preds   predTable[V]                 // every aggregate, by predicate
 	seed    maphash.Seed
 	// names holds the non-empty Subscriber names, by subscription ID.
 	names map[int64]string
@@ -309,25 +277,28 @@ type Engine struct {
 	// by creation order. Ordered lists make matching a merge instead
 	// of a hash-set union plus sort — the publish fan-out hot path
 	// walks them without allocating.
-	byTopic   map[string][]*aggregate
-	byKeyword map[string][]*aggregate
+	byTopic   map[string][]*aggregate[V]
+	byKeyword map[string][]*aggregate[V]
 }
 
-// NewEngine returns an empty matching engine.
-func NewEngine() *Engine {
-	return &Engine{
+// NewEngine returns an empty matching engine that stores no values.
+func NewEngine() *Engine[struct{}] { return New[struct{}]() }
+
+// New returns an empty matching engine storing a V per subscription.
+func New[V any]() *Engine[V] {
+	return &Engine[V]{
 		seed:      maphash.MakeSeed(),
 		names:     make(map[int64]string),
-		byTopic:   make(map[string][]*aggregate),
-		byKeyword: make(map[string][]*aggregate),
+		byTopic:   make(map[string][]*aggregate[V]),
+		byKeyword: make(map[string][]*aggregate[V]),
 	}
 }
 
 // insertPosting adds a to term's posting list, keeping it ordered by
 // creation. A term listed twice by one predicate is inserted once.
-func insertPosting(m map[string][]*aggregate, term string, a *aggregate) {
+func insertPosting[V any](m map[string][]*aggregate[V], term string, a *aggregate[V]) {
 	list := m[term]
-	i, found := slices.BinarySearchFunc(list, a.seq, bySeq)
+	i, found := slices.BinarySearchFunc(list, a.seq, bySeq[V])
 	if found {
 		return
 	}
@@ -336,9 +307,9 @@ func insertPosting(m map[string][]*aggregate, term string, a *aggregate) {
 
 // removePosting removes a from term's posting list, dropping the term
 // when its list empties.
-func removePosting(m map[string][]*aggregate, term string, a *aggregate) {
+func removePosting[V any](m map[string][]*aggregate[V], term string, a *aggregate[V]) {
 	list := m[term]
-	i, found := slices.BinarySearchFunc(list, a.seq, bySeq)
+	i, found := slices.BinarySearchFunc(list, a.seq, bySeq[V])
 	if !found {
 		return
 	}
@@ -350,10 +321,18 @@ func removePosting(m map[string][]*aggregate, term string, a *aggregate) {
 	}
 }
 
-func bySeq(a *aggregate, seq uint64) int { return cmp.Compare(a.seq, seq) }
+func bySeq[V any](a *aggregate[V], seq uint64) int { return cmp.Compare(a.seq, seq) }
 
-// Subscribe stores a subscription and returns its assigned ID.
-func (e *Engine) Subscribe(sub Subscription) (int64, error) {
+// Subscribe stores a subscription with the zero V and returns its
+// assigned ID.
+func (e *Engine[V]) Subscribe(sub Subscription) (int64, error) {
+	return e.SubscribeWith(sub, nil)
+}
+
+// SubscribeWith stores a subscription with the value value(id), id
+// being the ID it assigns and returns; a nil value stores the zero V.
+// The value is stored before any match can see the subscription.
+func (e *Engine[V]) SubscribeWith(sub Subscription, value func(id int64) V) (int64, error) {
 	if len(sub.Topics) == 0 && len(sub.Keywords) == 0 {
 		return 0, ErrEmptySubscription
 	}
@@ -364,17 +343,21 @@ func (e *Engine) Subscribe(sub Subscription) (int64, error) {
 	defer e.mu.Unlock()
 	e.nextID++
 	sub.ID = e.nextID
-	e.storeLocked(&sub)
+	var v V
+	if value != nil {
+		v = value(sub.ID)
+	}
+	e.storeLocked(&sub, v)
 	return sub.ID, nil
 }
 
-// Restore re-inserts a subscription under its existing ID — the
-// recovery path replaying a journal or snapshot. The ID counter
-// advances past restored IDs, so later Subscribes never reuse one. A
-// duplicate ID is rejected with ErrDuplicateID; recovery treats that
-// as "already applied" when a record appears in both the snapshot and
-// the log.
-func (e *Engine) Restore(sub Subscription) error {
+// Restore re-inserts a subscription under its existing ID, with the
+// zero V — the recovery path replaying a journal or snapshot. The ID
+// counter advances past restored IDs, so later Subscribes never reuse
+// one. A duplicate ID is rejected with ErrDuplicateID; recovery treats
+// that as "already applied" when a record appears in both the snapshot
+// and the log.
+func (e *Engine[V]) Restore(sub Subscription) error {
 	if sub.ID <= 0 {
 		return fmt.Errorf("match: restore needs a positive ID, got %d", sub.ID)
 	}
@@ -386,40 +369,43 @@ func (e *Engine) Restore(sub Subscription) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.ids.search(sub.ID); dup {
+	if _, dup := e.ids.Get(sub.ID); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, sub.ID)
 	}
-	e.storeLocked(&sub)
+	var zero V
+	e.storeLocked(&sub, zero)
 	if sub.ID > e.nextID {
 		e.nextID = sub.ID
 	}
 	return nil
 }
 
-// storeLocked adds sub, under sub.ID, to the aggregate of its
-// predicate, creating and posting the aggregate when it is the
+// storeLocked adds sub, under sub.ID and with v, to the aggregate of
+// its predicate, creating and posting the aggregate when it is the
 // predicate's first subscription. Caller holds e.mu for writing.
-func (e *Engine) storeLocked(sub *Subscription) {
+func (e *Engine[V]) storeLocked(sub *Subscription, v V) {
+	m := Member[V]{Value: v, ID: sub.ID}
 	h := predicateHash(e.seed, sub.Proxy, sub.Topics, sub.Keywords)
 	a := e.preds.find(h, sub.Proxy, sub.Topics, sub.Keywords)
 	if a != nil {
-		a.add(sub.ID)
+		a.add(m)
 	} else {
-		a = e.createLocked(h, sub)
+		a = e.createLocked(h, sub, m)
 	}
-	e.ids.add(sub.ID, a)
+	e.ids.Set(sub.ID, a)
 	if sub.Subscriber != "" {
 		e.names[sub.ID] = sub.Subscriber
 	}
 }
 
-// createLocked makes sub the first member of a new aggregate for its
-// predicate, whose hash is h, and indexes and posts the aggregate.
-func (e *Engine) createLocked(h uint32, sub *Subscription) *aggregate {
+// createLocked makes first, sub's member, the first member of a new
+// aggregate for sub's predicate, whose hash is h, and indexes and posts
+// the aggregate.
+func (e *Engine[V]) createLocked(h uint32, sub *Subscription, first Member[V]) *aggregate[V] {
 	terms := make([]string, 0, len(sub.Topics)+len(sub.Keywords))
 	terms = append(append(terms, sub.Topics...), sub.Keywords...)
 	e.nextSeq++
-	a := &aggregate{seq: e.nextSeq, proxy: sub.Proxy, terms: terms, nTopics: int32(len(sub.Topics)), hash: h, first: sub.ID}
+	a := &aggregate[V]{seq: e.nextSeq, proxy: sub.Proxy, terms: terms, nTopics: int32(len(sub.Topics)), hash: h, first: first}
 	e.preds.insert(a)
 	m, access := e.accessTerms(a)
 	for _, t := range access {
@@ -429,7 +415,7 @@ func (e *Engine) createLocked(h uint32, sub *Subscription) *aggregate {
 }
 
 // dropLocked unposts and unindexes an aggregate whose last member left.
-func (e *Engine) dropLocked(a *aggregate) {
+func (e *Engine[V]) dropLocked(a *aggregate[V]) {
 	m, access := e.accessTerms(a)
 	for _, t := range access {
 		removePosting(m, t, a)
@@ -444,7 +430,7 @@ func (e *Engine) dropLocked(a *aggregate) {
 // event's candidates to the aggregates naming that keyword instead of
 // everyone sharing its topic. Posting and unposting both go through
 // this one rule.
-func (e *Engine) accessTerms(a *aggregate) (map[string][]*aggregate, []string) {
+func (e *Engine[V]) accessTerms(a *aggregate[V]) (map[string][]*aggregate[V], []string) {
 	if kw := a.keywords(); len(kw) > 0 {
 		return e.byKeyword, kw[:1]
 	}
@@ -454,7 +440,7 @@ func (e *Engine) accessTerms(a *aggregate) (map[string][]*aggregate, []string) {
 // AdvanceNextID raises the ID counter to at least n, so a recovered
 // engine never hands out an ID the crashed instance already assigned
 // (even to a subscription that was removed before the snapshot).
-func (e *Engine) AdvanceNextID(n int64) {
+func (e *Engine[V]) AdvanceNextID(n int64) {
 	e.mu.Lock()
 	if n > e.nextID {
 		e.nextID = n
@@ -464,16 +450,16 @@ func (e *Engine) AdvanceNextID(n int64) {
 
 // Dump returns a copy of every stored subscription, sorted by ID, and
 // the last assigned ID — the snapshot the durable broker persists.
-func (e *Engine) Dump() ([]Subscription, int64) {
+func (e *Engine[V]) Dump() ([]Subscription, int64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]Subscription, 0, e.ids.len())
-	for _, ent := range e.ids.ents {
-		if a := ent.agg; a != nil {
+	out := make([]Subscription, 0, e.ids.Len())
+	for i := 0; i < e.ids.Slots(); i++ {
+		if id, a, live := e.ids.At(i); live {
 			out = append(out, Subscription{
-				ID:         ent.id,
+				ID:         id,
 				Proxy:      a.proxy,
-				Subscriber: e.names[ent.id],
+				Subscriber: e.names[id],
 				Topics:     slices.Clone(a.topics()),
 				Keywords:   slices.Clone(a.keywords()),
 			})
@@ -482,16 +468,14 @@ func (e *Engine) Dump() ([]Subscription, int64) {
 	return out, e.nextID
 }
 
-// Unsubscribe removes a subscription by ID.
-func (e *Engine) Unsubscribe(id int64) error {
+// Unsubscribe removes a subscription, and its value, by ID.
+func (e *Engine[V]) Unsubscribe(id int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	i, ok := e.ids.search(id)
+	a, ok := e.ids.Delete(id)
 	if !ok {
 		return ErrNotFound
 	}
-	a := e.ids.ents[i].agg
-	e.ids.remove(i)
 	delete(e.names, id)
 	if a.remove(id) {
 		return nil
@@ -501,27 +485,27 @@ func (e *Engine) Unsubscribe(id int64) error {
 }
 
 // Len returns the number of stored subscriptions.
-func (e *Engine) Len() int {
+func (e *Engine[V]) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.ids.len()
+	return e.ids.Len()
 }
 
 // Match returns the subscriptions the event matches, sorted by ID.
 // Their term slices are shared with the engine and must not be
 // modified.
-func (e *Engine) Match(ev Event) []Subscription {
+func (e *Engine[V]) Match(ev Event) []Subscription {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var out []Subscription
-	var ids []int64
-	e.forEachMatch(ev, func(a *aggregate) {
-		ids = a.appendMembers(ids[:0])
-		for _, id := range ids {
+	var members []Member[V]
+	e.forEachMatch(ev, func(a *aggregate[V]) {
+		members = a.appendMembers(members[:0])
+		for _, m := range members {
 			out = append(out, Subscription{
-				ID:         id,
+				ID:         m.ID,
 				Proxy:      a.proxy,
-				Subscriber: e.names[id],
+				Subscriber: e.names[m.ID],
 				Topics:     nilIfEmpty(a.topics()),
 				Keywords:   nilIfEmpty(a.keywords()),
 			})
@@ -543,11 +527,11 @@ func nilIfEmpty(s []string) []string {
 // MatchCounts returns, for each proxy with at least one matching
 // subscription, the number of matching subscriptions. This is the fS input
 // of the push-time value functions.
-func (e *Engine) MatchCounts(ev Event) map[int]int {
+func (e *Engine[V]) MatchCounts(ev Event) map[int]int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	counts := make(map[int]int)
-	e.forEachMatch(ev, func(a *aggregate) {
+	e.forEachMatch(ev, func(a *aggregate[V]) {
 		counts[a.proxy] += a.size()
 	})
 	return counts
@@ -564,15 +548,15 @@ type MatchRef struct {
 // ev to dst (ascending by ID) and returns the extended slice. Callers
 // reuse dst across events to keep matching allocation-free: the merge
 // that orders the refs works in dst's spare capacity.
-func (e *Engine) AppendMatchRefs(dst []MatchRef, ev Event) []MatchRef {
+func (e *Engine[V]) AppendMatchRefs(dst []MatchRef, ev Event) []MatchRef {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	start := len(dst)
-	e.forEachMatch(ev, func(a *aggregate) {
-		dst = append(dst, MatchRef{ID: a.first, Proxy: a.proxy})
+	e.forEachMatch(ev, func(a *aggregate[V]) {
+		dst = append(dst, MatchRef{ID: a.first.ID, Proxy: a.proxy})
 		if a.more != nil {
-			for _, id := range *a.more {
-				dst = append(dst, MatchRef{ID: id, Proxy: a.proxy})
+			for _, m := range *a.more {
+				dst = append(dst, MatchRef{ID: m.ID, Proxy: a.proxy})
 			}
 		}
 	})
@@ -637,25 +621,25 @@ type MatchGroup struct {
 }
 
 // AppendMatchGroups appends a MatchGroup for every aggregate matching
-// ev to groups, in creation order, and the aggregate's member IDs,
-// ascending, to ids: each group's members are the next N IDs. It is the
-// publish fan-out's match: a proxy's fS is the sum of its groups' N,
-// and the IDs are the subscriptions to notify. Callers reuse both
-// slices across events to keep matching allocation-free.
-func (e *Engine) AppendMatchGroups(groups []MatchGroup, ids []int64, ev Event) ([]MatchGroup, []int64) {
+// ev to groups, in creation order, and the aggregate's members,
+// ascending by ID, to members: each group's members are the next N.
+// It is the publish fan-out's match: a proxy's fS is the sum of its
+// groups' N, and the members' values are where to notify. Callers reuse
+// both slices across events to keep matching allocation-free.
+func (e *Engine[V]) AppendMatchGroups(groups []MatchGroup, members []Member[V], ev Event) ([]MatchGroup, []Member[V]) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	e.forEachMatch(ev, func(a *aggregate) {
+	e.forEachMatch(ev, func(a *aggregate[V]) {
 		groups = append(groups, MatchGroup{Proxy: a.proxy, N: a.size()})
-		ids = a.appendMembers(ids)
+		members = a.appendMembers(members)
 	})
-	return groups, ids
+	return groups, members
 }
 
 // forEachMatch calls fn once per aggregate ev matches, in creation
 // order. Callers must hold e.mu.
-func (e *Engine) forEachMatch(ev Event, fn func(*aggregate)) {
-	e.forEachCandidate(ev, func(a *aggregate) {
+func (e *Engine[V]) forEachMatch(ev Event, fn func(*aggregate[V])) {
+	e.forEachCandidate(ev, func(a *aggregate[V]) {
 		if matches(a, ev) {
 			fn(a)
 		}
@@ -669,8 +653,8 @@ func (e *Engine) forEachMatch(ev Event, fn func(*aggregate)) {
 // distinct-and-ordered falls out of a k-way merge (k = the event's term
 // count, usually 1) with no allocation and no per-match sort. Callers
 // must hold e.mu.
-func (e *Engine) forEachCandidate(ev Event, fn func(*aggregate)) {
-	var listsArr [8][]*aggregate
+func (e *Engine[V]) forEachCandidate(ev Event, fn func(*aggregate[V])) {
+	var listsArr [8][]*aggregate[V]
 	lists := listsArr[:0]
 	for _, t := range ev.Topics {
 		if l := e.byTopic[t]; len(l) > 0 {
@@ -696,7 +680,7 @@ func (e *Engine) forEachCandidate(ev Event, fn func(*aggregate)) {
 	if len(lists) > len(idxArr) {
 		idx = make([]int, len(lists))
 	}
-	var last *aggregate
+	var last *aggregate[V]
 	for {
 		best := -1
 		var bestSeq uint64
@@ -729,7 +713,7 @@ func (e *Engine) forEachCandidate(ev Event, fn func(*aggregate)) {
 // topics and was reached through one ev carries. An aggregate with
 // keywords was reached through its first keyword, which ev therefore
 // carries; its topics and remaining keywords are checked.
-func matches(a *aggregate, ev Event) bool {
+func matches[V any](a *aggregate[V], ev Event) bool {
 	kw := a.keywords()
 	if len(kw) == 0 {
 		return true

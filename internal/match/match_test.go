@@ -188,71 +188,6 @@ func TestMatchCountsSumEqualsSubscriptions(t *testing.T) {
 	}
 }
 
-func TestCountTable(t *testing.T) {
-	ct := NewCountTable()
-	if err := ct.Set("p", 3, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Set("p", 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := ct.Count("p", 3); got != 5 {
-		t.Errorf("Count = %d, want 5", got)
-	}
-	if got := ct.Count("p", 99); got != 0 {
-		t.Errorf("missing Count = %d, want 0", got)
-	}
-	if got := ct.TotalSubscriptions("p"); got != 7 {
-		t.Errorf("Total = %d, want 7", got)
-	}
-	proxies := ct.Proxies("p")
-	if len(proxies) != 2 || proxies[0] != 1 || proxies[1] != 3 {
-		t.Errorf("Proxies = %v, want [1 3]", proxies)
-	}
-	if err := ct.Set("p", 3, -1); err == nil {
-		t.Error("negative count should error")
-	}
-	if err := ct.Set("p", 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := ct.Count("p", 3); got != 0 {
-		t.Errorf("zero Set should clear entry, got %d", got)
-	}
-	if ct.Pages() != 1 {
-		t.Errorf("Pages = %d, want 1", ct.Pages())
-	}
-}
-
-func TestBuildCountTable(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 4; i++ {
-		if _, err := e.Subscribe(Subscription{Proxy: i % 2, Topics: []string{"page/1"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Subscribe(Subscription{Proxy: 9, Topics: []string{"page/2"}}); err != nil {
-		t.Fatal(err)
-	}
-	events := []Event{
-		{ID: "1", Topics: []string{"page/1"}},
-		{ID: "2", Topics: []string{"page/2"}},
-		{ID: "3", Topics: []string{"page/3"}},
-	}
-	ct := BuildCountTable(e, events)
-	if got := ct.Count("1", 0); got != 2 {
-		t.Errorf("page 1 proxy 0 = %d, want 2", got)
-	}
-	if got := ct.Count("1", 1); got != 2 {
-		t.Errorf("page 1 proxy 1 = %d, want 2", got)
-	}
-	if got := ct.Count("2", 9); got != 1 {
-		t.Errorf("page 2 proxy 9 = %d, want 1", got)
-	}
-	if got := ct.TotalSubscriptions("3"); got != 0 {
-		t.Errorf("page 3 total = %d, want 0", got)
-	}
-}
-
 func TestEngineRestoreKeepsIDsStable(t *testing.T) {
 	e := NewEngine()
 	id1, err := e.Subscribe(Subscription{Proxy: 0, Topics: []string{"news"}})

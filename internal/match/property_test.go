@@ -127,7 +127,7 @@ func duplicateOf(rng *rand.Rand, live map[int64]Subscription) Subscription {
 	return Subscription{Proxy: src.Proxy, Topics: clone(src.Topics), Keywords: clone(src.Keywords)}
 }
 
-func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine, live map[int64]Subscription, ev Event) {
+func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine[struct{}], live map[int64]Subscription, ev Event) {
 	t.Helper()
 	var wantRefs []MatchRef
 	var wantSubs []Subscription
@@ -163,7 +163,8 @@ func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine, live 
 	// The grouped match: every matched subscription once, in groups of
 	// one proxy and one predicate, each group's IDs ascending and its N
 	// the number of live subscriptions with that predicate.
-	groups, gids := e.AppendMatchGroups(nil, nil, ev)
+	groups, members := e.AppendMatchGroups(nil, nil, ev)
+	gids := memberIDs(members)
 	if len(gids) != len(wantRefs) {
 		t.Fatalf("seed %d step %d: AppendMatchGroups(%v) returned %d IDs, want %d", seed, step, ev, len(gids), len(wantRefs))
 	}
@@ -203,6 +204,15 @@ func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine, live 
 			t.Fatalf("seed %d step %d: AppendMatchGroups IDs %v, want those of %v", seed, step, gids, wantRefs)
 		}
 	}
+}
+
+// memberIDs returns the IDs of members, in order.
+func memberIDs[V any](members []Member[V]) []int64 {
+	ids := make([]int64, len(members))
+	for i, m := range members {
+		ids[i] = m.ID
+	}
+	return ids
 }
 
 // predicateKey renders a subscription's proxy, topics and keywords, the
@@ -267,7 +277,7 @@ func TestPostingListCensus(t *testing.T) {
 	census(5)
 }
 
-func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]Subscription) {
+func checkCensus(t *testing.T, seed int64, step int, e *Engine[struct{}], live map[int64]Subscription) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -280,10 +290,10 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]S
 	}
 	// Every aggregate the engine can reach, by ID, by predicate hash or
 	// through a posting list.
-	aggs := map[*aggregate]bool{}
-	for _, ent := range e.ids.ents {
-		if ent.agg != nil {
-			aggs[ent.agg] = true
+	aggs := map[*aggregate[struct{}]]bool{}
+	for i := 0; i < e.ids.Slots(); i++ {
+		if _, a, live := e.ids.At(i); live {
+			aggs[a] = true
 		}
 	}
 	for _, a := range e.preds.slots {
@@ -291,7 +301,7 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]S
 			aggs[a] = true
 		}
 	}
-	for _, m := range []map[string][]*aggregate{e.byTopic, e.byKeyword} {
+	for _, m := range []map[string][]*aggregate[struct{}]{e.byTopic, e.byKeyword} {
 		for _, l := range m {
 			for _, a := range l {
 				aggs[a] = true
@@ -301,17 +311,17 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]S
 	if len(aggs) != len(members) {
 		fail("%d aggregates for %d live predicates", len(aggs), len(members))
 	}
-	wantTopic, wantKeyword := map[string][]*aggregate{}, map[string][]*aggregate{}
+	wantTopic, wantKeyword := map[string][]*aggregate[struct{}]{}, map[string][]*aggregate[struct{}]{}
 	for a := range aggs {
 		pred := Subscription{Proxy: a.proxy, Topics: nilIfEmpty(a.topics()), Keywords: nilIfEmpty(a.keywords())}
 		k := predicateKey(pred)
 		want := members[k]
 		slices.Sort(want)
-		if got := a.appendMembers(nil); a.size() != len(want) || !slices.Equal(got, want) {
+		if got := memberIDs(a.appendMembers(nil)); a.size() != len(want) || !slices.Equal(got, want) {
 			fail("aggregate %s has multiplicity %d and members %v, want %v", k, a.size(), got, want)
 		}
 		for _, id := range want {
-			if i, ok := e.ids.search(id); !ok || e.ids.ents[i].agg != a {
+			if got, ok := e.ids.Get(id); !ok || got != a {
 				fail("subscription %d of %s is not indexed to its aggregate", id, k)
 			}
 		}
@@ -329,8 +339,8 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]S
 			}
 		}
 	}
-	if e.ids.len() != len(live) {
-		fail("%d subscriptions indexed, want %d", e.ids.len(), len(live))
+	if e.ids.Len() != len(live) {
+		fail("%d subscriptions indexed, want %d", e.ids.Len(), len(live))
 	}
 	if e.preds.n != len(aggs) || 4*e.preds.n > 3*len(e.preds.slots) {
 		fail("predicate table counts %d aggregates in %d slots, want %d at most three quarters full", e.preds.n, len(e.preds.slots), len(aggs))
@@ -339,12 +349,12 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine, live map[int64]S
 	checkPostings(fail, "keyword", e.byKeyword, wantKeyword)
 }
 
-func checkPostings(fail func(string, ...any), kind string, got, want map[string][]*aggregate) {
+func checkPostings(fail func(string, ...any), kind string, got, want map[string][]*aggregate[struct{}]) {
 	if len(got) != len(want) {
 		fail("%d %s posting lists, want %d", len(got), kind, len(want))
 	}
 	for term, list := range want {
-		slices.SortFunc(list, func(x, y *aggregate) int { return cmp.Compare(x.seq, y.seq) })
+		slices.SortFunc(list, func(x, y *aggregate[struct{}]) int { return cmp.Compare(x.seq, y.seq) })
 		if !slices.Equal(got[term], list) {
 			fail("%s list %q holds %d aggregates, want %d", kind, term, len(got[term]), len(list))
 		}
@@ -357,7 +367,7 @@ func checkPostings(fail func(string, ...any), kind string, got, want map[string]
 // the returned event announces. Every subscription gets its own copies
 // of its strings, as strings decoded off the wire are, so a compare
 // cannot short-circuit on a shared pointer.
-func selectiveShape(tb testing.TB) (*Engine, Event) {
+func selectiveShape(tb testing.TB) (*Engine[struct{}], Event) {
 	tb.Helper()
 	const subs, pages, sections, hot = 19500, 600, 16, 437
 	page := make([]int, subs)
@@ -419,8 +429,8 @@ func TestAppendMatchGroupsZeroAlloc(t *testing.T) {
 // against the event's other terms). "selective" is live_news's shape
 // (selectiveShape): 437 matches among 19 500 subscriptions.
 func BenchmarkAppendMatchRefs(b *testing.B) {
-	shared := func(keywords []string) func(testing.TB) (*Engine, Event) {
-		return func(tb testing.TB) (*Engine, Event) {
+	shared := func(keywords []string) func(testing.TB) (*Engine[struct{}], Event) {
+		return func(tb testing.TB) (*Engine[struct{}], Event) {
 			e := NewEngine()
 			for i := 0; i < 1024; i++ {
 				if _, err := e.Subscribe(Subscription{Proxy: i % 8, Topics: []string{"news"}, Keywords: keywords}); err != nil {
@@ -432,7 +442,7 @@ func BenchmarkAppendMatchRefs(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name  string
-		build func(testing.TB) (*Engine, Event)
+		build func(testing.TB) (*Engine[struct{}], Event)
 		want  int
 	}{
 		{"topic", shared(nil), 1024},

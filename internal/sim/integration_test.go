@@ -30,17 +30,11 @@ func TestMatchingEngineAgreesWithAggregatedCounts(t *testing.T) {
 		}
 	}
 
-	events := make([]match.Event, 0, len(w.Pages))
 	for page := range w.Pages {
-		events = append(events, workload.PageEvent(page))
-	}
-	table := match.BuildCountTable(engine, events)
-
-	for page := range w.Pages {
-		ev := workload.PageEvent(page)
+		counts := engine.MatchCounts(workload.PageEvent(page))
 		for server := 0; server < cfg.Servers; server++ {
 			want := w.SubCount(page, server)
-			if got := table.Count(ev.ID, server); got != want {
+			if got := counts[server]; got != want {
 				t.Fatalf("page %d server %d: engine count %d, workload count %d", page, server, got, want)
 			}
 		}

@@ -79,36 +79,6 @@ func (w *Workload) UniqueBytesPerServer() []int64 {
 	return uniqueBytes(w)
 }
 
-// versionTimeline returns, per page, the ascending publication times of
-// its versions (index = version number).
-func (w *Workload) versionTimeline() [][]float64 {
-	timeline := make([][]float64, len(w.Pages))
-	for i := range timeline {
-		timeline[i] = make([]float64, w.Pages[i].Versions)
-	}
-	for _, p := range w.Publications {
-		if p.Version < len(timeline[p.Page]) {
-			timeline[p.Page][p.Version] = p.Time
-		}
-	}
-	return timeline
-}
-
-// versionAt returns the page version current at time t (the highest
-// version published at or before t; 0 before any publication).
-func (w *Workload) versionAt(timeline [][]float64, page int, t float64) int {
-	versions := timeline[page]
-	v := 0
-	for i := 1; i < len(versions); i++ {
-		if versions[i] <= t {
-			v = i
-		} else {
-			break
-		}
-	}
-	return v
-}
-
 // CacheCapacities returns per-server cache capacities in bytes for a
 // capacity fraction (e.g. 0.05 for the paper's 5 % setting). Servers that
 // request nothing get a minimal 1-byte cache so the strategies stay

@@ -123,7 +123,7 @@ type (
 	// Event is published content as seen by the matching engine.
 	Event = match.Event
 	// MatchEngine matches events against subscriptions.
-	MatchEngine = match.Engine
+	MatchEngine = match.Engine[struct{}]
 )
 
 // NewMatchEngine returns an empty matching engine.

@@ -124,8 +124,9 @@ var catalog = []mutant{
 		run:     "^TestNotifyLaneFramesAcrossWrapsAndSplits$",
 	},
 
-	// The match engine's aggregates, posting rule and verification,
-	// and the publish path's use of the aggregates' multiplicity.
+	// The match engine's aggregates, posting rule and verification, the
+	// members' delivery targets, and the publish path's use of the
+	// aggregates' multiplicity.
 	{
 		name:    "match/no-verify-single-keyword",
 		file:    "internal/match/match.go",
@@ -154,7 +155,7 @@ var catalog = []mutant{
 		name:    "match/duplicate-opens-aggregate",
 		file:    "internal/match/match.go",
 		snippet: "\ta := e.preds.find(h, sub.Proxy, sub.Topics, sub.Keywords)\n",
-		replace: "\ta := (*aggregate)(nil)\n",
+		replace: "\ta := (*aggregate[V])(nil)\n",
 		pkg:     "internal/match",
 		run:     "^TestPostingListCensus$",
 	},
@@ -173,6 +174,22 @@ var catalog = []mutant{
 		replace: "false && (j-home)&mask >= (j-i)&mask {",
 		pkg:     "internal/match",
 		run:     "^TestPostingListCensus$",
+	},
+	{
+		name:    "match/add-overwrites-member-value",
+		file:    "internal/match/match.go",
+		snippet: "\tif m.ID < a.first.ID {\n",
+		replace: "\ta.first.Value = m.Value\n\tif m.ID < a.first.ID {\n",
+		pkg:     "internal/broker",
+		run:     "^TestAggregateMembersKeepTheirTargets$",
+	},
+	{
+		name:    "match/unsubscribe-keeps-member-value",
+		file:    "internal/match/match.go",
+		snippet: "\t\ta.first = more[0]\n",
+		replace: "\t\ta.first.ID = more[0].ID\n",
+		pkg:     "internal/broker",
+		run:     "^TestAggregateMembersKeepTheirTargets$",
 	},
 	{
 		name:    "broker/pushes-count-aggregates",
