@@ -301,8 +301,11 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 		}
 	}()
 
-	// Access-only schemes take no push offer, so their proxies do not
-	// wait for the notification either.
+	// Each proxy paces its shard's events at their exact trace times:
+	// sh.Events expands the compact stream from the workload's one merge
+	// walk, the order the simulator replays. Access-only schemes take no
+	// push offer, so their proxies do not wait for the notification
+	// either.
 	usesPush := f.UsesPush()
 	for p, sh := range replay.Shards {
 		conn := conns[p%nconn]

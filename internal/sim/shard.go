@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -31,10 +30,11 @@ type Replay struct {
 // NewReplay builds one shard per proxy server of w: a strategy from
 // factory sized at the proxy's share of opts.CapacityFraction, the
 // proxy's fetch cost (opts.FetchCosts, or the Waxman topology seeded
-// by opts.TopologySeed), its event stream from w's EventView, and a
-// private tally. opts.Telemetry, when set, receives the sim.* outcome
-// counters and the sim.strategy view as shards replay;
-// opts.Parallelism and opts.Spans belong to Run and are ignored here.
+// by opts.TopologySeed), its event stream, hour index and subscription
+// column from w's EventView, and a private tally. opts.Telemetry, when
+// set, receives the sim.* outcome counters and the sim.strategy view as
+// shards replay; opts.Parallelism and opts.Spans belong to Run and are
+// ignored here.
 func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Replay, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil workload")
@@ -56,7 +56,7 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 	}
 	view := w.Events()
 	capacities := view.CacheCapacities(opts.CapacityFraction)
-	hours := int(math.Ceil(w.Config.Horizon()))
+	hours := view.Hours
 	r := &Replay{
 		Shards: make([]*Shard, servers),
 		hours:  hours,
@@ -82,15 +82,17 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 			return nil, fmt.Errorf("sim: server %d: %w", i, err)
 		}
 		r.Shards[i] = &Shard{
-			server:   i,
-			strategy: s,
-			cost:     costs[i],
-			usesPush: usesPush,
-			pages:    w.Pages,
-			stream:   view.Streams[i],
-			tally:    newShardTally(hours, metrics),
-			hours:    hours,
-			seen:     make([]bool, len(w.Pages)),
+			server:     i,
+			strategy:   s,
+			cost:       costs[i],
+			usesPush:   usesPush,
+			w:          w,
+			pages:      w.Pages,
+			stream:     view.Streams[i],
+			hourStarts: view.HourStarts[i],
+			subs:       view.Subs[i],
+			tally:      newShardTally(hours, metrics),
+			seen:       make([]bool, len(w.Pages)),
 		}
 	}
 	return r, nil
@@ -132,8 +134,9 @@ func (r *Replay) Result() *Result {
 }
 
 // Shard is the unit of replay: one proxy server's strategy instance,
-// its event stream, its first-request seen-set and its private tally.
-// Shards share only immutable data (the workload's pages and the event
+// its event stream with the stream's hour index and the server's
+// subscription column, its first-request seen-set and its private
+// tally. Shards share only immutable data (the workload and its event
 // view) plus atomic telemetry handles, so any number of shards can
 // replay concurrently and the merged result is bit-identical to a
 // sequential replay. One shard must be driven by one goroutine at a
@@ -143,72 +146,76 @@ type Shard struct {
 	strategy core.Strategy
 	cost     float64
 	usesPush bool
+	w        *workload.Workload
 	pages    []workload.Page
-	stream   []workload.ServerEvent
-	tally    *shardTally
-	hours    int
+	// stream is the server's 8-byte event stream; hour h's events are
+	// stream[hourStarts[h]:hourStarts[h+1]]. subs[page] is the
+	// server's subscription count for the page.
+	stream     []workload.Event
+	hourStarts []int32
+	subs       []int32
+	tally      *shardTally
 	// seen[page] records whether this server has requested the page
 	// before (cold/warm miss classification).
 	seen []bool
 }
 
-// Events returns the shard's event stream in replay order. It is
-// shared with the workload's EventView and must not be mutated.
-func (sh *Shard) Events() []workload.ServerEvent { return sh.stream }
-
-// hourOf clamps an event time to a valid hour index, mirroring the
-// sequential simulator's boundary handling.
-func (sh *Shard) hourOf(t float64) int {
-	h := int(t)
-	if h < 0 {
-		h = 0
-	}
-	if h >= sh.hours {
-		h = sh.hours - 1
-	}
-	return h
-}
+// Events returns the shard's event stream in replay order, each event
+// expanded with its exact trace time and hour (Workload.TimedEvents),
+// for drivers that feed the shard event by event through Offer and
+// Request. It allocates the expanded stream on every call.
+func (sh *Shard) Events() []workload.ServerEvent { return sh.w.TimedEvents(sh.server) }
 
 // Offer replays a publication event: the page is offered to the
 // proxy's strategy and tallied as a push. Access-only schemes get no
 // offer and nothing is tallied.
 func (sh *Shard) Offer(ev workload.ServerEvent) {
-	if !sh.usesPush {
-		return
-	}
-	size := sh.pages[ev.Page].Size
-	meta := core.PageMeta{ID: int(ev.Page), Size: size, Cost: sh.cost}
-	stored := sh.strategy.Push(meta, int(ev.Version), int(ev.Subs))
-	sh.tally.push(sh.hourOf(ev.Time), size, stored)
+	sh.offer(ev.Hour, int(ev.Page), int(ev.Version))
 }
 
 // Request replays a user request event through the proxy's strategy
 // and tallies it; a miss is a fetch from the publisher. It reports
 // whether the request hit a fresh local copy.
 func (sh *Shard) Request(ev workload.ServerEvent) bool {
-	page := &sh.pages[ev.Page]
-	meta := core.PageMeta{ID: int(ev.Page), Size: page.Size, Cost: sh.cost}
-	hit, _ := sh.strategy.Request(meta, int(ev.Version), int(ev.Subs))
-	first := !sh.seen[ev.Page]
-	sh.seen[ev.Page] = true
-	sh.tally.request(sh.hourOf(ev.Time), page.Class, page.Size, hit, first)
+	return sh.request(ev.Hour, int(ev.Page), int(ev.Version))
+}
+
+func (sh *Shard) offer(hour, page, version int) {
+	if !sh.usesPush {
+		return
+	}
+	size := sh.pages[page].Size
+	meta := core.PageMeta{ID: page, Size: size, Cost: sh.cost}
+	stored := sh.strategy.Push(meta, version, int(sh.subs[page]))
+	sh.tally.push(hour, size, stored)
+}
+
+func (sh *Shard) request(hour, page, version int) bool {
+	pg := &sh.pages[page]
+	meta := core.PageMeta{ID: page, Size: pg.Size, Cost: sh.cost}
+	hit, _ := sh.strategy.Request(meta, version, int(sh.subs[page]))
+	first := !sh.seen[page]
+	sh.seen[page] = true
+	sh.tally.request(hour, pg.Class, pg.Size, hit, first)
 	return hit
 }
 
-// replay runs the shard's whole event stream under a sim.shard span (a
-// no-op nil span when tracing is off, so the event loop itself stays
-// untouched).
+// replay runs the shard's whole event stream, hour window by hour
+// window, under a sim.shard span (a no-op nil span when tracing is off,
+// so the event loop itself stays untouched).
 func (sh *Shard) replay(ctx context.Context) {
 	_, sp := telemetry.StartSpan(ctx, "sim.shard")
 	if sp != nil {
 		sp.SetAttrInt("server", int64(sh.server))
 		sp.SetAttrInt("events", int64(len(sh.stream)))
 	}
-	for _, ev := range sh.stream {
-		if ev.Request {
-			sh.Request(ev)
-		} else {
-			sh.Offer(ev)
+	for h := 0; h+1 < len(sh.hourStarts); h++ {
+		for _, ev := range sh.stream[sh.hourStarts[h]:sh.hourStarts[h+1]] {
+			if ev.Request() {
+				sh.request(h, ev.Page(), int(ev.Version))
+			} else {
+				sh.offer(h, ev.Page(), int(ev.Version))
+			}
 		}
 	}
 	sp.End()

@@ -1,26 +1,61 @@
 package workload
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// ServerEvent is one entry of a proxy server's private event stream: a
-// matched publication routed to the server (Request == false) or a local
-// user request (Request == true). The stream is ordered exactly as the
-// server observes events in the global interleaved replay: ascending
-// time, publications before requests at equal timestamps, and ties
-// otherwise broken by position in the original streams.
+// Event is one 8-byte entry of a proxy server's event stream: a matched
+// publication routed to the server or a local user request. A stream is
+// ordered exactly as the server observes events in the global
+// interleaved replay: ascending time, publications before requests at
+// equal timestamps, and ties otherwise broken by position in the
+// original streams.
 //
-// Version carries everything a shard needs from the global publication
-// timeline: for a publication event it is the published version; for a
-// request event it is the page version current at the request (the
-// highest version published at or before it, with the same ≥0 floor the
-// sequential simulator applies). Shards therefore replay without any
-// shared mutable version state.
+// An entry holds no time and no subscription count: the stream's hour
+// index (EventView.HourStarts) places it in its hour, and the server's
+// subscription column (EventView.Subs) holds the count for its page.
+// TestEventEntryIsEightBytes pins the size.
+type Event struct {
+	// pageReq holds the page ID in its low 31 bits and the request
+	// flag in the top bit.
+	pageReq uint32
+	// Version carries everything a shard needs from the global
+	// publication timeline: for a publication it is the published
+	// version; for a request it is the page version current at the
+	// request (the highest version published at or before it, floored
+	// at 0). Shards therefore replay without shared mutable version
+	// state.
+	Version int32
+}
+
+const requestBit = 1 << 31
+
+func newEvent(page int, version int32, request bool) Event {
+	e := Event{pageReq: uint32(page), Version: version}
+	if request {
+		e.pageReq |= requestBit
+	}
+	return e
+}
+
+// Page returns the event's page ID.
+func (e Event) Page() int { return int(e.pageReq &^ requestBit) }
+
+// Request reports whether the event is a user request (true) or a
+// publication routed to the server (false).
+func (e Event) Request() bool { return e.pageReq&requestBit != 0 }
+
+// ServerEvent is one stream event expanded with its exact trace time and
+// its hour: the input of a per-event driver such as the live soak,
+// which paces every event at its time. Workload.TimedEvents builds
+// these on demand; the event view never stores them.
 type ServerEvent struct {
-	Time    float64
+	Time float64
+	// Hour is the event's hour window in the view's hour index.
+	Hour    int
 	Page    int32
 	Version int32
-	// Subs is the number of local subscriptions matching the page.
-	Subs int32
 	// Request distinguishes request events from publication events.
 	Request bool
 }
@@ -28,17 +63,31 @@ type ServerEvent struct {
 // EventView is a read-only decomposition of a workload into per-server
 // event streams plus the per-server aggregates the simulator sizes
 // caches from. It is the sharding substrate of the parallel simulator:
-// each proxy's stream is self-contained (subscription counts and
-// resolved versions are baked in), so per-server replays share nothing
-// but immutable data.
+// each proxy's stream, hour index and subscription column are
+// self-contained (resolved versions are baked in), so per-server
+// replays share nothing but immutable data.
 //
 // A view is built once per workload (see Workload.Events) and must not
 // be mutated.
 type EventView struct {
-	// Streams[s] is server s's event stream. Publication events appear
-	// only at servers with at least one matching subscription — exactly
-	// the routing the matching engine performs in the sequential loop.
-	Streams [][]ServerEvent
+	// Streams[s] is server s's event stream, 8 bytes per event.
+	// Publication events appear only at servers with at least one
+	// matching subscription — exactly the routing the matching engine
+	// performs in the sequential loop.
+	Streams [][]Event
+	// HourStarts[s] is server s's hour index, Hours+1 offsets into
+	// Streams[s]: hour h's events are
+	// Streams[s][HourStarts[s][h]:HourStarts[s][h+1]], and the last
+	// offset is len(Streams[s]). An event's hour is its time truncated
+	// and clamped to [0, Hours-1], so events at or past the horizon
+	// fall in the last hour.
+	HourStarts [][]int32
+	// Subs[s][page] is the number of server s's subscriptions matching
+	// the page: the count a strategy receives with each of the page's
+	// events at s.
+	Subs [][]int32
+	// Hours is the number of simulation hours, the horizon rounded up.
+	Hours int
 	// UniqueBytes[s] is the total size of the distinct pages server s
 	// requests over the trace (the cache-sizing base of §5.1).
 	UniqueBytes []int64
@@ -52,18 +101,60 @@ func (w *Workload) Events() *EventView {
 	return w.events
 }
 
-// buildEventView replays the global interleaved (publications, requests)
-// merge once — the same order and version bookkeeping as the sequential
-// simulator — and splits it into per-server streams.
+// hours returns the number of simulation hours: the horizon rounded up.
+func (w *Workload) hours() int { return int(math.Ceil(w.Config.Horizon())) }
+
+// hourOf clamps an event time to a valid hour index in [0, hours-1].
+func hourOf(t float64, hours int) int {
+	return min(max(int(t), 0), hours-1)
+}
+
+// walk replays the global interleaved (publications, requests) merge,
+// the one definition of the replay order: ascending time, and
+// publications before requests at equal timestamps (content becomes
+// available, then is read). It calls pub for each publication and req
+// for each request with the page version current at it.
+func (w *Workload) walk(pub func(p *Publication), req func(r *Request, version int32)) {
+	current := make([]int32, len(w.Pages))
+	for i := range current {
+		current[i] = -1 // not yet published
+	}
+	pubs, reqs := w.Publications, w.Requests
+	pi, ri := 0, 0
+	for pi < len(pubs) || ri < len(reqs) {
+		if pi < len(pubs) && (ri >= len(reqs) || pubs[pi].Time <= reqs[ri].Time) {
+			p := &pubs[pi]
+			pi++
+			if int32(p.Version) > current[p.Page] {
+				current[p.Page] = int32(p.Version)
+			}
+			pub(p)
+			continue
+		}
+		r := &reqs[ri]
+		ri++
+		// Requests are generated after first publication, so the floor
+		// only guards float boundary artifacts.
+		req(r, max(current[r.Page], 0))
+	}
+}
+
+// buildEventView walks the global merge once and splits it into
+// per-server streams, recording each server's hour index as the walk
+// crosses hour boundaries.
 func buildEventView(w *Workload) *EventView {
-	servers := w.Config.Servers
+	servers, hours := w.Config.Servers, w.hours()
 	v := &EventView{
-		Streams:     make([][]ServerEvent, servers),
+		Streams:     make([][]Event, servers),
+		HourStarts:  make([][]int32, servers),
+		Subs:        make([][]int32, servers),
+		Hours:       hours,
 		UniqueBytes: uniqueBytes(w),
 	}
 
 	// Pre-count events per server so each stream is allocated exactly
-	// once.
+	// once; the hour indexes and subscription columns share one backing
+	// array each.
 	counts := make([]int, servers)
 	for _, p := range w.Publications {
 		row := w.Subscriptions[p.Page]
@@ -76,56 +167,65 @@ func buildEventView(w *Workload) *EventView {
 	for _, r := range w.Requests {
 		counts[r.Server]++
 	}
+	starts := make([]int32, servers*(hours+1))
+	subs := make([]int32, servers*len(w.Pages))
 	for s := range v.Streams {
-		v.Streams[s] = make([]ServerEvent, 0, counts[s])
+		v.Streams[s] = make([]Event, 0, counts[s])
+		v.HourStarts[s] = starts[s*(hours+1) : (s+1)*(hours+1) : (s+1)*(hours+1)]
+		v.Subs[s] = subs[s*len(w.Pages) : (s+1)*len(w.Pages) : (s+1)*len(w.Pages)]
+	}
+	for page, row := range w.Subscriptions {
+		for s := 0; s < servers; s++ {
+			v.Subs[s][page] = row[s]
+		}
 	}
 
-	current := make([]int32, len(w.Pages))
-	for i := range current {
-		current[i] = -1 // not yet published
-	}
-	pubs, reqs := w.Publications, w.Requests
-	pi, ri := 0, 0
-	for pi < len(pubs) || ri < len(reqs) {
-		// Publications at the same timestamp precede requests (content
-		// becomes available, then is read) — the sequential loop's rule.
-		if pi < len(pubs) && (ri >= len(reqs) || pubs[pi].Time <= reqs[ri].Time) {
-			p := pubs[pi]
-			pi++
-			if int32(p.Version) > current[p.Page] {
-				current[p.Page] = int32(p.Version)
+	// hour is the last hour whose start every server has recorded;
+	// hour 0 starts at offset 0.
+	hour := 0
+	advance := func(h int) {
+		for hour < h {
+			hour++
+			for s, stream := range v.Streams {
+				v.HourStarts[s][hour] = int32(len(stream))
 			}
-			row := w.Subscriptions[p.Page]
-			for s := 0; s < servers; s++ {
-				if row[s] == 0 {
-					continue
-				}
-				v.Streams[s] = append(v.Streams[s], ServerEvent{
-					Time:    p.Time,
-					Page:    int32(p.Page),
-					Version: int32(p.Version),
-					Subs:    row[s],
-				})
-			}
-			continue
 		}
-		r := reqs[ri]
-		ri++
-		version := current[r.Page]
-		if version < 0 {
-			// Requests are generated after first publication, so this
-			// only guards float boundary artifacts.
-			version = 0
-		}
-		v.Streams[r.Server] = append(v.Streams[r.Server], ServerEvent{
-			Time:    r.Time,
-			Page:    int32(r.Page),
-			Version: version,
-			Subs:    w.Subscriptions[r.Page][r.Server],
-			Request: true,
-		})
 	}
+	w.walk(func(p *Publication) {
+		advance(hourOf(p.Time, hours))
+		row := w.Subscriptions[p.Page]
+		e := newEvent(p.Page, int32(p.Version), false)
+		for s := 0; s < servers; s++ {
+			if row[s] > 0 {
+				v.Streams[s] = append(v.Streams[s], e)
+			}
+		}
+	}, func(r *Request, version int32) {
+		advance(hourOf(r.Time, hours))
+		v.Streams[r.Server] = append(v.Streams[r.Server], newEvent(r.Page, version, true))
+	})
+	advance(hours)
 	return v
+}
+
+// TimedEvents returns server s's event stream expanded with each
+// event's exact trace time and hour, from the same merge walk that
+// builds the view's streams. It allocates the expanded stream on every
+// call, so it serves per-event drivers that pace on trace time (the
+// live soak), not the simulator's replay loop.
+func (w *Workload) TimedEvents(s int) []ServerEvent {
+	hours := w.hours()
+	var out []ServerEvent
+	w.walk(func(p *Publication) {
+		if w.Subscriptions[p.Page][s] > 0 {
+			out = append(out, ServerEvent{Time: p.Time, Hour: hourOf(p.Time, hours), Page: int32(p.Page), Version: int32(p.Version)})
+		}
+	}, func(r *Request, version int32) {
+		if r.Server == s {
+			out = append(out, ServerEvent{Time: r.Time, Hour: hourOf(r.Time, hours), Page: int32(r.Page), Version: version, Request: true})
+		}
+	})
+	return out
 }
 
 // uniqueBytes returns, for each server, the total size of the distinct

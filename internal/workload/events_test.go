@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -21,19 +22,117 @@ func eventTestWorkload(t *testing.T) *Workload {
 	return w
 }
 
-// TestEventViewMatchesSequentialReplay re-runs the global interleaved
-// merge the sequential simulator performs and checks that the view's
-// per-server streams are exactly its per-server restriction: same event
-// order, same routed subscription counts, and the same resolved version
-// at every request.
-func TestEventViewMatchesSequentialReplay(t *testing.T) {
-	w := eventTestWorkload(t)
+// boundaryWorkload is a hand-built one-day workload (24 hours) over
+// three servers and three pages whose events sit on the hour index's
+// edges: at t = 0, exactly on hour boundaries, with publications and
+// requests at equal times, with hours that hold no event, a request
+// before its page's first publication, and events at and past the
+// horizon, which the clamp puts in the last hour.
+func boundaryWorkload() *Workload {
+	cfg := DefaultConfig(TraceNEWS)
+	cfg.Days = 1
+	cfg.Servers = 3
+	return &Workload{
+		Config: cfg,
+		Pages: []Page{
+			{ID: 0, Size: 100, Class: 0},
+			{ID: 1, Size: 200, Class: 1},
+			{ID: 2, Size: 300, Class: 2},
+		},
+		Publications: []Publication{
+			{Time: 0, Page: 0, Version: 1},
+			{Time: 1, Page: 1, Version: 1},
+			{Time: 1, Page: 0, Version: 2},
+			{Time: 2.5, Page: 2, Version: 1},
+			{Time: 23, Page: 1, Version: 2},
+			{Time: 24, Page: 0, Version: 3},
+			{Time: 30, Page: 2, Version: 2},
+		},
+		Requests: []Request{
+			{Time: 0, Page: 0, Server: 0},
+			{Time: 0, Page: 2, Server: 1},
+			{Time: 1, Page: 0, Server: 2},
+			{Time: 1, Page: 1, Server: 0},
+			{Time: 5, Page: 1, Server: 1},
+			{Time: 23.999, Page: 0, Server: 2},
+			{Time: 24, Page: 0, Server: 0},
+			{Time: 31, Page: 2, Server: 1},
+		},
+		Subscriptions: [][]int32{
+			{1, 0, 2},
+			{0, 3, 0},
+			{1, 1, 0},
+		},
+	}
+}
+
+// checkViewAgainstMerge re-runs the global interleaved merge the
+// sequential simulator performs and checks that the view's per-server
+// streams are exactly its per-server restriction: same event order,
+// page, request flag and resolved version at every event, every event
+// inside the hour window of its source time, and the subscription
+// columns equal to the subscription matrix. TimedEvents must yield the
+// same events with their exact source times and hours.
+func checkViewAgainstMerge(t *testing.T, w *Workload) {
+	t.Helper()
 	v := w.Events()
-	if len(v.Streams) != w.Config.Servers {
-		t.Fatalf("view has %d streams, want %d", len(v.Streams), w.Config.Servers)
+	servers := w.Config.Servers
+	hours := int(math.Ceil(w.Config.Horizon()))
+	if v.Hours != hours {
+		t.Fatalf("view has %d hours, want %d", v.Hours, hours)
+	}
+	if len(v.Streams) != servers || len(v.HourStarts) != servers || len(v.Subs) != servers {
+		t.Fatalf("view has %d streams, %d hour indexes, %d subs columns; want %d each",
+			len(v.Streams), len(v.HourStarts), len(v.Subs), servers)
+	}
+	for s := 0; s < servers; s++ {
+		starts := v.HourStarts[s]
+		if len(starts) != hours+1 || starts[0] != 0 || int(starts[hours]) != len(v.Streams[s]) {
+			t.Fatalf("server %d hour index %v does not span its %d events in %d hours",
+				s, starts, len(v.Streams[s]), hours)
+		}
+		if !slices.IsSorted(starts) {
+			t.Fatalf("server %d hour index %v is not ascending", s, starts)
+		}
+		if len(v.Subs[s]) != len(w.Pages) {
+			t.Fatalf("server %d subs column has %d pages, want %d", s, len(v.Subs[s]), len(w.Pages))
+		}
+		for page, row := range w.Subscriptions {
+			if v.Subs[s][page] != row[s] {
+				t.Fatalf("server %d subs for page %d = %d, want %d", s, page, v.Subs[s][page], row[s])
+			}
+		}
+	}
+	timed := make([][]ServerEvent, servers)
+	for s := range timed {
+		timed[s] = w.TimedEvents(s)
+		if len(timed[s]) != len(v.Streams[s]) {
+			t.Fatalf("server %d: TimedEvents yields %d events, stream holds %d", s, len(timed[s]), len(v.Streams[s]))
+		}
 	}
 
-	cursors := make([]int, w.Config.Servers)
+	cursors := make([]int, servers)
+	next := func(s int, time float64, page, version int, request bool) {
+		t.Helper()
+		i := cursors[s]
+		cursors[s]++
+		if i >= len(v.Streams[s]) {
+			t.Fatalf("server %d stream ends at %d events; the merge routes more", s, i)
+		}
+		ev := v.Streams[s][i]
+		if ev.Request() != request || ev.Page() != page || int(ev.Version) != version {
+			t.Fatalf("server %d event %d = {page %d version %d request %v}, want {page %d version %d request %v} at t=%g",
+				s, i, ev.Page(), ev.Version, ev.Request(), page, version, request, time)
+		}
+		hour := min(max(int(time), 0), hours-1)
+		if lo, hi := int(v.HourStarts[s][hour]), int(v.HourStarts[s][hour+1]); i < lo || i >= hi {
+			t.Fatalf("server %d event %d at t=%g lies outside hour %d's window [%d, %d)", s, i, time, hour, lo, hi)
+		}
+		want := ServerEvent{Time: time, Hour: hour, Page: int32(page), Version: int32(version), Request: request}
+		if timed[s][i] != want {
+			t.Fatalf("server %d TimedEvents[%d] = %+v, want %+v", s, i, timed[s][i], want)
+		}
+	}
 	current := make([]int, len(w.Pages))
 	for i := range current {
 		current[i] = -1
@@ -47,44 +146,51 @@ func TestEventViewMatchesSequentialReplay(t *testing.T) {
 			if p.Version > current[p.Page] {
 				current[p.Page] = p.Version
 			}
-			row := w.Subscriptions[p.Page]
-			for s := 0; s < w.Config.Servers; s++ {
-				if row[s] == 0 {
-					continue
-				}
-				ev := v.Streams[s][cursors[s]]
-				cursors[s]++
-				if ev.Request || int(ev.Page) != p.Page || int(ev.Version) != p.Version ||
-					ev.Time != p.Time || ev.Subs != row[s] {
-					t.Fatalf("server %d publication event mismatch: got %+v, want pub %+v subs=%d",
-						s, ev, p, row[s])
+			for s, n := range w.Subscriptions[p.Page] {
+				if n > 0 {
+					next(s, p.Time, p.Page, p.Version, false)
 				}
 			}
 			continue
 		}
 		r := reqs[ri]
 		ri++
-		version := current[r.Page]
-		if version < 0 {
-			version = 0
-		}
-		ev := v.Streams[r.Server][cursors[r.Server]]
-		cursors[r.Server]++
-		if !ev.Request || int(ev.Page) != r.Page || ev.Time != r.Time {
-			t.Fatalf("server %d request event mismatch: got %+v, want %+v", r.Server, ev, r)
-		}
-		if int(ev.Version) != version {
-			t.Fatalf("request for page %d at t=%g resolved version %d, want %d",
-				r.Page, r.Time, ev.Version, version)
-		}
-		if ev.Subs != w.Subscriptions[r.Page][r.Server] {
-			t.Fatalf("request subs = %d, want %d", ev.Subs, w.Subscriptions[r.Page][r.Server])
-		}
+		next(r.Server, r.Time, r.Page, max(current[r.Page], 0), true)
 	}
 	for s, c := range cursors {
 		if c != len(v.Streams[s]) {
 			t.Errorf("server %d stream has %d events, replay consumed %d", s, len(v.Streams[s]), c)
 		}
+	}
+}
+
+// TestEventViewMatchesSequentialReplay checks a generated workload's
+// view against the sequential merge (see checkViewAgainstMerge).
+func TestEventViewMatchesSequentialReplay(t *testing.T) {
+	checkViewAgainstMerge(t, eventTestWorkload(t))
+}
+
+// TestEventViewHourBoundaries checks the hand-built boundary workload's
+// view against the sequential merge, and pins server 0's hour index:
+// two events in hour 0 (t = 0), two in hour 1 (t = 1), one in hour 2,
+// none in hours 3-22, and the three events at t = 24 and t = 30 clamped
+// into hour 23.
+func TestEventViewHourBoundaries(t *testing.T) {
+	w := boundaryWorkload()
+	checkViewAgainstMerge(t, w)
+	want := []int32{0, 2, 4}
+	for len(want) < 24 {
+		want = append(want, 5)
+	}
+	want = append(want, 8)
+	if got := w.Events().HourStarts[0]; !slices.Equal(got, want) {
+		t.Errorf("server 0 hour index = %v, want %v", got, want)
+	}
+	// The request at t = 0 for page 2 precedes its first publication:
+	// the version floors at 0.
+	if ev := w.Events().Streams[1][0]; !ev.Request() || ev.Page() != 2 || ev.Version != 0 {
+		t.Errorf("server 1 event 0 = {page %d version %d request %v}, want the floored request for page 2",
+			ev.Page(), ev.Version, ev.Request())
 	}
 }
 
@@ -184,7 +290,8 @@ func TestEventViewConcurrentAccess(t *testing.T) {
 // time-ordered with publications before requests at equal timestamps.
 func TestEventViewStreamsSorted(t *testing.T) {
 	w := eventTestWorkload(t)
-	for s, stream := range w.Events().Streams {
+	for s := 0; s < w.Config.Servers; s++ {
+		stream := w.TimedEvents(s)
 		for i := 1; i < len(stream); i++ {
 			a, b := stream[i-1], stream[i]
 			if b.Time < a.Time {
@@ -196,3 +303,21 @@ func TestEventViewStreamsSorted(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEventView builds the event view of the paper-scale NEWS
+// workload (scale 1, trace seed 1: about 1.2 million stream entries),
+// the layer behind perfbench's workload.events_ms share of sim_paper's
+// setup. B/op is the view's allocated size.
+func BenchmarkEventView(b *testing.B) {
+	w, err := Generate(ScaledConfig(TraceNEWS, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eventViewSink = buildEventView(w)
+	}
+}
+
+var eventViewSink *EventView

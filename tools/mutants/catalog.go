@@ -210,6 +210,25 @@ var catalog = []mutant{
 		run:     "^TestCacheCapacitiesWithoutEventView$",
 	},
 
+	// The compact event view: each event in its hour's window, and each
+	// shard reading its own server's subscription column.
+	{
+		name:    "workload/request-hour-shifted",
+		file:    "internal/workload/events.go",
+		snippet: "\t\tadvance(hourOf(r.Time, hours))\n",
+		replace: "\t\tadvance(hourOf(r.Time, hours) + 1)\n",
+		pkg:     "internal/workload",
+		run:     "^TestEventView(MatchesSequentialReplay|HourBoundaries)$",
+	},
+	{
+		name:    "sim/subs-column-of-next-server",
+		file:    "internal/sim/shard.go",
+		snippet: "\t\t\tsubs:       view.Subs[i],\n",
+		replace: "\t\t\tsubs:       view.Subs[(i+1)%servers],\n",
+		pkg:     "internal/sim",
+		run:     "^TestCatalogResultDigests$",
+	},
+
 	// The strategies' arithmetic.
 	{
 		name:    "core/invpow-no-subnormal-fallback",
