@@ -241,9 +241,13 @@ func BenchmarkMatchEngine(b *testing.B) {
 		}
 	}
 	ev := Event{ID: "e", Topics: []string{"tech"}}
+	groups, members := e.AppendMatchGroups(nil, nil, ev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MatchCounts(ev)
+		groups, members = e.AppendMatchGroups(groups[:0], members[:0], ev)
+	}
+	if len(members) != 1000 {
+		b.Fatalf("matched %d subscriptions, want 1000", len(members))
 	}
 }

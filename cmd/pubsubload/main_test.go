@@ -134,6 +134,9 @@ func TestSoakParityAgainstCluster(t *testing.T) {
 		if s.PushesMissed > 0 {
 			t.Errorf("%s: %d pushes missed on a healthy loopback cluster", s.Strategy, s.PushesMissed)
 		}
+		if s.FetchErrors > 0 || s.PublishErrors > 0 {
+			t.Errorf("%s: %d fetch and %d publish errors on a healthy loopback cluster", s.Strategy, s.FetchErrors, s.PublishErrors)
+		}
 		// Live and sim share one accounting path, so with every push
 		// delivered the outcomes must agree exactly, not just within
 		// tolerance.

@@ -14,7 +14,10 @@
 //     instead of silently replaying the simulator.
 //   - A proxy's request event goes through the proxy's shard; a miss
 //     triggers a real Fetch over the proxy's subscriber connection,
-//     generating genuine origin traffic on the wire.
+//     generating genuine origin traffic on the wire. The fetch first
+//     waits (within -push-wait) for the publisher's Publish of the
+//     requested version to return, since a request paced at the trace
+//     time of that publication can otherwise overtake it.
 //
 // The shards keep the accounting, so the live outcome is a *sim.Result
 // from the same tally the simulator merges. Bodies on the wire are
@@ -39,10 +42,11 @@ import (
 	"pubsubcd/internal/workload"
 )
 
-// arrivalSet records which (page, version) notifications have arrived
-// over the wire and lets pacer goroutines wait for a specific one with
-// a timeout. Keys pack page<<20|version; workload pages stay well
-// under 2^20 and versions under 2^20.
+// arrivalSet records which (page, version) pairs have reached a point
+// of the replay — a notification arriving over the wire, or the
+// publisher's Publish returning — and lets pacer goroutines wait for a
+// specific one with a timeout. Keys pack page<<20|version; workload
+// pages stay well under 2^20 and versions under 2^20.
 type arrivalSet struct {
 	mu      sync.Mutex
 	got     map[int64]struct{}
@@ -159,7 +163,8 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 	}
 
 	rr := &replayResult{}
-	arrivals := newArrivalSet()
+	arrivals := newArrivalSet()  // notifications received
+	published := newArrivalSet() // publishes returned
 	topicOf := func(page int) string { return ns + "/p" + strconv.Itoa(page) }
 	pagePrefix := ns + "/p"
 	warmID := ns + "/warmup"
@@ -298,6 +303,7 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 			if err != nil {
 				rr.publishErrors.Add(1)
 			}
+			published.record(pb.Page, pb.Version)
 		}
 	}()
 
@@ -333,7 +339,9 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 				}
 				if !sh.Request(e) {
 					// A miss is origin traffic: fetch the page for
-					// real so the soak exercises the request path.
+					// real so the soak exercises the request path,
+					// once the version it asks for is published.
+					published.wait(ctx, int(e.Page), int(e.Version), o.pushWait)
 					fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 					if _, err := conn.Fetch(fctx, topicOf(int(e.Page))); err != nil {
 						rr.fetchErrors.Add(1)

@@ -86,12 +86,11 @@ func WithPublishSLO(budget time.Duration) BrokerOption {
 
 // brokerRecord is one journaled registry change.
 type brokerRecord struct {
-	Op         string   `json:"op"` // "sub" | "unsub"
-	ID         int64    `json:"id"`
-	Proxy      int      `json:"proxy,omitempty"`
-	Subscriber string   `json:"subscriber,omitempty"`
-	Topics     []string `json:"topics,omitempty"`
-	Keywords   []string `json:"keywords,omitempty"`
+	Op       string   `json:"op"` // "sub" | "unsub"
+	ID       int64    `json:"id"`
+	Proxy    int      `json:"proxy,omitempty"`
+	Topics   []string `json:"topics,omitempty"`
+	Keywords []string `json:"keywords,omitempty"`
 }
 
 // brokerSnapshot is the full registry state.
@@ -177,11 +176,10 @@ func (b *Broker) applyRecord(rec []byte) error {
 	switch r.Op {
 	case "sub":
 		err := b.engine.Restore(match.Subscription{
-			ID:         r.ID,
-			Proxy:      r.Proxy,
-			Subscriber: r.Subscriber,
-			Topics:     r.Topics,
-			Keywords:   r.Keywords,
+			ID:       r.ID,
+			Proxy:    r.Proxy,
+			Topics:   r.Topics,
+			Keywords: r.Keywords,
 		})
 		if err != nil && !errors.Is(err, match.ErrDuplicateID) {
 			return fmt.Errorf("broker: replay subscribe %d: %w", r.ID, err)
@@ -201,12 +199,11 @@ func (b *Broker) applyRecord(rec []byte) error {
 // of the log).
 func (b *Broker) journalSubscribe(ctx context.Context, sub match.Subscription) error {
 	blob, err := json.Marshal(brokerRecord{
-		Op:         "sub",
-		ID:         sub.ID,
-		Proxy:      sub.Proxy,
-		Subscriber: sub.Subscriber,
-		Topics:     sub.Topics,
-		Keywords:   sub.Keywords,
+		Op:       "sub",
+		ID:       sub.ID,
+		Proxy:    sub.Proxy,
+		Topics:   sub.Topics,
+		Keywords: sub.Keywords,
 	})
 	if err != nil {
 		return err

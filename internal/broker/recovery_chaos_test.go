@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,52 @@ func TestCrashRecoveryRegistryRoundTrip(t *testing.T) {
 	}
 	if id <= ids[len(ids)-1] {
 		t.Errorf("post-recovery id %d not above pre-crash max %d", id, ids[len(ids)-1])
+	}
+}
+
+// TestCrashRecoveryReadsSubscriberKeys: snapshots and journal records
+// written while subscriptions still carried a subscriber name hold a
+// "subscriber" key (these are such bytes, verbatim). Decoding skips the
+// key, and the state recovers to the same IDs and predicates.
+func TestCrashRecoveryReadsSubscriberKeys(t *testing.T) {
+	const (
+		snapshot = `{"nextId":7,"subscriptions":[{"ID":2,"Proxy":1,"Subscriber":"user-0","Topics":["news"],"Keywords":[]},{"ID":5,"Proxy":0,"Subscriber":"","Topics":[],"Keywords":["go","rust"]}]}`
+		record   = `{"op":"sub","id":9,"proxy":3,"subscriber":"alice","topics":["sports","tech"],"keywords":["cup"]}`
+	)
+	dir := t.TempDir()
+	j, err := journal.Open(filepath.Join(dir, "broker"), journal.Options{Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot([]byte(snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(record)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := openDurable(t, dir)
+	defer b.Close()
+	got, nextID := b.engine.Dump()
+	want := []match.Subscription{
+		{ID: 2, Proxy: 1, Topics: []string{"news"}},
+		{ID: 5, Proxy: 0, Keywords: []string{"go", "rust"}},
+		{ID: 9, Proxy: 3, Topics: []string{"sports", "tech"}, Keywords: []string{"cup"}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || g.Proxy != w.Proxy || !slices.Equal(g.Topics, w.Topics) || !slices.Equal(g.Keywords, w.Keywords) {
+			t.Errorf("recovered subscription %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if nextID != 9 {
+		t.Errorf("next ID = %d, want 9", nextID)
 	}
 }
 

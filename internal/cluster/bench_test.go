@@ -56,9 +56,8 @@ func benchHandoff(b *testing.B, subs, pages, bodyLen int) {
 	topic := topicInPartition(ring, p)
 	for i := 0; i < subs; i++ {
 		if _, err := eng.Subscribe(match.Subscription{
-			Proxy:      i % 4,
-			Subscriber: fmt.Sprintf("bench-sub-%d", i),
-			Topics:     []string{topic},
+			Proxy:  i % 4,
+			Topics: []string{topic},
 		}, broker.NotifierFunc(func(broker.Notification) {})); err != nil {
 			b.Fatalf("seed subscription: %v", err)
 		}

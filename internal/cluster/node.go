@@ -193,12 +193,11 @@ type Node struct {
 // authoritative record the router re-binds to partition owners across
 // ring changes.
 type edgeSub struct {
-	id         int64
-	proxy      int
-	subscriber string
-	topics     []string
-	keywords   []string
-	notifier   broker.Notifier
+	id       int64
+	proxy    int
+	topics   []string
+	keywords []string
+	notifier broker.Notifier
 	// bindings maps each target partition to where the subscription
 	// currently lives.
 	bindings map[int]*subBinding

@@ -271,13 +271,12 @@ func (n *Node) SubscribeContext(ctx context.Context, sub match.Subscription, not
 	id := n.nextID
 	n.mu.Unlock()
 	es := &edgeSub{
-		id:         id,
-		proxy:      sub.Proxy,
-		subscriber: sub.Subscriber,
-		topics:     append([]string(nil), sub.Topics...),
-		keywords:   append([]string(nil), sub.Keywords...),
-		notifier:   notifier,
-		bindings:   make(map[int]*subBinding),
+		id:       id,
+		proxy:    sub.Proxy,
+		topics:   append([]string(nil), sub.Topics...),
+		keywords: append([]string(nil), sub.Keywords...),
+		notifier: notifier,
+		bindings: make(map[int]*subBinding),
 	}
 	for _, p := range subPartitions(ring, sub) {
 		b, err := n.bindPartition(ctx, es, p, ring)
@@ -364,10 +363,9 @@ func (es *edgeSub) partitionScoped(r *Ring, p int) match.Subscription {
 		}
 	}
 	return match.Subscription{
-		Proxy:      es.proxy,
-		Subscriber: es.subscriber,
-		Topics:     topics,
-		Keywords:   es.keywords,
+		Proxy:    es.proxy,
+		Topics:   topics,
+		Keywords: es.keywords,
 	}
 }
 

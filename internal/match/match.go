@@ -20,8 +20,7 @@
 // gave (SubscribeWith): a broker keeps each subscription's delivery
 // target there, so the engine is its only subscription registry. A
 // duplicate Subscribe or Restore, and the Unsubscribe of a member, change
-// only the run. Subscriber names live in a side map that holds only the
-// non-empty ones.
+// only the run.
 //
 // The index is inverted, keyed by topic and keyword. Each aggregate is
 // posted under its access terms only: its first keyword when it has
@@ -31,12 +30,12 @@
 // subscription population, and a selective topic+keyword aggregate is
 // never a candidate of an event that merely shares its topic.
 //
-// AppendMatchGroups, the publish path's match, returns the matched
-// aggregates in creation order and each one's members ascending, so its
-// members run aggregate by aggregate. While every aggregate has one member
-// and subscriptions only arrive through Subscribe, that order is
-// ascending by ID. AppendMatchRefs, Match and Dump return subscriptions
-// ascending by ID.
+// AppendMatchGroups is the engine's one read. It returns the matched
+// aggregates in creation order, each with its proxy and multiplicity N,
+// and their members, each aggregate's ascending: a proxy's fS is the sum
+// of its aggregates' N, and the members' values are where to notify.
+// AppendMatchRefs flattens the same walk into one ref per subscription.
+// Dump returns every subscription ascending by ID, for snapshots.
 package match
 
 import (
@@ -67,8 +66,6 @@ type Subscription struct {
 	ID int64
 	// Proxy is the proxy server that aggregates this subscriber.
 	Proxy int
-	// Subscriber names the end user (informational).
-	Subscriber string
 	// Topics: match if the event carries at least one (empty = no topic
 	// constraint).
 	Topics []string
@@ -270,8 +267,6 @@ type Engine[V any] struct {
 	ids     idtable.Table[*aggregate[V]] // every stored subscription's aggregate
 	preds   predTable[V]                 // every aggregate, by predicate
 	seed    maphash.Seed
-	// names holds the non-empty Subscriber names, by subscription ID.
-	names map[int64]string
 	// byTopic and byKeyword are posting lists: for each term, the
 	// aggregates having it as an access term (accessTerms), ascending
 	// by creation order. Ordered lists make matching a merge instead
@@ -288,7 +283,6 @@ func NewEngine() *Engine[struct{}] { return New[struct{}]() }
 func New[V any]() *Engine[V] {
 	return &Engine[V]{
 		seed:      maphash.MakeSeed(),
-		names:     make(map[int64]string),
 		byTopic:   make(map[string][]*aggregate[V]),
 		byKeyword: make(map[string][]*aggregate[V]),
 	}
@@ -393,9 +387,6 @@ func (e *Engine[V]) storeLocked(sub *Subscription, v V) {
 		a = e.createLocked(h, sub, m)
 	}
 	e.ids.Set(sub.ID, a)
-	if sub.Subscriber != "" {
-		e.names[sub.ID] = sub.Subscriber
-	}
 }
 
 // createLocked makes first, sub's member, the first member of a new
@@ -457,11 +448,10 @@ func (e *Engine[V]) Dump() ([]Subscription, int64) {
 	for i := 0; i < e.ids.Slots(); i++ {
 		if id, a, live := e.ids.At(i); live {
 			out = append(out, Subscription{
-				ID:         id,
-				Proxy:      a.proxy,
-				Subscriber: e.names[id],
-				Topics:     slices.Clone(a.topics()),
-				Keywords:   slices.Clone(a.keywords()),
+				ID:       id,
+				Proxy:    a.proxy,
+				Topics:   slices.Clone(a.topics()),
+				Keywords: slices.Clone(a.keywords()),
 			})
 		}
 	}
@@ -476,7 +466,6 @@ func (e *Engine[V]) Unsubscribe(id int64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	delete(e.names, id)
 	if a.remove(id) {
 		return nil
 	}
@@ -489,127 +478,6 @@ func (e *Engine[V]) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.ids.Len()
-}
-
-// Match returns the subscriptions the event matches, sorted by ID.
-// Their term slices are shared with the engine and must not be
-// modified.
-func (e *Engine[V]) Match(ev Event) []Subscription {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []Subscription
-	var members []Member[V]
-	e.forEachMatch(ev, func(a *aggregate[V]) {
-		members = a.appendMembers(members[:0])
-		for _, m := range members {
-			out = append(out, Subscription{
-				ID:         m.ID,
-				Proxy:      a.proxy,
-				Subscriber: e.names[m.ID],
-				Topics:     nilIfEmpty(a.topics()),
-				Keywords:   nilIfEmpty(a.keywords()),
-			})
-		}
-	})
-	slices.SortFunc(out, func(x, y Subscription) int { return cmp.Compare(x.ID, y.ID) })
-	return out
-}
-
-// nilIfEmpty returns s, or nil when s is empty: a Subscription's
-// unconstrained kind reads as nil, as it was subscribed.
-func nilIfEmpty(s []string) []string {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
-}
-
-// MatchCounts returns, for each proxy with at least one matching
-// subscription, the number of matching subscriptions. This is the fS input
-// of the push-time value functions.
-func (e *Engine[V]) MatchCounts(ev Event) map[int]int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	counts := make(map[int]int)
-	e.forEachMatch(ev, func(a *aggregate[V]) {
-		counts[a.proxy] += a.size()
-	})
-	return counts
-}
-
-// MatchRef is the identity of one matching subscription, without its
-// term slices.
-type MatchRef struct {
-	ID    int64
-	Proxy int
-}
-
-// AppendMatchRefs appends a MatchRef for every subscription matching
-// ev to dst (ascending by ID) and returns the extended slice. Callers
-// reuse dst across events to keep matching allocation-free: the merge
-// that orders the refs works in dst's spare capacity.
-func (e *Engine[V]) AppendMatchRefs(dst []MatchRef, ev Event) []MatchRef {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	start := len(dst)
-	e.forEachMatch(ev, func(a *aggregate[V]) {
-		dst = append(dst, MatchRef{ID: a.first.ID, Proxy: a.proxy})
-		if a.more != nil {
-			for _, m := range *a.more {
-				dst = append(dst, MatchRef{ID: m.ID, Proxy: a.proxy})
-			}
-		}
-	})
-	n := len(dst) - start
-	dst = slices.Grow(dst, n)
-	mergeRuns(dst[start:], dst[len(dst):len(dst)+n])
-	return dst
-}
-
-// mergeRuns sorts refs by ID. AppendMatchRefs lays them out one
-// ascending run per aggregate, so a natural merge sort fits: each pass
-// merges neighbouring runs pairwise from one of refs and buf (as long
-// as refs) into the other, halving the runs, until one is left.
-func mergeRuns(refs, buf []MatchRef) {
-	src, dst := refs, buf
-	for runEnd(src, 0) < len(src) {
-		for i := 0; i < len(src); {
-			j := runEnd(src, i)
-			k := runEnd(src, j)
-			merge(dst[i:k], src[i:j], src[j:k])
-			i = k
-		}
-		src, dst = dst, src
-	}
-	if len(src) > 0 && &src[0] != &refs[0] {
-		copy(refs, src)
-	}
-}
-
-// merge merges the ascending runs a and b into out.
-func merge(out, a, b []MatchRef) {
-	i, j, k := 0, 0, 0
-	for ; i < len(a) && j < len(b); k++ {
-		if b[j].ID < a[i].ID {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
-}
-
-// runEnd returns the end of the ascending run of refs starting at i.
-func runEnd(refs []MatchRef, i int) int {
-	if i == len(refs) {
-		return i
-	}
-	for i++; i < len(refs) && refs[i-1].ID < refs[i].ID; i++ {
-	}
-	return i
 }
 
 // MatchGroup is one aggregate an event matched: the proxy its
@@ -634,6 +502,30 @@ func (e *Engine[V]) AppendMatchGroups(groups []MatchGroup, members []Member[V], 
 		members = a.appendMembers(members)
 	})
 	return groups, members
+}
+
+// MatchRef is the identity of one matching subscription.
+type MatchRef struct {
+	ID    int64
+	Proxy int
+}
+
+// AppendMatchRefs appends a MatchRef for every subscription matching
+// ev to dst, in AppendMatchGroups' order, and returns the extended
+// slice: it flattens the grouped match. It is kept for perfbench's match
+// layer until that layer times AppendMatchGroups (ROADMAP item 13(a)).
+func (e *Engine[V]) AppendMatchRefs(dst []MatchRef, ev Event) []MatchRef {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	e.forEachMatch(ev, func(a *aggregate[V]) {
+		dst = append(dst, MatchRef{ID: a.first.ID, Proxy: a.proxy})
+		if a.more != nil {
+			for _, m := range *a.more {
+				dst = append(dst, MatchRef{ID: m.ID, Proxy: a.proxy})
+			}
+		}
+	})
+	return dst
 }
 
 // forEachMatch calls fn once per aggregate ev matches, in creation

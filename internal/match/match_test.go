@@ -8,6 +8,18 @@ import (
 	"testing/quick"
 )
 
+// matched reads the engine's one match for ev: the matched IDs, in the
+// order AppendMatchGroups returns its members, and each matched proxy's
+// fS, the sum of its groups' N.
+func matched[V any](e *Engine[V], ev Event) ([]int64, map[int]int) {
+	groups, members := e.AppendMatchGroups(nil, nil, ev)
+	fS := map[int]int{}
+	for _, g := range groups {
+		fS[g.Proxy] += g.N
+	}
+	return memberIDs(members), fS
+}
+
 func TestSubscribeValidation(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.Subscribe(Subscription{Proxy: 0}); !errors.Is(err, ErrEmptySubscription) {
@@ -30,11 +42,11 @@ func TestTopicMatchingIsOr(t *testing.T) {
 	if _, err := e.Subscribe(Subscription{Proxy: 1, Topics: []string{"sports", "politics"}}); err != nil {
 		t.Fatal(err)
 	}
-	got := e.Match(Event{ID: "p1", Topics: []string{"politics"}})
+	got, _ := matched(e, Event{ID: "p1", Topics: []string{"politics"}})
 	if len(got) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(got))
 	}
-	got = e.Match(Event{ID: "p2", Topics: []string{"weather"}})
+	got, _ = matched(e, Event{ID: "p2", Topics: []string{"weather"}})
 	if len(got) != 0 {
 		t.Fatalf("expected 0 matches, got %d", len(got))
 	}
@@ -45,11 +57,11 @@ func TestKeywordMatchingIsAnd(t *testing.T) {
 	if _, err := e.Subscribe(Subscription{Proxy: 1, Keywords: []string{"election", "senate"}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e.Match(Event{ID: "a", Keywords: []string{"election"}})); n != 0 {
-		t.Errorf("partial keywords matched: %d", n)
+	if ids, _ := matched(e, Event{ID: "a", Keywords: []string{"election"}}); len(ids) != 0 {
+		t.Errorf("partial keywords matched: %d", len(ids))
 	}
-	if n := len(e.Match(Event{ID: "b", Keywords: []string{"senate", "election", "budget"}})); n != 1 {
-		t.Errorf("full keywords should match once, got %d", n)
+	if ids, _ := matched(e, Event{ID: "b", Keywords: []string{"senate", "election", "budget"}}); len(ids) != 1 {
+		t.Errorf("full keywords should match once, got %d", len(ids))
 	}
 }
 
@@ -58,14 +70,14 @@ func TestTopicAndKeywordConjunction(t *testing.T) {
 	if _, err := e.Subscribe(Subscription{Proxy: 3, Topics: []string{"news"}, Keywords: []string{"go"}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e.Match(Event{ID: "x", Topics: []string{"news"}})); n != 0 {
-		t.Errorf("topic without keyword matched: %d", n)
+	if ids, _ := matched(e, Event{ID: "x", Topics: []string{"news"}}); len(ids) != 0 {
+		t.Errorf("topic without keyword matched: %d", len(ids))
 	}
-	if n := len(e.Match(Event{ID: "y", Keywords: []string{"go"}})); n != 0 {
-		t.Errorf("keyword without topic matched: %d", n)
+	if ids, _ := matched(e, Event{ID: "y", Keywords: []string{"go"}}); len(ids) != 0 {
+		t.Errorf("keyword without topic matched: %d", len(ids))
 	}
-	if n := len(e.Match(Event{ID: "z", Topics: []string{"news"}, Keywords: []string{"go"}})); n != 1 {
-		t.Errorf("conjunction should match, got %d", n)
+	if ids, _ := matched(e, Event{ID: "z", Topics: []string{"news"}, Keywords: []string{"go"}}); len(ids) != 1 {
+		t.Errorf("conjunction should match, got %d", len(ids))
 	}
 }
 
@@ -84,8 +96,8 @@ func TestUnsubscribe(t *testing.T) {
 	if e.Len() != 0 {
 		t.Fatalf("Len after unsubscribe = %d, want 0", e.Len())
 	}
-	if n := len(e.Match(Event{ID: "p", Topics: []string{"a"}})); n != 0 {
-		t.Errorf("unsubscribed subscription still matches: %d", n)
+	if ids, _ := matched(e, Event{ID: "p", Topics: []string{"a"}}); len(ids) != 0 {
+		t.Errorf("unsubscribed subscription still matches: %d", len(ids))
 	}
 	if err := e.Unsubscribe(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double unsubscribe: got %v, want ErrNotFound", err)
@@ -101,7 +113,7 @@ func TestMatchCountsPerProxy(t *testing.T) {
 			}
 		}
 	}
-	counts := e.MatchCounts(Event{ID: "42", Topics: []string{"page/42"}})
+	_, counts := matched(e, Event{ID: "42", Topics: []string{"page/42"}})
 	want := map[int]int{0: 3, 4: 1, 7: 2}
 	if len(counts) != len(want) {
 		t.Fatalf("counts = %v, want %v", counts, want)
@@ -113,6 +125,10 @@ func TestMatchCountsPerProxy(t *testing.T) {
 	}
 }
 
+// TestMatchReturnsSortedCopies: the engine keeps its own copy of a
+// subscription's terms, and the grouped match returns aggregates in
+// creation order, so subscriptions that each open an aggregate come back
+// ascending by ID.
 func TestMatchReturnsSortedCopies(t *testing.T) {
 	e := NewEngine()
 	topics := []string{"mutable"}
@@ -120,7 +136,7 @@ func TestMatchReturnsSortedCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	topics[0] = "changed" // must not affect the stored subscription
-	if n := len(e.Match(Event{ID: "m", Topics: []string{"mutable"}})); n != 1 {
+	if ids, _ := matched(e, Event{ID: "m", Topics: []string{"mutable"}}); len(ids) != 1 {
 		t.Fatalf("stored subscription was mutated through caller slice")
 	}
 	for i := 0; i < 5; i++ {
@@ -128,10 +144,13 @@ func TestMatchReturnsSortedCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := e.Match(Event{ID: "s", Topics: []string{"s"}})
+	got, _ := matched(e, Event{ID: "s", Topics: []string{"s"}})
+	if len(got) != 5 {
+		t.Fatalf("matched %d subscriptions, want 5", len(got))
+	}
 	for i := 1; i < len(got); i++ {
-		if got[i].ID <= got[i-1].ID {
-			t.Fatal("Match results not sorted by ID")
+		if got[i] <= got[i-1] {
+			t.Fatalf("grouped match returned IDs %v, want them ascending", got)
 		}
 	}
 }
@@ -144,13 +163,15 @@ func TestEngineConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var groups []MatchGroup
+			var members []Member[struct{}]
 			for i := 0; i < 200; i++ {
 				id, err := e.Subscribe(Subscription{Proxy: w, Topics: []string{fmt.Sprintf("t%d", i%10)}})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				e.Match(Event{ID: "e", Topics: []string{"t3"}})
+				groups, members = e.AppendMatchGroups(groups[:0], members[:0], Event{ID: "e", Topics: []string{"t3"}})
 				if i%2 == 0 {
 					if err := e.Unsubscribe(id); err != nil {
 						t.Error(err)
@@ -176,7 +197,7 @@ func TestMatchCountsSumEqualsSubscriptions(t *testing.T) {
 				return false
 			}
 		}
-		counts := e.MatchCounts(Event{ID: "x", Topics: []string{"T"}})
+		_, counts := matched(e, Event{ID: "x", Topics: []string{"T"}})
 		sum := 0
 		for _, c := range counts {
 			sum += c
@@ -214,8 +235,8 @@ func TestEngineRestoreKeepsIDsStable(t *testing.T) {
 		}
 	}
 	r.AdvanceNextID(nextID)
-	got := r.Match(Event{ID: "p", Topics: []string{"news"}, Keywords: []string{"go"}})
-	if len(got) != 2 || got[0].ID != id1 || got[1].ID != id2 {
+	got, _ := matched(r, Event{ID: "p", Topics: []string{"news"}, Keywords: []string{"go"}})
+	if len(got) != 2 || got[0] != id1 || got[1] != id2 {
 		t.Fatalf("recovered engine matched %+v, want IDs %d and %d", got, id1, id2)
 	}
 	// New subscriptions never reuse a recovered ID.

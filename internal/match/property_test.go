@@ -40,9 +40,10 @@ func randomTerms(rng *rand.Rand, prefix string, vocab, max int) []string {
 // topic+keyword subscriptions (terms repeated within a subscription
 // and within an event, and a third of them repeating a live
 // subscription's proxy and terms, so aggregates gain members), with
-// Unsubscribe and Restore interleaved, AppendMatchRefs, Match,
-// MatchCounts and AppendMatchGroups each agree with a naive evaluation
-// over every live subscription. The index's shortcuts — candidates
+// Unsubscribe and Restore interleaved, AppendMatchGroups agrees with a
+// naive evaluation over every live subscription: the same
+// subscriptions, the same fS per proxy and one group per predicate, and
+// AppendMatchRefs is its flattening. The index's shortcuts — candidates
 // from posting lists, topic-only matches unverified, one record per
 // predicate — must not change the answer.
 func TestMatchEqualsBruteForce(t *testing.T) {
@@ -129,48 +130,38 @@ func duplicateOf(rng *rand.Rand, live map[int64]Subscription) Subscription {
 
 func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine[struct{}], live map[int64]Subscription, ev Event) {
 	t.Helper()
-	var wantRefs []MatchRef
-	var wantSubs []Subscription
+	var wantIDs []int64
 	wantCounts := map[int]int{}
-	ids := make([]int64, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if sub := live[id]; naiveMatches(sub, ev) {
-			wantRefs = append(wantRefs, MatchRef{ID: id, Proxy: sub.Proxy})
-			wantSubs = append(wantSubs, sub)
+	for id, sub := range live {
+		if naiveMatches(sub, ev) {
+			wantIDs = append(wantIDs, id)
 			wantCounts[sub.Proxy]++
 		}
 	}
-	if got := e.AppendMatchRefs(nil, ev); !reflect.DeepEqual(got, wantRefs) {
-		t.Fatalf("seed %d step %d: AppendMatchRefs(%v) = %v, want %v", seed, step, ev, got, wantRefs)
+	slices.Sort(wantIDs)
+	// Each proxy's fS, the sum of its groups' N, is its number of
+	// matching subscriptions, and every one of them is returned once.
+	ids, counts := matched(e, ev)
+	if !reflect.DeepEqual(counts, wantCounts) {
+		t.Fatalf("seed %d step %d: per-proxy counts of AppendMatchGroups(%v) = %v, want %v", seed, step, ev, counts, wantCounts)
 	}
-	got := e.Match(ev)
-	if len(got) != len(wantSubs) {
-		t.Fatalf("seed %d step %d: Match(%v) returned %d subscriptions, want %d", seed, step, ev, len(got), len(wantSubs))
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	if !slices.Equal(sorted, wantIDs) {
+		t.Fatalf("seed %d step %d: AppendMatchGroups(%v) IDs %v, want those of %v", seed, step, ev, ids, wantIDs)
 	}
-	for i := range got {
-		w := wantSubs[i]
-		if got[i].ID != w.ID || got[i].Proxy != w.Proxy || !slices.Equal(got[i].Topics, w.Topics) || !slices.Equal(got[i].Keywords, w.Keywords) {
-			t.Fatalf("seed %d step %d: Match(%v)[%d] = %+v, want %+v", seed, step, ev, i, got[i], w)
-		}
-	}
-	if got := e.MatchCounts(ev); !reflect.DeepEqual(got, wantCounts) {
-		t.Fatalf("seed %d step %d: MatchCounts(%v) = %v, want %v", seed, step, ev, got, wantCounts)
-	}
-	// The grouped match: every matched subscription once, in groups of
-	// one proxy and one predicate, each group's IDs ascending and its N
-	// the number of live subscriptions with that predicate.
+	// The groups: one per matched predicate, of its proxy, each group's
+	// IDs ascending and its N the number of live subscriptions with that
+	// predicate. AppendMatchRefs is the same walk, flattened.
 	groups, members := e.AppendMatchGroups(nil, nil, ev)
 	gids := memberIDs(members)
-	if len(gids) != len(wantRefs) {
-		t.Fatalf("seed %d step %d: AppendMatchGroups(%v) returned %d IDs, want %d", seed, step, ev, len(gids), len(wantRefs))
-	}
+	var wantRefs []MatchRef
 	seen := map[string]bool{}
 	off := 0
 	for _, g := range groups {
+		if off+g.N > len(gids) {
+			t.Fatalf("seed %d step %d: groups cover more than the %d IDs returned", seed, step, len(gids))
+		}
 		run := gids[off : off+g.N]
 		off += g.N
 		first := live[run[0]]
@@ -192,17 +183,14 @@ func checkAgainstBruteForce(t *testing.T, seed int64, step int, e *Engine[struct
 			if sub, ok := live[id]; !ok || predicateKey(sub) != key {
 				t.Fatalf("seed %d step %d: group of %s holds subscription %d (%+v)", seed, step, key, id, sub)
 			}
+			wantRefs = append(wantRefs, MatchRef{ID: id, Proxy: g.Proxy})
 		}
 	}
 	if off != len(gids) {
 		t.Fatalf("seed %d step %d: groups cover %d of %d IDs", seed, step, off, len(gids))
 	}
-	sorted := slices.Clone(gids)
-	slices.Sort(sorted)
-	for i, r := range wantRefs {
-		if sorted[i] != r.ID {
-			t.Fatalf("seed %d step %d: AppendMatchGroups IDs %v, want those of %v", seed, step, gids, wantRefs)
-		}
+	if got := e.AppendMatchRefs(nil, ev); !reflect.DeepEqual(got, wantRefs) {
+		t.Fatalf("seed %d step %d: AppendMatchRefs(%v) = %v, want the flattened groups %v", seed, step, ev, got, wantRefs)
 	}
 }
 
@@ -313,7 +301,7 @@ func checkCensus(t *testing.T, seed int64, step int, e *Engine[struct{}], live m
 	}
 	wantTopic, wantKeyword := map[string][]*aggregate[struct{}]{}, map[string][]*aggregate[struct{}]{}
 	for a := range aggs {
-		pred := Subscription{Proxy: a.proxy, Topics: nilIfEmpty(a.topics()), Keywords: nilIfEmpty(a.keywords())}
+		pred := Subscription{Proxy: a.proxy, Topics: a.topics(), Keywords: a.keywords()}
 		k := predicateKey(pred)
 		want := members[k]
 		slices.Sort(want)
@@ -387,8 +375,8 @@ func selectiveShape(tb testing.TB) (*Engine[struct{}], Event) {
 		}
 	}
 	ev := Event{ID: "p0", Topics: []string{strings.Clone("section-0")}, Keywords: []string{strings.Clone("page-0")}}
-	if n := len(e.AppendMatchRefs(nil, ev)); n != hot {
-		tb.Fatalf("selective event matched %d, want %d", n, hot)
+	if _, members := e.AppendMatchGroups(nil, nil, ev); len(members) != hot {
+		tb.Fatalf("selective event matched %d, want %d", len(members), hot)
 	}
 	return e, ev
 }
@@ -396,8 +384,8 @@ func selectiveShape(tb testing.TB) (*Engine[struct{}], Event) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestAppendMatchRefsZeroAlloc pins matching the selective shape into a
-// reused slice at zero allocations.
+// TestAppendMatchRefsZeroAlloc pins flattening the selective shape's
+// match into a reused slice at zero allocations.
 func TestAppendMatchRefsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -422,13 +410,16 @@ func TestAppendMatchGroupsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendMatchRefs measures matching one event. "topic" and
-// "topic+keyword" hold 1 024 subscriptions that all share its topic:
+// BenchmarkAppendMatchGroups measures the publish path's grouped match
+// of one event. "topic" and "topic+keyword" hold 1 024 subscriptions
+// that all share its topic, 128 on each of 8 proxies, so 8 aggregates:
 // topic-only ones (matched straight from the posting list) and
 // topic+keyword ones (reached through their first keyword and verified
 // against the event's other terms). "selective" is live_news's shape
-// (selectiveShape): 437 matches among 19 500 subscriptions.
-func BenchmarkAppendMatchRefs(b *testing.B) {
+// (selectiveShape): the event's 437 matched subscriptions fall into 98
+// aggregates, one per proxy that holds any of them. The counts are
+// pinned, so a layout that loses or splits an aggregate fails the bench.
+func BenchmarkAppendMatchGroups(b *testing.B) {
 	shared := func(keywords []string) func(testing.TB) (*Engine[struct{}], Event) {
 		return func(tb testing.TB) (*Engine[struct{}], Event) {
 			e := NewEngine()
@@ -441,49 +432,30 @@ func BenchmarkAppendMatchRefs(b *testing.B) {
 		}
 	}
 	for _, bc := range []struct {
-		name  string
-		build func(testing.TB) (*Engine[struct{}], Event)
-		want  int
+		name                   string
+		build                  func(testing.TB) (*Engine[struct{}], Event)
+		subs, groups, nProxies int
 	}{
-		{"topic", shared(nil), 1024},
-		{"topic+keyword", shared([]string{"k1", "k2"}), 1024},
-		{"selective", selectiveShape, 437},
+		{"topic", shared(nil), 1024, 8, 8},
+		{"topic+keyword", shared([]string{"k1", "k2"}), 1024, 8, 8},
+		{"selective", selectiveShape, 437, 98, 98},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e, ev := bc.build(b)
-			refs := e.AppendMatchRefs(nil, ev)
+			groups, members := e.AppendMatchGroups(nil, nil, ev)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				refs = e.AppendMatchRefs(refs[:0], ev)
+				groups, members = e.AppendMatchGroups(groups[:0], members[:0], ev)
 			}
-			if len(refs) != bc.want {
-				b.Fatalf("matched %d, want %d", len(refs), bc.want)
+			proxies := map[int]bool{}
+			for _, g := range groups {
+				proxies[g.Proxy] = true
+			}
+			if len(members) != bc.subs || len(groups) != bc.groups || len(proxies) != bc.nProxies {
+				b.Fatalf("matched %d subscriptions in %d aggregates of %d proxies, want %d in %d of %d",
+					len(members), len(groups), len(proxies), bc.subs, bc.groups, bc.nProxies)
 			}
 		})
-	}
-}
-
-// BenchmarkAppendMatchGroups measures the publish path's grouped match
-// on live_news's shape (selectiveShape): the selective event's 437
-// matched subscriptions fall into 98 aggregates, one per proxy that
-// holds any of them. The counts are pinned, so a layout that loses or
-// splits an aggregate fails the bench.
-func BenchmarkAppendMatchGroups(b *testing.B) {
-	const wantSubs, wantGroups, wantProxies = 437, 98, 98
-	e, ev := selectiveShape(b)
-	groups, ids := e.AppendMatchGroups(nil, nil, ev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		groups, ids = e.AppendMatchGroups(groups[:0], ids[:0], ev)
-	}
-	proxies := map[int]bool{}
-	for _, g := range groups {
-		proxies[g.Proxy] = true
-	}
-	if len(ids) != wantSubs || len(groups) != wantGroups || len(proxies) != wantProxies {
-		b.Fatalf("matched %d subscriptions in %d aggregates of %d proxies, want %d in %d of %d",
-			len(ids), len(groups), len(proxies), wantSubs, wantGroups, wantProxies)
 	}
 }

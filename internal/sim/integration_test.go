@@ -7,6 +7,17 @@ import (
 	"pubsubcd/internal/workload"
 )
 
+// proxyCounts returns each matched proxy's fS for ev: the sum of N over
+// the engine's matched groups of that proxy.
+func proxyCounts(e *match.Engine[struct{}], ev match.Event) map[int]int {
+	groups, _ := e.AppendMatchGroups(nil, nil, ev)
+	counts := map[int]int{}
+	for _, g := range groups {
+		counts[g.Proxy] += g.N
+	}
+	return counts
+}
+
 // TestMatchingEngineAgreesWithAggregatedCounts drives the real matching
 // engine with materialised subscription objects and verifies it produces
 // exactly the aggregated per-proxy counts the simulator consumes — the
@@ -31,7 +42,7 @@ func TestMatchingEngineAgreesWithAggregatedCounts(t *testing.T) {
 	}
 
 	for page := range w.Pages {
-		counts := engine.MatchCounts(workload.PageEvent(page))
+		counts := proxyCounts(engine, workload.PageEvent(page))
 		for server := 0; server < cfg.Servers; server++ {
 			want := w.SubCount(page, server)
 			if got := counts[server]; got != want {
@@ -68,7 +79,7 @@ func TestSimulationMatchesLiveMatchingCounts(t *testing.T) {
 	rebuilt := make([][]int32, len(w.Pages))
 	for page := range w.Pages {
 		rebuilt[page] = make([]int32, cfg.Servers)
-		counts := engine.MatchCounts(workload.PageEvent(page))
+		counts := proxyCounts(engine, workload.PageEvent(page))
 		for server, n := range counts {
 			rebuilt[page][server] = int32(n)
 		}

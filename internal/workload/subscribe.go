@@ -89,16 +89,10 @@ func sampleSQPrime(sq float64, g *stats.RNG) float64 {
 // subscriptions.
 func (w *Workload) SubscriptionObjects() []match.Subscription {
 	var out []match.Subscription
-	user := 0
 	for pageID := range w.Pages {
 		for server, n := range w.Subscriptions[pageID] {
 			for k := int32(0); k < n; k++ {
-				out = append(out, match.Subscription{
-					Proxy:      server,
-					Subscriber: fmt.Sprintf("user-%d", user),
-					Topics:     []string{PageTopic(pageID)},
-				})
-				user++
+				out = append(out, match.Subscription{Proxy: server, Topics: []string{PageTopic(pageID)}})
 			}
 		}
 	}

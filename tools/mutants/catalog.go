@@ -192,6 +192,14 @@ var catalog = []mutant{
 		run:     "^TestAggregateMembersKeepTheirTargets$",
 	},
 	{
+		name:    "match/groups-count-one",
+		file:    "internal/match/match.go",
+		snippet: "MatchGroup{Proxy: a.proxy, N: a.size()}",
+		replace: "MatchGroup{Proxy: a.proxy, N: 1}",
+		pkg:     "internal/match",
+		run:     "^TestMatchEqualsBruteForce$",
+	},
+	{
 		name:    "broker/pushes-count-aggregates",
 		file:    "internal/broker/broker.go",
 		snippet: "\t\t\thits[i] += g.N\n",
