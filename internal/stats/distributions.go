@@ -129,9 +129,25 @@ func (l Lomax) Median() float64 {
 
 // Sample draws a truncated Lomax variate in [0, Max] by inversion.
 func (l Lomax) Sample(g *RNG) float64 {
-	// Untruncated CDF: F(x) = 1 - (1 + x/s)^-g. Truncate to [0, Max].
-	fMax := 1 - math.Pow(1+l.Max/l.Scale, -l.Gamma)
-	u := g.Float64() * fMax
+	return l.invert(g.Float64() * l.cdfMax())
+}
+
+// Fill fills dst with len(dst) variates: the draws and values of as many
+// Sample calls, with the truncation's CDF bound computed once.
+func (l Lomax) Fill(g *RNG, dst []float64) {
+	fMax := l.cdfMax()
+	for i := range dst {
+		dst[i] = l.invert(g.Float64() * fMax)
+	}
+}
+
+// cdfMax is the untruncated CDF, F(x) = 1 - (1 + x/s)^-g, at Max.
+func (l Lomax) cdfMax() float64 {
+	return 1 - math.Pow(1+l.Max/l.Scale, -l.Gamma)
+}
+
+// invert returns the variate at u in [0, F(Max)), clamped to [0, Max].
+func (l Lomax) invert(u float64) float64 {
 	x := l.Scale * (math.Pow(1-u, -1/l.Gamma) - 1)
 	if x > l.Max {
 		x = l.Max

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +167,49 @@ func TestRNGDeterminism(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if av, bv := a.Int63(), b.Int63(); av != bv {
 			t.Fatalf("same seed+label diverged at %d: %d vs %d", i, av, bv)
+		}
+	}
+}
+
+// TestPermMatchesMathRand: Perm, and PermInto on a reused buffer, yield
+// math/rand's Perm permutation and leave the RNG in its state, for every
+// length from 0 to 40 in one shared sequence of draws.
+func TestPermMatchesMathRand(t *testing.T) {
+	ref := rand.New(rand.NewSource(9))
+	a, b := NewRNG(9), NewRNG(9)
+	buf := make([]int, 40)
+	for n := 0; n <= len(buf); n++ {
+		want := ref.Perm(n)
+		if got := a.Perm(n); !slices.Equal(got, want) {
+			t.Fatalf("Perm(%d) = %v, math/rand = %v", n, got, want)
+		}
+		got := buf[:n]
+		b.PermInto(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("PermInto(%d) = %v, math/rand = %v", n, got, want)
+		}
+		r, av, bv := ref.Int63(), a.Int63(), b.Int63()
+		if av != r || bv != r {
+			t.Fatalf("after n=%d the RNGs diverged: %d and %d, math/rand %d", n, av, bv, r)
+		}
+	}
+}
+
+// TestLomaxFillMatchesSample: Fill yields, bit for bit, the variates of
+// as many Sample calls and leaves the RNG in the same state, for a
+// fresh-page shape and a wide tail truncated near zero.
+func TestLomaxFillMatchesSample(t *testing.T) {
+	for _, l := range []Lomax{{Scale: 6, Gamma: 1.1, Max: 160}, {Scale: 48, Gamma: 0.2, Max: 1e-6}} {
+		a, b := NewRNG(5), NewRNG(5)
+		got := make([]float64, 200)
+		l.Fill(b, got)
+		for i, v := range got {
+			if want := l.Sample(a); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%+v: Fill[%d] = %v, Sample = %v", l, i, v, want)
+			}
+		}
+		if av, bv := a.Int63(), b.Int63(); av != bv {
+			t.Fatalf("%+v: the RNGs diverged after 200 draws", l)
 		}
 	}
 }

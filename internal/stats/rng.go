@@ -51,8 +51,24 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+// Perm returns a random permutation of [0, n), the one math/rand's
+// Perm returns from the same state.
+func (g *RNG) Perm(n int) []int {
+	m := make([]int, n)
+	g.PermInto(m)
+	return m
+}
+
+// PermInto fills m with the permutation Perm(len(m)) would return,
+// making the same draws, so a caller can reuse one buffer where it
+// would call Perm. The loop is math/rand's Perm.
+func (g *RNG) PermInto(m []int) {
+	for i := range m {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+}
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

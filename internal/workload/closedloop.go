@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pubsubcd/internal/stats"
 )
@@ -50,15 +50,7 @@ func DeriveClosedLoop(w *Workload, seed int64) (*Workload, error) {
 			}
 		}
 	}
-	sort.Slice(requests, func(i, j int) bool {
-		if requests[i].Time != requests[j].Time {
-			return requests[i].Time < requests[j].Time
-		}
-		if requests[i].Page != requests[j].Page {
-			return requests[i].Page < requests[j].Page
-		}
-		return requests[i].Server < requests[j].Server
-	})
+	slices.SortFunc(requests, compareRequests)
 
 	out := &Workload{
 		Config:        cfg,

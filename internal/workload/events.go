@@ -151,17 +151,15 @@ func buildEventView(w *Workload) *EventView {
 		Hours:       hours,
 		UniqueBytes: uniqueBytes(w),
 	}
+	subscribers := subscriberLists(w.Subscriptions)
 
 	// Pre-count events per server so each stream is allocated exactly
 	// once; the hour indexes and subscription columns share one backing
 	// array each.
 	counts := make([]int, servers)
 	for _, p := range w.Publications {
-		row := w.Subscriptions[p.Page]
-		for s := 0; s < servers; s++ {
-			if row[s] > 0 {
-				counts[s]++
-			}
+		for _, s := range subscribers.of(p.Page) {
+			counts[s]++
 		}
 	}
 	for _, r := range w.Requests {
@@ -175,7 +173,7 @@ func buildEventView(w *Workload) *EventView {
 		v.Subs[s] = subs[s*len(w.Pages) : (s+1)*len(w.Pages) : (s+1)*len(w.Pages)]
 	}
 	for page, row := range w.Subscriptions {
-		for s := 0; s < servers; s++ {
+		for _, s := range subscribers.of(page) {
 			v.Subs[s][page] = row[s]
 		}
 	}
@@ -193,12 +191,9 @@ func buildEventView(w *Workload) *EventView {
 	}
 	w.walk(func(p *Publication) {
 		advance(hourOf(p.Time, hours))
-		row := w.Subscriptions[p.Page]
 		e := newEvent(p.Page, int32(p.Version), false)
-		for s := 0; s < servers; s++ {
-			if row[s] > 0 {
-				v.Streams[s] = append(v.Streams[s], e)
-			}
+		for _, s := range subscribers.of(p.Page) {
+			v.Streams[s] = append(v.Streams[s], e)
 		}
 	}, func(r *Request, version int32) {
 		advance(hourOf(r.Time, hours))
@@ -206,6 +201,45 @@ func buildEventView(w *Workload) *EventView {
 	})
 	advance(hours)
 	return v
+}
+
+// pageSubscribers holds, for each page, the servers with at least one
+// matching subscription, ascending: page p's list is
+// servers[starts[p]:starts[p+1]]. A page has a few subscribing servers
+// out of all of them, so the event view's passes over a page's
+// subscribers visit only these.
+type pageSubscribers struct {
+	starts  []int32
+	servers []int32
+}
+
+// subscriberLists builds the per-page lists from the subscription
+// matrix: one scan sizes them, a second fills them.
+func subscriberLists(matrix [][]int32) pageSubscribers {
+	l := pageSubscribers{starts: make([]int32, len(matrix)+1)}
+	for page, row := range matrix {
+		n := int32(0)
+		for _, c := range row {
+			if c > 0 {
+				n++
+			}
+		}
+		l.starts[page+1] = l.starts[page] + n
+	}
+	l.servers = make([]int32, 0, l.starts[len(matrix)])
+	for _, row := range matrix {
+		for s, c := range row {
+			if c > 0 {
+				l.servers = append(l.servers, int32(s))
+			}
+		}
+	}
+	return l
+}
+
+// of returns page's subscribing servers.
+func (l pageSubscribers) of(page int) []int32 {
+	return l.servers[l.starts[page]:l.starts[page+1]]
 }
 
 // TimedEvents returns server s's event stream expanded with each

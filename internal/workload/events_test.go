@@ -307,7 +307,8 @@ func TestEventViewStreamsSorted(t *testing.T) {
 // BenchmarkEventView builds the event view of the paper-scale NEWS
 // workload (scale 1, trace seed 1: about 1.2 million stream entries),
 // the layer behind perfbench's workload.events_ms share of sim_paper's
-// setup. B/op is the view's allocated size.
+// setup. B/op is the view's allocated size plus about 0.1 MB of
+// transient per-page subscriber lists.
 func BenchmarkEventView(b *testing.B) {
 	w, err := Generate(ScaledConfig(TraceNEWS, 1))
 	if err != nil {
@@ -321,3 +322,21 @@ func BenchmarkEventView(b *testing.B) {
 }
 
 var eventViewSink *EventView
+
+// BenchmarkGenerate generates the paper-scale NEWS workload (scale 1,
+// trace seed 1: 6 000 pages, 30 147 publications, 195 000 requests),
+// the layer behind perfbench's workload.generate_ms share of
+// sim_paper's setup.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := ScaledConfig(TraceNEWS, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		generateSink = w
+	}
+}
+
+var generateSink *Workload

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pubsubcd/internal/stats"
 )
@@ -92,7 +93,7 @@ func chooseModified(cfg Config, pages []Page, g *stats.RNG) []int {
 		// key = Exp(1)/w; the smallest ModifiedPages keys win.
 		cands[i] = cand{page: i, key: g.ExpFloat64() / w}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].key < cands[b].key })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.key, b.key) })
 	out := make([]int, cfg.ModifiedPages)
 	for i := 0; i < cfg.ModifiedPages; i++ {
 		out[i] = cands[i].page
@@ -113,9 +114,9 @@ func assignIntervals(cfg Config, pages []Page, modified []int, g *stats.RNG) (ma
 	for i := range intervals {
 		intervals[i] = dist.Sample(g)
 	}
-	sort.Float64s(intervals)
-	byRank := append([]int(nil), modified...)
-	sort.Slice(byRank, func(a, b int) bool { return pages[byRank[a]].Rank < pages[byRank[b]].Rank })
+	slices.Sort(intervals)
+	byRank := slices.Clone(modified)
+	slices.SortFunc(byRank, func(a, b int) int { return cmp.Compare(pages[a].Rank, pages[b].Rank) })
 	out := make(map[int]float64, len(modified))
 	for i, p := range byRank {
 		out[p] = intervals[i]
@@ -193,7 +194,7 @@ func generatePublishing(cfg Config, pages []Page, g *stats.RNG) ([]Publication, 
 		for p := range intervals {
 			pageIDs = append(pageIDs, p)
 		}
-		sort.Ints(pageIDs)
+		slices.Sort(pageIDs)
 		for _, p := range pageIDs {
 			iv := intervals[p] * lambda
 			n := countVersions(horizon, pages[p].FirstPublish, iv, 1)
@@ -203,20 +204,20 @@ func generatePublishing(cfg Config, pages []Page, g *stats.RNG) ([]Publication, 
 		}
 		if len(versions) > quota {
 			// Drop the latest-in-time surplus versions.
-			sort.Slice(versions, func(a, b int) bool {
-				if versions[a].time != versions[b].time {
-					return versions[a].time < versions[b].time
+			slices.SortFunc(versions, func(a, b pv) int {
+				if c := cmp.Compare(a.time, b.time); c != 0 {
+					return c
 				}
-				return versions[a].page < versions[b].page
+				return cmp.Compare(a.page, b.page)
 			})
 			versions = versions[:quota]
 		}
 		// Renumber contiguously per page in time order.
-		sort.Slice(versions, func(a, b int) bool {
-			if versions[a].page != versions[b].page {
-				return versions[a].page < versions[b].page
+		slices.SortFunc(versions, func(a, b pv) int {
+			if c := cmp.Compare(a.page, b.page); c != 0 {
+				return c
 			}
-			return versions[a].time < versions[b].time
+			return cmp.Compare(a.time, b.time)
 		})
 		ver := 0
 		for i, v := range versions {
@@ -229,14 +230,14 @@ func generatePublishing(cfg Config, pages []Page, g *stats.RNG) ([]Publication, 
 		}
 	}
 
-	sort.Slice(pubs, func(i, j int) bool {
-		if pubs[i].Time != pubs[j].Time {
-			return pubs[i].Time < pubs[j].Time
+	slices.SortFunc(pubs, func(a, b Publication) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if pubs[i].Page != pubs[j].Page {
-			return pubs[i].Page < pubs[j].Page
+		if c := cmp.Compare(a.Page, b.Page); c != 0 {
+			return c
 		}
-		return pubs[i].Version < pubs[j].Version
+		return cmp.Compare(a.Version, b.Version)
 	})
 	return pubs, nil
 }

@@ -137,8 +137,8 @@ func TestPublishingStreamShape(t *testing.T) {
 		if p.Time < 0 || p.Time >= horizon {
 			t.Fatalf("publication %d at %g outside [0, %g)", i, p.Time, horizon)
 		}
-		if i > 0 && p.Time < w.Publications[i-1].Time {
-			t.Fatal("publications not sorted by time")
+		if i > 0 && !publicationsInOrder(w.Publications[i-1], p) {
+			t.Fatalf("publications %d and %d out of (Time, Page, Version) order: %+v, %+v", i-1, i, w.Publications[i-1], p)
 		}
 	}
 	// Version numbering is contiguous per page starting at 0.
@@ -188,11 +188,79 @@ func TestRequestStreamShape(t *testing.T) {
 		if r.Page < 0 || r.Page >= cfg.DistinctPages {
 			t.Fatalf("request %d for invalid page %d", i, r.Page)
 		}
-		if i > 0 && r.Time < w.Requests[i-1].Time {
-			t.Fatal("requests not sorted by time")
+		if i > 0 && !requestsInOrder(w.Requests[i-1], r) {
+			t.Fatalf("requests %d and %d out of (Time, Page, Server) order: %+v, %+v", i-1, i, w.Requests[i-1], r)
 		}
 		if r.Time < w.Pages[r.Page].FirstPublish {
 			t.Fatalf("request %d at %g precedes publication %g", i, r.Time, w.Pages[r.Page].FirstPublish)
+		}
+	}
+}
+
+// requestsInOrder reports whether a may precede b in the request
+// stream: ascending time, then page, then server. It is written out
+// here rather than calling the generator's comparator, so a comparator
+// that skips a key fails against it.
+func requestsInOrder(a, b Request) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Page != b.Page {
+		return a.Page < b.Page
+	}
+	return a.Server <= b.Server
+}
+
+// publicationsInOrder reports whether a may precede b in the
+// publishing stream: ascending time, then page, then version.
+func publicationsInOrder(a, b Publication) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Page != b.Page {
+		return a.Page < b.Page
+	}
+	return a.Version <= b.Version
+}
+
+// TestRequestOrderBreaksClampedTiesByServer: the horizon clamp puts
+// requests of one page at exactly horizon - 1e-9, where only the
+// server orders them. Two pages first published 1e-7 hours before the
+// horizon of a one-day trace draw most of their requests past it; the
+// clamped requests share one time, sit on several servers in the last
+// bucket of the generator's counting sort, and must come out in
+// (Time, Page, Server) order.
+func TestRequestOrderBreaksClampedTiesByServer(t *testing.T) {
+	cfg := DefaultConfig(TraceNEWS)
+	cfg.Days = 1
+	cfg.Servers = 20
+	horizon := cfg.Horizon()
+	pages := []Page{
+		{ID: 0, FirstPublish: 3, Class: 0},
+		{ID: 1, FirstPublish: horizon - 1e-7, Class: 0},
+		{ID: 2, FirstPublish: horizon - 1e-7, Class: 1},
+	}
+	counts := []int{40, 10, 8}
+	cfg.TotalRequests = 58
+	requests, err := generateRequests(cfg, pages, counts, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(requests) != cfg.TotalRequests {
+		t.Fatalf("%d requests, want %d", len(requests), cfg.TotalRequests)
+	}
+	clampedServers := map[int]map[int]bool{1: {}, 2: {}}
+	for i, r := range requests {
+		if i > 0 && !requestsInOrder(requests[i-1], r) {
+			t.Fatalf("requests %d and %d out of (Time, Page, Server) order: %+v, %+v", i-1, i, requests[i-1], r)
+		}
+		if r.Time == horizon-1e-9 && r.Page > 0 {
+			clampedServers[r.Page][r.Server] = true
+		}
+	}
+	for page, servers := range clampedServers {
+		if len(servers) < 3 {
+			t.Errorf("page %d has clamped requests on %d servers, want at least 3 to exercise the server tie-break", page, len(servers))
 		}
 	}
 }

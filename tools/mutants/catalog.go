@@ -218,8 +218,20 @@ var catalog = []mutant{
 		run:     "^TestCacheCapacitiesWithoutEventView$",
 	},
 
-	// The compact event view: each event in its hour's window, and each
-	// shard reading its own server's subscription column.
+	// The request stream's one order: the server breaks ties of time and
+	// page (the horizon clamp makes them).
+	{
+		name:    "workload/request-order-drops-server",
+		file:    "internal/workload/request.go",
+		snippet: "\treturn cmp.Compare(a.Server, b.Server)\n",
+		replace: "\treturn 0\n",
+		pkg:     "internal/workload",
+		run:     "^(TestRequestStreamShape|TestRequestOrderBreaksClampedTiesByServer)$",
+	},
+
+	// The compact event view: each event in its hour's window, each
+	// publication at every subscribing server, and each shard reading
+	// its own server's subscription column.
 	{
 		name:    "workload/request-hour-shifted",
 		file:    "internal/workload/events.go",
@@ -227,6 +239,14 @@ var catalog = []mutant{
 		replace: "\t\tadvance(hourOf(r.Time, hours) + 1)\n",
 		pkg:     "internal/workload",
 		run:     "^TestEventView(MatchesSequentialReplay|HourBoundaries)$",
+	},
+	{
+		name:    "workload/view-skips-last-subscriber",
+		file:    "internal/workload/events.go",
+		snippet: "\treturn l.servers[l.starts[page]:l.starts[page+1]]\n",
+		replace: "\treturn l.servers[l.starts[page]:max(l.starts[page], l.starts[page+1]-1)]\n",
+		pkg:     "internal/workload",
+		run:     "^TestEventViewMatchesSequentialReplay$",
 	},
 	{
 		name:    "sim/subs-column-of-next-server",
