@@ -295,15 +295,15 @@ func replayStrategy(ctx context.Context, w *workload.Workload, f core.Factory, s
 			}
 			page := &w.Pages[pb.Page]
 			_, err := pub.Publish(ctx, broker.Content{
-				ID:      topicOf(pb.Page),
-				Version: pb.Version,
-				Topics:  []string{topicOf(pb.Page)},
+				ID:      topicOf(int(pb.Page)),
+				Version: int(pb.Version),
+				Topics:  []string{topicOf(int(pb.Page))},
 				Body:    bodyFor(page.Size),
 			})
 			if err != nil {
 				rr.publishErrors.Add(1)
 			}
-			published.record(pb.Page, pb.Version)
+			published.record(int(pb.Page), int(pb.Version))
 		}
 	}()
 

@@ -30,9 +30,11 @@ type Replay struct {
 // NewReplay builds one shard per proxy server of w: a strategy from
 // factory sized at the proxy's share of opts.CapacityFraction, the
 // proxy's fetch cost (opts.FetchCosts, or the Waxman topology seeded
-// by opts.TopologySeed), its event stream, hour index and subscription
-// column from w's EventView, and a private tally. opts.Telemetry, when
-// set, receives the sim.* outcome counters and the sim.strategy view as
+// by opts.TopologySeed), its event stream and hour index from w's
+// EventView, and a private tally. Every shard reads its subscription
+// counts from w.Subscriptions, whose shape (one row per page, one
+// column per server) NewReplay checks once. opts.Telemetry, when set,
+// receives the sim.* outcome counters and the sim.strategy view as
 // shards replay; opts.Parallelism and opts.Spans belong to Run and are
 // ignored here.
 func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Replay, error) {
@@ -53,6 +55,9 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 	}
 	if len(costs) != servers {
 		return nil, fmt.Errorf("sim: got %d fetch costs for %d servers", len(costs), servers)
+	}
+	if err := w.CheckSubscriptions(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	view := w.Events()
 	capacities := view.CacheCapacities(opts.CapacityFraction)
@@ -90,7 +95,7 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 			pages:      w.Pages,
 			stream:     view.Streams[i],
 			hourStarts: view.HourStarts[i],
-			subs:       view.Subs[i],
+			subs:       w.Subscriptions,
 			tally:      newShardTally(hours, metrics),
 			seen:       make([]bool, len(w.Pages)),
 		}
@@ -134,10 +139,11 @@ func (r *Replay) Result() *Result {
 }
 
 // Shard is the unit of replay: one proxy server's strategy instance,
-// its event stream with the stream's hour index and the server's
-// subscription column, its first-request seen-set and its private
-// tally. Shards share only immutable data (the workload and its event
-// view) plus atomic telemetry handles, so any number of shards can
+// its event stream with the stream's hour index, its first-request
+// seen-set and its private tally. It reads each event's subscription
+// count from the workload's matrix, the one subscription table. Shards
+// share only immutable data (the workload and its event view) plus
+// atomic telemetry handles, so any number of shards can
 // replay concurrently and the merged result is bit-identical to a
 // sequential replay. One shard must be driven by one goroutine at a
 // time.
@@ -149,11 +155,12 @@ type Shard struct {
 	w        *workload.Workload
 	pages    []workload.Page
 	// stream is the server's 8-byte event stream; hour h's events are
-	// stream[hourStarts[h]:hourStarts[h+1]]. subs[page] is the
-	// server's subscription count for the page.
+	// stream[hourStarts[h]:hourStarts[h+1]]. subs is the workload's
+	// subscription matrix: subs[page][server] is this server's
+	// subscription count for the page.
 	stream     []workload.Event
 	hourStarts []int32
-	subs       []int32
+	subs       [][]int32
 	tally      *shardTally
 	// seen[page] records whether this server has requested the page
 	// before (cold/warm miss classification).
@@ -180,20 +187,24 @@ func (sh *Shard) Request(ev workload.ServerEvent) bool {
 	return sh.request(ev.Hour, int(ev.Page), int(ev.Version))
 }
 
+// subCount returns the server's subscription count for page, the S
+// every placement decision receives.
+func (sh *Shard) subCount(page int) int { return int(sh.subs[page][sh.server]) }
+
 func (sh *Shard) offer(hour, page, version int) {
 	if !sh.usesPush {
 		return
 	}
 	size := sh.pages[page].Size
 	meta := core.PageMeta{ID: page, Size: size, Cost: sh.cost}
-	stored := sh.strategy.Push(meta, version, int(sh.subs[page]))
+	stored := sh.strategy.Push(meta, version, sh.subCount(page))
 	sh.tally.push(hour, size, stored)
 }
 
 func (sh *Shard) request(hour, page, version int) bool {
 	pg := &sh.pages[page]
 	meta := core.PageMeta{ID: page, Size: pg.Size, Cost: sh.cost}
-	hit, _ := sh.strategy.Request(meta, version, int(sh.subs[page]))
+	hit, _ := sh.strategy.Request(meta, version, sh.subCount(page))
 	first := !sh.seen[page]
 	sh.seen[page] = true
 	sh.tally.request(hour, pg.Class, pg.Size, hit, first)

@@ -58,6 +58,19 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(w, f, Options{CapacityFraction: 0.05, Beta: 0}); err == nil {
 		t.Error("GD* with zero beta should error")
 	}
+	// A subscription matrix without one row per page and one column
+	// per server is an error, not an index panic mid-replay.
+	for _, misshape := range []func(w *workload.Workload){
+		func(w *workload.Workload) { w.Subscriptions = w.Subscriptions[1:] },
+		func(w *workload.Workload) { w.Subscriptions[3] = w.Subscriptions[3][1:] },
+		func(w *workload.Workload) { w.Subscriptions[3] = append(w.Subscriptions[3], 1) },
+	} {
+		bad := testWorkload(t, workload.TraceNEWS, 1)
+		misshape(bad)
+		if _, err := Run(bad, f, DefaultOptions()); err == nil {
+			t.Error("a misshapen subscription matrix should error")
+		}
+	}
 }
 
 func TestRunAccountingConsistency(t *testing.T) {

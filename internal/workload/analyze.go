@@ -77,14 +77,15 @@ func (w *Workload) Analyze() Analysis {
 	serversOf := make(map[int]map[int]bool)
 	classCounts := [4]int{}
 	for _, r := range w.Requests {
-		ages = append(ages, r.Time-w.Pages[r.Page].FirstPublish)
-		perPage[r.Page]++
-		pairs[[2]int{r.Page, r.Server}]++
-		if serversOf[r.Page] == nil {
-			serversOf[r.Page] = make(map[int]bool)
+		page, server := int(r.Page), int(r.Server)
+		ages = append(ages, r.Time-w.Pages[page].FirstPublish)
+		perPage[page]++
+		pairs[[2]int{page, server}]++
+		if serversOf[page] == nil {
+			serversOf[page] = make(map[int]bool)
 		}
-		serversOf[r.Page][r.Server] = true
-		classCounts[w.Pages[r.Page].Class]++
+		serversOf[page][server] = true
+		classCounts[w.Pages[page].Class]++
 	}
 	a.RequestAgeHours = stats.Summarize(ages)
 	counts := make([]float64, 0, len(perPage))

@@ -46,7 +46,7 @@ func DeriveClosedLoop(w *Workload, seed int64) (*Workload, error) {
 				if t >= horizon {
 					t = horizon - 1e-9
 				}
-				requests = append(requests, Request{Time: t, Page: page, Server: server})
+				requests = append(requests, Request{Time: t, Page: int32(page), Server: int32(server)})
 			}
 		}
 	}

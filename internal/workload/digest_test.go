@@ -12,16 +12,18 @@ import (
 // generationDigests are the SHA-256 digests (first 16 hex digits) of
 // generated workloads and of their event views, recorded before the
 // generator's sorts, server pools and view construction were reworked
-// for speed. Any change to a page, publication, request, subscription
-// count or view entry changes a digest; a speed-up must leave them all
-// as they are.
+// for speed. The view digests were re-recorded from that same code with
+// only the per-server subscription columns left out of the hash, when
+// the view stopped holding them. Any change to a page, publication,
+// request, subscription count or view entry changes a digest; a
+// speed-up must leave them all as they are.
 var generationDigests = map[string]struct{ workload, view string }{
-	"NEWS/1":             {"89726c47f37fcbcf", "1e5a8ffb2f91d0be"},
-	"NEWS/50":            {"f8b28d46e06c8e68", "22678e6dc24be4d2"},
-	"ALTERNATIVE/1":      {"2565e5fc2bd27859", "c3d3c01aaa1026af"},
-	"ALTERNATIVE/50":     {"6a9ea2e73988d932", "74ad474f25844ffe"},
-	"imperfect-SQ-mixed": {"97b719b297336830", "3a753ebcb4b6e196"},
-	"closed-loop/50":     {"35434fc2a2625027", "cfa7077c32ed8659"},
+	"NEWS/1":             {"89726c47f37fcbcf", "22e96caa28e140b1"},
+	"NEWS/50":            {"f8b28d46e06c8e68", "8e2738365a8cc831"},
+	"ALTERNATIVE/1":      {"2565e5fc2bd27859", "e61f92cc476c2963"},
+	"ALTERNATIVE/50":     {"6a9ea2e73988d932", "4f218682d297d3bd"},
+	"imperfect-SQ-mixed": {"97b719b297336830", "03a3a83cef6455ad"},
+	"closed-loop/50":     {"35434fc2a2625027", "c18cdd8827ced96c"},
 }
 
 // digestWriter feeds fixed-width little-endian integers to a hash.
@@ -81,8 +83,8 @@ func workloadDigest(w *Workload) string {
 	return d.sum()
 }
 
-// viewDigest hashes the event view: every stream entry, hour index,
-// subscription column and unique-byte total.
+// viewDigest hashes the event view: every stream entry, hour index and
+// unique-byte total.
 func viewDigest(v *EventView) string {
 	d := &digestWriter{h: sha256.New()}
 	d.int(int64(v.Hours))
@@ -94,7 +96,6 @@ func viewDigest(v *EventView) string {
 			d.int(int64(e.Version))
 		}
 		d.int32s(v.HourStarts[s])
-		d.int32s(v.Subs[s])
 		d.int(v.UniqueBytes[s])
 	}
 	return d.sum()

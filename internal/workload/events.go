@@ -13,9 +13,10 @@ import (
 // original streams.
 //
 // An entry holds no time and no subscription count: the stream's hour
-// index (EventView.HourStarts) places it in its hour, and the server's
-// subscription column (EventView.Subs) holds the count for its page.
-// TestEventEntryIsEightBytes pins the size.
+// index (EventView.HourStarts) places it in its hour, and the
+// workload's subscription matrix (Workload.Subscriptions) holds the
+// count for its page at the server. TestEventEntryIsEightBytes pins
+// the size.
 type Event struct {
 	// pageReq holds the page ID in its low 31 bits and the request
 	// flag in the top bit.
@@ -31,7 +32,7 @@ type Event struct {
 
 const requestBit = 1 << 31
 
-func newEvent(page int, version int32, request bool) Event {
+func newEvent(page, version int32, request bool) Event {
 	e := Event{pageReq: uint32(page), Version: version}
 	if request {
 		e.pageReq |= requestBit
@@ -63,9 +64,11 @@ type ServerEvent struct {
 // EventView is a read-only decomposition of a workload into per-server
 // event streams plus the per-server aggregates the simulator sizes
 // caches from. It is the sharding substrate of the parallel simulator:
-// each proxy's stream, hour index and subscription column are
-// self-contained (resolved versions are baked in), so per-server
-// replays share nothing but immutable data.
+// each proxy's stream and hour index are self-contained (resolved
+// versions are baked in), so per-server replays share nothing but
+// immutable data. The view holds no subscription counts: a replay
+// reads them from the workload's own matrix (Workload.Subscriptions),
+// the one subscription table.
 //
 // A view is built once per workload (see Workload.Events) and must not
 // be mutated.
@@ -82,10 +85,6 @@ type EventView struct {
 	// and clamped to [0, Hours-1], so events at or past the horizon
 	// fall in the last hour.
 	HourStarts [][]int32
-	// Subs[s][page] is the number of server s's subscriptions matching
-	// the page: the count a strategy receives with each of the page's
-	// events at s.
-	Subs [][]int32
 	// Hours is the number of simulation hours, the horizon rounded up.
 	Hours int
 	// UniqueBytes[s] is the total size of the distinct pages server s
@@ -125,8 +124,8 @@ func (w *Workload) walk(pub func(p *Publication), req func(r *Request, version i
 		if pi < len(pubs) && (ri >= len(reqs) || pubs[pi].Time <= reqs[ri].Time) {
 			p := &pubs[pi]
 			pi++
-			if int32(p.Version) > current[p.Page] {
-				current[p.Page] = int32(p.Version)
+			if p.Version > current[p.Page] {
+				current[p.Page] = p.Version
 			}
 			pub(p)
 			continue
@@ -147,15 +146,13 @@ func buildEventView(w *Workload) *EventView {
 	v := &EventView{
 		Streams:     make([][]Event, servers),
 		HourStarts:  make([][]int32, servers),
-		Subs:        make([][]int32, servers),
 		Hours:       hours,
 		UniqueBytes: uniqueBytes(w),
 	}
 	subscribers := subscriberLists(w.Subscriptions)
 
 	// Pre-count events per server so each stream is allocated exactly
-	// once; the hour indexes and subscription columns share one backing
-	// array each.
+	// once; the hour indexes share one backing array.
 	counts := make([]int, servers)
 	for _, p := range w.Publications {
 		for _, s := range subscribers.of(p.Page) {
@@ -166,16 +163,9 @@ func buildEventView(w *Workload) *EventView {
 		counts[r.Server]++
 	}
 	starts := make([]int32, servers*(hours+1))
-	subs := make([]int32, servers*len(w.Pages))
 	for s := range v.Streams {
 		v.Streams[s] = make([]Event, 0, counts[s])
 		v.HourStarts[s] = starts[s*(hours+1) : (s+1)*(hours+1) : (s+1)*(hours+1)]
-		v.Subs[s] = subs[s*len(w.Pages) : (s+1)*len(w.Pages) : (s+1)*len(w.Pages)]
-	}
-	for page, row := range w.Subscriptions {
-		for _, s := range subscribers.of(page) {
-			v.Subs[s][page] = row[s]
-		}
 	}
 
 	// hour is the last hour whose start every server has recorded;
@@ -191,7 +181,7 @@ func buildEventView(w *Workload) *EventView {
 	}
 	w.walk(func(p *Publication) {
 		advance(hourOf(p.Time, hours))
-		e := newEvent(p.Page, int32(p.Version), false)
+		e := newEvent(p.Page, p.Version, false)
 		for _, s := range subscribers.of(p.Page) {
 			v.Streams[s] = append(v.Streams[s], e)
 		}
@@ -238,7 +228,7 @@ func subscriberLists(matrix [][]int32) pageSubscribers {
 }
 
 // of returns page's subscribing servers.
-func (l pageSubscribers) of(page int) []int32 {
+func (l pageSubscribers) of(page int32) []int32 {
 	return l.servers[l.starts[page]:l.starts[page+1]]
 }
 
@@ -252,11 +242,11 @@ func (w *Workload) TimedEvents(s int) []ServerEvent {
 	var out []ServerEvent
 	w.walk(func(p *Publication) {
 		if w.Subscriptions[p.Page][s] > 0 {
-			out = append(out, ServerEvent{Time: p.Time, Hour: hourOf(p.Time, hours), Page: int32(p.Page), Version: int32(p.Version)})
+			out = append(out, ServerEvent{Time: p.Time, Hour: hourOf(p.Time, hours), Page: p.Page, Version: p.Version})
 		}
 	}, func(r *Request, version int32) {
-		if r.Server == s {
-			out = append(out, ServerEvent{Time: r.Time, Hour: hourOf(r.Time, hours), Page: int32(r.Page), Version: version, Request: true})
+		if int(r.Server) == s {
+			out = append(out, ServerEvent{Time: r.Time, Hour: hourOf(r.Time, hours), Page: r.Page, Version: version, Request: true})
 		}
 	})
 	return out
@@ -270,7 +260,7 @@ func uniqueBytes(w *Workload) []int64 {
 	out := make([]int64, servers)
 	seen := make([]bool, len(w.Pages)*servers)
 	for _, r := range w.Requests {
-		if k := r.Page*servers + r.Server; !seen[k] {
+		if k := int(r.Page)*servers + int(r.Server); !seen[k] {
 			seen[k] = true
 			out[r.Server] += w.Pages[r.Page].Size
 		}

@@ -70,9 +70,8 @@ func boundaryWorkload() *Workload {
 // sequential simulator performs and checks that the view's per-server
 // streams are exactly its per-server restriction: same event order,
 // page, request flag and resolved version at every event, every event
-// inside the hour window of its source time, and the subscription
-// columns equal to the subscription matrix. TimedEvents must yield the
-// same events with their exact source times and hours.
+// inside the hour window of its source time. TimedEvents must yield
+// the same events with their exact source times and hours.
 func checkViewAgainstMerge(t *testing.T, w *Workload) {
 	t.Helper()
 	v := w.Events()
@@ -81,9 +80,9 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 	if v.Hours != hours {
 		t.Fatalf("view has %d hours, want %d", v.Hours, hours)
 	}
-	if len(v.Streams) != servers || len(v.HourStarts) != servers || len(v.Subs) != servers {
-		t.Fatalf("view has %d streams, %d hour indexes, %d subs columns; want %d each",
-			len(v.Streams), len(v.HourStarts), len(v.Subs), servers)
+	if len(v.Streams) != servers || len(v.HourStarts) != servers {
+		t.Fatalf("view has %d streams and %d hour indexes; want %d each",
+			len(v.Streams), len(v.HourStarts), servers)
 	}
 	for s := 0; s < servers; s++ {
 		starts := v.HourStarts[s]
@@ -93,14 +92,6 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 		}
 		if !slices.IsSorted(starts) {
 			t.Fatalf("server %d hour index %v is not ascending", s, starts)
-		}
-		if len(v.Subs[s]) != len(w.Pages) {
-			t.Fatalf("server %d subs column has %d pages, want %d", s, len(v.Subs[s]), len(w.Pages))
-		}
-		for page, row := range w.Subscriptions {
-			if v.Subs[s][page] != row[s] {
-				t.Fatalf("server %d subs for page %d = %d, want %d", s, page, v.Subs[s][page], row[s])
-			}
 		}
 	}
 	timed := make([][]ServerEvent, servers)
@@ -112,7 +103,7 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 	}
 
 	cursors := make([]int, servers)
-	next := func(s int, time float64, page, version int, request bool) {
+	next := func(s int, time float64, page, version int32, request bool) {
 		t.Helper()
 		i := cursors[s]
 		cursors[s]++
@@ -120,7 +111,7 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 			t.Fatalf("server %d stream ends at %d events; the merge routes more", s, i)
 		}
 		ev := v.Streams[s][i]
-		if ev.Request() != request || ev.Page() != page || int(ev.Version) != version {
+		if ev.Request() != request || ev.Page() != int(page) || ev.Version != version {
 			t.Fatalf("server %d event %d = {page %d version %d request %v}, want {page %d version %d request %v} at t=%g",
 				s, i, ev.Page(), ev.Version, ev.Request(), page, version, request, time)
 		}
@@ -128,12 +119,12 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 		if lo, hi := int(v.HourStarts[s][hour]), int(v.HourStarts[s][hour+1]); i < lo || i >= hi {
 			t.Fatalf("server %d event %d at t=%g lies outside hour %d's window [%d, %d)", s, i, time, hour, lo, hi)
 		}
-		want := ServerEvent{Time: time, Hour: hour, Page: int32(page), Version: int32(version), Request: request}
+		want := ServerEvent{Time: time, Hour: hour, Page: page, Version: version, Request: request}
 		if timed[s][i] != want {
 			t.Fatalf("server %d TimedEvents[%d] = %+v, want %+v", s, i, timed[s][i], want)
 		}
 	}
-	current := make([]int, len(w.Pages))
+	current := make([]int32, len(w.Pages))
 	for i := range current {
 		current[i] = -1
 	}
@@ -155,7 +146,7 @@ func checkViewAgainstMerge(t *testing.T, w *Workload) {
 		}
 		r := reqs[ri]
 		ri++
-		next(r.Server, r.Time, r.Page, max(current[r.Page], 0), true)
+		next(int(r.Server), r.Time, r.Page, max(current[r.Page], 0), true)
 	}
 	for s, c := range cursors {
 		if c != len(v.Streams[s]) {
@@ -232,9 +223,9 @@ func TestCacheCapacitiesWithoutEventView(t *testing.T) {
 // an independent map-based computation.
 func TestEventViewUniqueBytes(t *testing.T) {
 	w := eventTestWorkload(t)
-	seen := make([]map[int]bool, w.Config.Servers)
+	seen := make([]map[int32]bool, w.Config.Servers)
 	for i := range seen {
-		seen[i] = make(map[int]bool)
+		seen[i] = make(map[int32]bool)
 	}
 	want := make([]int64, w.Config.Servers)
 	for _, r := range w.Requests {

@@ -27,11 +27,13 @@ type Page struct {
 }
 
 // Publication is one entry of the publishing stream: version v of a page
-// becomes available at Time. Version 0 is the original.
+// becomes available at Time. Version 0 is the original. Page and
+// Version are int32, the widths the event view stores them in, so an
+// entry is 16 bytes (TestTraceRecordsAreSixteenBytes).
 type Publication struct {
 	Time    float64
-	Page    int
-	Version int
+	Page    int32
+	Version int32
 }
 
 // modificationIntervals returns the step-wise distribution of page
@@ -150,7 +152,7 @@ func generatePublishing(cfg Config, pages []Page, g *stats.RNG) ([]Publication, 
 
 	pubs := make([]Publication, 0, cfg.TotalPublished)
 	for i := range pages {
-		pubs = append(pubs, Publication{Time: pages[i].FirstPublish, Page: i, Version: 0})
+		pubs = append(pubs, Publication{Time: pages[i].FirstPublish, Page: int32(i), Version: 0})
 	}
 
 	if cfg.ModifiedPages > 0 && quota > 0 {
@@ -224,7 +226,7 @@ func generatePublishing(cfg Config, pages []Page, g *stats.RNG) ([]Publication, 
 			if i == 0 || versions[i-1].page != v.page {
 				ver = 1
 			}
-			pubs = append(pubs, Publication{Time: v.time, Page: v.page, Version: ver})
+			pubs = append(pubs, Publication{Time: v.time, Page: int32(v.page), Version: int32(ver)})
 			pages[v.page].Versions = ver + 1
 			ver++
 		}

@@ -10,11 +10,12 @@ import (
 )
 
 // Request is one entry of the request stream: at Time, a user behind proxy
-// Server asks for Page.
+// Server asks for Page. An entry is 16 bytes
+// (TestTraceRecordsAreSixteenBytes).
 type Request struct {
 	Time   float64
-	Page   int
-	Server int
+	Page   int32
+	Server int32
 }
 
 // ageDistByClass are the Lomax age distributions that place request times
@@ -184,7 +185,7 @@ func generateRequests(cfg Config, pages []Page, counts []int, g *stats.RNG) ([]R
 		requestTimes(p, times[:count], horizon, g)
 		pools.assign(cfg, maxCount, times[:count], servers[:count], g)
 		for i, t := range times[:count] {
-			unsorted = append(unsorted, Request{Time: t, Page: pageID, Server: servers[i]})
+			unsorted = append(unsorted, Request{Time: t, Page: int32(pageID), Server: int32(servers[i])})
 		}
 	}
 	return sortRequests(unsorted, horizon), nil

@@ -30,18 +30,26 @@ const minSQPrime = 0.02
 // notification-driven with that probability; other pairs get zero
 // subscriptions and model spontaneous (non-notified) requests — the
 // paper's stated future-work scenario.
+//
+// The matrix first holds the request counts P. Each row is then
+// rewritten from a copy of its counts, so spill into a server later in
+// the row does not change that server's P. All rows share one backing
+// array.
 func generateSubscriptions(cfg Config, pages []Page, requests []Request, g *stats.RNG) ([][]int32, error) {
-	reqCount := make([][]int32, len(pages))
-	for i := range reqCount {
-		reqCount[i] = make([]int32, cfg.Servers)
-	}
-	for _, r := range requests {
-		reqCount[r.Page][r.Server]++
-	}
+	servers := cfg.Servers
+	cells := make([]int32, len(pages)*servers)
 	subs := make([][]int32, len(pages))
 	for i := range subs {
-		subs[i] = make([]int32, cfg.Servers)
-		for j, p := range reqCount[i] {
+		subs[i] = cells[i*servers : (i+1)*servers : (i+1)*servers]
+	}
+	for _, r := range requests {
+		subs[r.Page][r.Server]++
+	}
+	reqCount := make([]int32, servers)
+	for i := range subs {
+		copy(reqCount, subs[i])
+		clear(subs[i])
+		for j, p := range reqCount {
 			if p == 0 {
 				continue
 			}
@@ -59,7 +67,7 @@ func generateSubscriptions(cfg Config, pages []Page, requests []Request, g *stat
 				// The misplaced interest clumps at one other server (a
 				// community of subscribers who never read the page), so
 				// it can genuinely outrank true interest there.
-				subs[i][g.Intn(cfg.Servers)] += spill
+				subs[i][g.Intn(servers)] += spill
 			}
 		}
 	}

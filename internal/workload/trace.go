@@ -82,7 +82,54 @@ func Read(in io.Reader, format Format) (*Workload, error) {
 	if err := w.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: trace config invalid: %w", err)
 	}
+	if err := w.checkRefs(); err != nil {
+		return nil, err
+	}
 	return w, nil
+}
+
+// CheckSubscriptions reports an error unless the subscription matrix
+// has one row per page and one column per server: the shape every
+// replay indexes as Subscriptions[page][server].
+func (w *Workload) CheckSubscriptions() error {
+	if len(w.Subscriptions) != len(w.Pages) {
+		return fmt.Errorf("workload: subscription matrix has %d rows for %d pages", len(w.Subscriptions), len(w.Pages))
+	}
+	for page, row := range w.Subscriptions {
+		if len(row) != w.Config.Servers {
+			return fmt.Errorf("workload: subscription row of page %d has %d entries for %d servers", page, len(row), w.Config.Servers)
+		}
+	}
+	return nil
+}
+
+// checkRefs reports an error unless every reference a replay follows
+// is in range: the subscription matrix's shape, each request's page
+// and server, and each publication's page. Versions and subscription
+// counts must be non-negative.
+func (w *Workload) checkRefs() error {
+	if err := w.CheckSubscriptions(); err != nil {
+		return err
+	}
+	for page, row := range w.Subscriptions {
+		for server, n := range row {
+			if n < 0 {
+				return fmt.Errorf("workload: page %d has %d subscriptions at server %d", page, n, server)
+			}
+		}
+	}
+	pages, servers := int32(len(w.Pages)), int32(w.Config.Servers)
+	for i, p := range w.Publications {
+		if p.Page < 0 || p.Page >= pages || p.Version < 0 {
+			return fmt.Errorf("workload: publication %d (page %d, version %d) out of range for %d pages", i, p.Page, p.Version, pages)
+		}
+	}
+	for i, r := range w.Requests {
+		if r.Page < 0 || r.Page >= pages || r.Server < 0 || r.Server >= servers {
+			return fmt.Errorf("workload: request %d (page %d, server %d) out of range for %d pages and %d servers", i, r.Page, r.Server, pages, servers)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the workload to path. The format is chosen from the

@@ -69,6 +69,39 @@ func TestReadRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestReadRejectsOutOfRangeReferences round-trips a trace through
+// JSON with one reference broken at a time. Read must reject each,
+// since a replay would index out of range (or, for a short row,
+// silently read another page's counts).
+func TestReadRejectsOutOfRangeReferences(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(w *Workload)
+	}{
+		{"row one entry too long", func(w *Workload) { w.Subscriptions[2] = append(w.Subscriptions[2], 1) }},
+		{"row one entry too short", func(w *Workload) { w.Subscriptions[2] = w.Subscriptions[2][:w.Config.Servers-1] }},
+		{"row missing", func(w *Workload) { w.Subscriptions = w.Subscriptions[1:] }},
+		{"request server out of range", func(w *Workload) { w.Requests[5].Server = int32(w.Config.Servers) }},
+		{"publication page out of range", func(w *Workload) { w.Publications[5].Page = int32(len(w.Pages)) }},
+		{"negative request page", func(w *Workload) { w.Requests[5].Page = -1 }},
+		{"negative version", func(w *Workload) { w.Publications[5].Version = -1 }},
+		{"negative count", func(w *Workload) { w.Subscriptions[2][3] = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := smallWorkload(t)
+			c.corrupt(w)
+			var buf bytes.Buffer
+			if err := w.Write(&buf, FormatJSON); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&buf, FormatJSON); err == nil {
+				t.Error("Read accepted the trace")
+			}
+		})
+	}
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("not json"), FormatJSON); err == nil {
 		t.Error("garbage JSON should error")

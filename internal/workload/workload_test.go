@@ -144,7 +144,7 @@ func TestPublishingStreamShape(t *testing.T) {
 	// Version numbering is contiguous per page starting at 0.
 	versions := make(map[int][]int)
 	for _, p := range w.Publications {
-		versions[p.Page] = append(versions[p.Page], p.Version)
+		versions[int(p.Page)] = append(versions[int(p.Page)], int(p.Version))
 	}
 	if len(versions) != cfg.DistinctPages {
 		t.Fatalf("only %d pages appear in publishing stream", len(versions))
@@ -182,10 +182,10 @@ func TestRequestStreamShape(t *testing.T) {
 		if r.Time < 0 || r.Time >= horizon {
 			t.Fatalf("request %d at %g outside horizon", i, r.Time)
 		}
-		if r.Server < 0 || r.Server >= cfg.Servers {
+		if r.Server < 0 || int(r.Server) >= cfg.Servers {
 			t.Fatalf("request %d at invalid server %d", i, r.Server)
 		}
-		if r.Page < 0 || r.Page >= cfg.DistinctPages {
+		if r.Page < 0 || int(r.Page) >= cfg.DistinctPages {
 			t.Fatalf("request %d for invalid page %d", i, r.Page)
 		}
 		if i > 0 && !requestsInOrder(w.Requests[i-1], r) {
@@ -249,7 +249,7 @@ func TestRequestOrderBreaksClampedTiesByServer(t *testing.T) {
 	if len(requests) != cfg.TotalRequests {
 		t.Fatalf("%d requests, want %d", len(requests), cfg.TotalRequests)
 	}
-	clampedServers := map[int]map[int]bool{1: {}, 2: {}}
+	clampedServers := map[int32]map[int32]bool{1: {}, 2: {}}
 	for i, r := range requests {
 		if i > 0 && !requestsInOrder(requests[i-1], r) {
 			t.Fatalf("requests %d and %d out of (Time, Page, Server) order: %+v, %+v", i-1, i, requests[i-1], r)
@@ -270,7 +270,7 @@ func TestZipfPopularityShape(t *testing.T) {
 	w := mustGenerate(t, cfg)
 	counts := make(map[int]int)
 	for _, r := range w.Requests {
-		counts[r.Page]++
+		counts[int(r.Page)]++
 	}
 	// The rank-1 page must receive more requests than the rank-100 page.
 	var rank1, rank100 int
@@ -347,7 +347,7 @@ func TestPerfectSubscriptionsEqualRequests(t *testing.T) {
 	w := mustGenerate(t, cfg)
 	reqCount := make(map[[2]int]int32)
 	for _, r := range w.Requests {
-		reqCount[[2]int{r.Page, r.Server}]++
+		reqCount[[2]int{int(r.Page), int(r.Server)}]++
 	}
 	for page := range w.Pages {
 		for server := 0; server < cfg.Servers; server++ {
@@ -366,7 +366,7 @@ func TestImperfectSubscriptionsAtLeastRequests(t *testing.T) {
 		w := mustGenerate(t, cfg)
 		reqCount := make(map[[2]int]int32)
 		for _, r := range w.Requests {
-			reqCount[[2]int{r.Page, r.Server}]++
+			reqCount[[2]int{int(r.Page), int(r.Server)}]++
 		}
 		total := int64(0)
 		falsePositives := 0
@@ -416,7 +416,7 @@ func TestNotificationDrivenFrac(t *testing.T) {
 	reqPairs, subPairs := 0, 0
 	reqCount := make(map[[2]int]bool)
 	for _, r := range w.Requests {
-		reqCount[[2]int{r.Page, r.Server}] = true
+		reqCount[[2]int{int(r.Page), int(r.Server)}] = true
 	}
 	reqPairs = len(reqCount)
 	for page := range w.Pages {
@@ -465,14 +465,15 @@ func TestUniqueBytesAndCapacities(t *testing.T) {
 func TestServerPoolSizeScalesWithPopularity(t *testing.T) {
 	cfg := testConfig()
 	w := mustGenerate(t, cfg)
-	servers := make(map[int]map[int]bool)
+	servers := make(map[int]map[int32]bool)
 	counts := make(map[int]int)
 	for _, r := range w.Requests {
-		if servers[r.Page] == nil {
-			servers[r.Page] = make(map[int]bool)
+		page := int(r.Page)
+		if servers[page] == nil {
+			servers[page] = make(map[int32]bool)
 		}
-		servers[r.Page][r.Server] = true
-		counts[r.Page]++
+		servers[page][r.Server] = true
+		counts[page]++
 	}
 	// The most popular page should be requested from more servers than a
 	// mid-tail page.

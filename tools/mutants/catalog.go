@@ -231,7 +231,7 @@ var catalog = []mutant{
 
 	// The compact event view: each event in its hour's window, each
 	// publication at every subscribing server, and each shard reading
-	// its own server's subscription column.
+	// its own server's subscription counts from the workload's matrix.
 	{
 		name:    "workload/request-hour-shifted",
 		file:    "internal/workload/events.go",
@@ -251,10 +251,21 @@ var catalog = []mutant{
 	{
 		name:    "sim/subs-column-of-next-server",
 		file:    "internal/sim/shard.go",
-		snippet: "\t\t\tsubs:       view.Subs[i],\n",
-		replace: "\t\t\tsubs:       view.Subs[(i+1)%servers],\n",
+		snippet: "return int(sh.subs[page][sh.server])",
+		replace: "return int(sh.subs[page][(sh.server+1)%len(sh.subs[page])])",
 		pkg:     "internal/sim",
-		run:     "^TestCatalogResultDigests$",
+		run:     "^TestShardsPassWorkloadSubCounts$",
+	},
+
+	// The trace reader's range checks: a misshapen subscription matrix
+	// is an error, not an index panic in the replay.
+	{
+		name:    "workload/read-skips-shape-check",
+		file:    "internal/workload/trace.go",
+		snippet: "\tif err := w.CheckSubscriptions(); err != nil {\n\t\treturn err\n\t}\n",
+		replace: "",
+		pkg:     "internal/workload",
+		run:     "^TestReadRejectsOutOfRangeReferences$",
 	},
 
 	// The strategies' arithmetic.
