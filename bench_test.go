@@ -221,7 +221,7 @@ func benchInstrumentationOverhead(b *testing.B, name string) {
 	}
 	b.Run("uninstrumented", func(b *testing.B) { run(b, nil) })
 	b.Run("instrumented", func(b *testing.B) {
-		run(b, NewStrategyMetrics(NewMetricsRegistry(), "bench"))
+		run(b, NewStrategyMetrics(NewMetricsRegistry(), "bench", name))
 	})
 }
 

@@ -59,9 +59,12 @@ type Notification struct {
 }
 
 // Notifier receives notifications for a subscription. Implementations
-// must be safe for concurrent use and must not block for long.
+// must be safe for concurrent use and must not block for long. The
+// broker always calls NotifyContext, whose context carries the active
+// trace of the publish; Notify is the same call without a context.
 type Notifier interface {
 	Notify(n Notification)
+	NotifyContext(ctx context.Context, n Notification)
 }
 
 // NotifierFunc adapts a function to the Notifier interface.
@@ -70,48 +73,23 @@ type NotifierFunc func(n Notification)
 // Notify implements Notifier.
 func (f NotifierFunc) Notify(n Notification) { f(n) }
 
-// ContextNotifier is an optional extension of Notifier: implementations
-// that also carry the caller's context (and with it the active trace)
-// receive it via NotifyContext. The broker prefers NotifyContext when a
-// notifier implements it.
-type ContextNotifier interface {
-	Notifier
-	NotifyContext(ctx context.Context, n Notification)
-}
+// NotifyContext implements Notifier; the function takes no context.
+func (f NotifierFunc) NotifyContext(_ context.Context, n Notification) { f(n) }
+
+// ContextNotifier is Notifier under its former name. It remains only
+// because the benchmark module (perfbench) names it and calls the
+// plain Notify through it; a change to that module can drop both this
+// alias and Notifier.Notify.
+type ContextNotifier = Notifier
 
 // PushSink receives pushed content for a proxy. The content distribution
 // engine calls it when a published page matches subscriptions aggregated
 // at the proxy.
 type PushSink interface {
-	// Push offers the content together with the number of local
-	// subscriptions it matched.
-	Push(c Content, matched int)
-}
-
-// ContextPushSink is an optional extension of PushSink that carries the
-// publishing context, so a placement decision (and its journal write)
-// nests inside the distributed trace of the publish that caused it.
-type ContextPushSink interface {
-	PushSink
+	// PushContext offers the content together with the number of local
+	// subscriptions it matched. ctx carries the publish's trace, so a
+	// placement decision (and its journal write) nests inside it.
 	PushContext(ctx context.Context, c Content, matched int)
-}
-
-// notify dispatches through NotifyContext when available.
-func notify(ctx context.Context, n Notifier, notif Notification) {
-	if cn, ok := n.(ContextNotifier); ok {
-		cn.NotifyContext(ctx, notif)
-		return
-	}
-	n.Notify(notif)
-}
-
-// push dispatches through PushContext when available.
-func push(ctx context.Context, s PushSink, c Content, matched int) {
-	if cs, ok := s.(ContextPushSink); ok {
-		cs.PushContext(ctx, c, matched)
-		return
-	}
-	s.Push(c, matched)
 }
 
 // ErrUnknownPage is returned by Fetch for pages never published.
@@ -397,7 +375,7 @@ func (b *Broker) PublishContext(ctx context.Context, c Content) (int, error) {
 			psp.SetAttrInt("proxy", int64(p.proxy))
 			psp.SetAttrInt("matched", int64(p.matched))
 		}
-		push(pctx, p.sink, c, p.matched)
+		p.sink.PushContext(pctx, c, p.matched)
 		psp.End()
 		if bt != nil {
 			bt.pushes.Inc()

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,7 +20,9 @@ type recordingNotifier struct {
 	notes []Notification
 }
 
-func (r *recordingNotifier) Notify(n Notification) {
+func (r *recordingNotifier) Notify(n Notification) { r.NotifyContext(context.Background(), n) }
+
+func (r *recordingNotifier) NotifyContext(_ context.Context, n Notification) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.notes = append(r.notes, n)
@@ -215,7 +218,7 @@ func TestProxyPushPassesPublishMatchedCount(t *testing.T) {
 // countingSink records the matched count of each push it is offered.
 type countingSink struct{ got map[string]int }
 
-func (s *countingSink) Push(c Content, matched int) { s.got[c.ID] = matched }
+func (s *countingSink) PushContext(_ context.Context, c Content, matched int) { s.got[c.ID] = matched }
 
 // TestPublishCountsAndNotifiesEveryMember: with 300 subscriptions over
 // 24 predicates (so each aggregate has many members) and some of them

@@ -1066,8 +1066,7 @@ func (c *Client) publish(ctx context.Context, part int, content Content) (int, e
 	resp, err := c.roundTrip(ctx, Message{
 		Type: msgPublish, ID: content.ID, Version: content.Version,
 		Topics: content.Topics, Keywords: content.Keywords,
-		BodyRaw: content.Body,
-		Part:    part,
+		Body: content.Body, Part: part,
 	})
 	if err != nil {
 		return 0, err
@@ -1086,7 +1085,7 @@ func (c *Client) Handoff(ctx context.Context, partition int, ringVersion uint64,
 	}
 	_, err := c.roundTrip(ctx, Message{
 		Type: msgHandoff, Part: partition + 1, Ring: ringVersion,
-		BodyRaw: payload,
+		Body: payload,
 	})
 	return err
 }
@@ -1112,14 +1111,10 @@ func (c *Client) fetch(ctx context.Context, part int, pageID string) (Content, e
 	if err != nil {
 		return Content{}, err
 	}
-	body, err := resp.bodyBytes()
-	if err != nil {
-		return Content{}, fmt.Errorf("broker: bad body encoding: %w", err)
-	}
 	return Content{
 		ID: resp.ID, Version: resp.Version,
 		Topics: resp.Topics, Keywords: resp.Keywords,
-		Body: body,
+		Body: resp.Body,
 	}, nil
 }
 

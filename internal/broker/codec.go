@@ -2,7 +2,6 @@ package broker
 
 import (
 	"bufio"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,12 +39,11 @@ type Message struct {
 	Topics   []string `json:"topics,omitempty"`
 	Keywords []string `json:"keywords,omitempty"`
 	Proxy    int      `json:"proxy,omitempty"`
-	// Body carries the content payload in the JSON codec (base64).
-	// Codecs with native byte fields use BodyRaw instead; exactly one
-	// of the two is set on outbound frames, and bodyBytes() resolves
-	// whichever arrived.
-	Body    string `json:"body,omitempty"`
-	BodyRaw []byte `json:"-"`
+	// Body is the content payload: a publish's page, a fetch response's
+	// page, a handoff's state blob. The JSON codec writes it as standard
+	// base64 (encoding/json's form for bytes); the binary codec writes
+	// the bytes. A decoded Body never aliases the read buffer.
+	Body []byte `json:"body,omitempty"`
 	// Response fields.
 	OK      bool   `json:"ok,omitempty"`
 	Error   string `json:"error,omitempty"`
@@ -118,20 +116,6 @@ type Message struct {
 	// client's read loop binds to the SubID of the response. Unexported:
 	// codecs never see it.
 	sub *clientSub
-}
-
-// bodyBytes resolves the content payload of an inbound frame: the raw
-// bytes when the codec carries them natively, otherwise the decoded
-// base64 Body. The returned slice is owned by the caller (decoders
-// never alias their read buffers).
-func (m *Message) bodyBytes() ([]byte, error) {
-	if m.BodyRaw != nil {
-		return m.BodyRaw, nil
-	}
-	if m.Body == "" {
-		return nil, nil
-	}
-	return base64.StdEncoding.DecodeString(m.Body)
 }
 
 // DefaultMaxFrame is the frame-size limit both sides apply when none
@@ -237,18 +221,6 @@ type jsonCodec struct{}
 func (jsonCodec) Name() string { return codecJSON }
 
 func (jsonCodec) AppendFrame(dst []byte, m *Message) ([]byte, error) {
-	if m.BodyRaw != nil {
-		// JSON carries bodies as base64 in Body; shadow-copy so the
-		// caller's message is untouched.
-		em := *m
-		em.Body = base64.StdEncoding.EncodeToString(em.BodyRaw)
-		em.BodyRaw = nil
-		b, err := json.Marshal(&em)
-		if err != nil {
-			return dst, err
-		}
-		return append(append(dst, b...), '\n'), nil
-	}
 	b, err := json.Marshal(m)
 	if err != nil {
 		return dst, err

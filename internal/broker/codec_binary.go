@@ -2,10 +2,8 @@ package broker
 
 import (
 	"bufio"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
@@ -135,15 +133,12 @@ func appendPackedZigzagField(dst []byte, id uint64, vs []int64) []byte {
 func (binaryCodec) AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
-	var err error
-	if dst, err = appendBinaryPayload(dst, m); err != nil {
-		return dst[:start], err
-	}
+	dst = appendBinaryPayload(dst, m)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst, nil
 }
 
-func appendBinaryPayload(dst []byte, m *Message) ([]byte, error) {
+func appendBinaryPayload(dst []byte, m *Message) []byte {
 	code := msgTypeCode(m.Type)
 	dst = append(dst, code)
 	if m.Seq != 0 {
@@ -164,16 +159,8 @@ func appendBinaryPayload(dst []byte, m *Message) ([]byte, error) {
 	if m.Proxy != 0 {
 		dst = appendZigzagField(dst, fProxy, int64(m.Proxy))
 	}
-	body := m.BodyRaw
-	if body == nil && m.Body != "" {
-		b, err := base64.StdEncoding.DecodeString(m.Body)
-		if err != nil {
-			return dst, fmt.Errorf("broker: encode body: %w", err)
-		}
-		body = b
-	}
-	if len(body) > 0 {
-		dst = appendBytesField(dst, fBody, body)
+	if len(m.Body) > 0 {
+		dst = appendBytesField(dst, fBody, m.Body)
 	}
 	if m.OK {
 		dst = appendUvarintField(dst, fOK, 1)
@@ -237,7 +224,7 @@ func appendBinaryPayload(dst []byte, m *Message) ([]byte, error) {
 	if code == 0 && m.Type != "" {
 		dst = appendStringField(dst, fType, m.Type)
 	}
-	return dst, nil
+	return dst
 }
 
 func (binaryCodec) ReadFrame(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
@@ -353,7 +340,7 @@ func (binaryCodec) DecodeFrame(payload []byte, m *Message) error {
 			case fKeyword:
 				m.Keywords = append(m.Keywords, string(v))
 			case fBody:
-				m.BodyRaw = append(make([]byte, 0, len(v)), v...)
+				m.Body = append(make([]byte, 0, len(v)), v...)
 			case fError:
 				m.Error = string(v)
 			case fTrace:

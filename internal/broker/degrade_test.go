@@ -43,6 +43,10 @@ type flakyFetcher struct {
 }
 
 func (f *flakyFetcher) Fetch(pageID string) (Content, error) {
+	return f.FetchContext(context.Background(), pageID)
+}
+
+func (f *flakyFetcher) FetchContext(_ context.Context, pageID string) (Content, error) {
 	f.calls.Add(1)
 	if f.down.Load() {
 		return Content{}, errors.New("fetch path down")

@@ -244,12 +244,27 @@ func (b *Broker) Checkpoint() error {
 	}
 	b.jmu.Lock()
 	defer b.jmu.Unlock()
+	_, err := b.checkpointLocked()
+	return err
+}
+
+// checkpointLocked encodes the registry as a snapshot blob and, on a
+// durable broker, writes it to the journal (truncating the log).
+// Checkpoint, ExportState and ImportState all encode through it, so a
+// handoff blob and an on-disk snapshot are the same bytes. Caller holds
+// b.jmu.
+func (b *Broker) checkpointLocked() ([]byte, error) {
 	subs, nextID := b.engine.Dump()
 	blob, err := json.Marshal(brokerSnapshot{NextID: nextID, Subs: subs})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return b.jnl.WriteSnapshot(blob)
+	if b.jnl != nil {
+		if err := b.jnl.WriteSnapshot(blob); err != nil {
+			return nil, err
+		}
+	}
+	return blob, nil
 }
 
 // snapshotLoop checkpoints periodically until stopped.

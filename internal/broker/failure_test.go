@@ -80,8 +80,19 @@ func TestServerRejectsBadBodyEncoding(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatal("no response")
 	}
-	if !strings.Contains(sc.Text(), "bad body encoding") {
-		t.Errorf("response = %q", sc.Text())
+	// The JSON codec decodes the body with the frame, so a bad body is
+	// a malformed frame: nothing is published and the connection stays.
+	if r := sc.Text(); !strings.Contains(r, "malformed message") || !strings.Contains(r, "base64") {
+		t.Errorf("response = %q", r)
+	}
+	if _, err := conn.Write([]byte(`{"type":"fetch","id":"p","seq":2}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Scan() {
+		t.Fatal("connection died after a bad body")
+	}
+	if r := sc.Text(); !strings.Contains(r, ErrUnknownPage.Error()) {
+		t.Errorf("fetch after a bad body = %q, want an unknown page", r)
 	}
 }
 

@@ -41,7 +41,7 @@ func (r relabeled) Notify(nt Notification) {
 
 func (r relabeled) NotifyContext(ctx context.Context, nt Notification) {
 	nt.SubscriptionID = r.id
-	notify(ctx, r.to, nt)
+	r.to.NotifyContext(ctx, nt)
 }
 
 // Target is a subscription's resolved delivery path: the Server
@@ -142,7 +142,7 @@ func (f *Fanout) Deliver(ctx context.Context, n Notification) int {
 	count := len(f.plain) + len(f.adds)
 	for _, t := range f.plain {
 		n.SubscriptionID = t.id
-		notify(ctx, t.n, n)
+		t.n.NotifyContext(ctx, n)
 	}
 	// Lay the runs out back to back in ids, each in Add order: a run's
 	// n becomes its start offset, then its end offset as it fills.

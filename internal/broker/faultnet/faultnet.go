@@ -61,18 +61,14 @@ func (n *Network) SetDropRate(p float64) {
 }
 
 // SetThrottle caps every connection's bandwidth, in bytes per second
-// per direction (0 = unlimited). It applies to future connections and
-// to live ones that have not been individually throttled via
-// Conn.Throttle. Use it to simulate a slow network; use Conn.Throttle
-// to simulate one slow peer.
+// per direction (0 = unlimited). It applies to live connections and
+// future ones, simulating a slow network.
 func (n *Network) SetThrottle(readBps, writeBps int) {
 	n.mu.Lock()
 	n.readBps, n.writeBps = readBps, writeBps
 	conns := make([]*Conn, 0, len(n.conns))
 	for c := range n.conns {
-		if !c.customRate {
-			conns = append(conns, c)
-		}
+		conns = append(conns, c)
 	}
 	n.mu.Unlock()
 	for _, c := range conns {
@@ -198,20 +194,7 @@ type Conn struct {
 	net.Conn
 	net        *Network
 	closed     sync.Once
-	customRate bool // set by Throttle; exempts the conn from SetThrottle
 	rlim, wlim rateLimiter
-}
-
-// Throttle caps this connection's bandwidth, in bytes per second per
-// direction (0 = unlimited), overriding the network-wide default.
-// This is the slow-reader primitive: throttle one subscriber's read
-// side to model a consumer that cannot keep up with the fan-out.
-func (c *Conn) Throttle(readBps, writeBps int) {
-	c.net.mu.Lock()
-	c.customRate = true
-	c.net.mu.Unlock()
-	c.rlim.setRate(readBps)
-	c.wlim.setRate(writeBps)
 }
 
 // Read passes through at most the throttle's current allowance,

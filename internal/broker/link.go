@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pubsubcd/internal/telemetry"
@@ -30,13 +29,11 @@ type RemoteLink struct {
 	// brk is the uplink circuit breaker: when fetches against the
 	// remote broker fail with transport-class errors in a run, the
 	// breaker opens and the link sheds incoming notifications outright
-	// (counted in dropped) instead of stacking a fetch goroutine —
-	// each burning the full retry budget — per notification against a
-	// peer known dead. The resilient client's reconnect still heals
-	// the connection; the first notification after the cooldown is the
-	// half-open probe.
-	brk     *Breaker
-	dropped atomic.Int64
+	// instead of stacking a fetch goroutine — each burning the full
+	// retry budget — per notification against a peer known dead. The
+	// resilient client's reconnect still heals the connection; the
+	// first notification after the cooldown is the half-open probe.
+	brk *Breaker
 }
 
 // linkFetchTimeout bounds each content fetch triggered by a remote
@@ -89,7 +86,6 @@ func (l *RemoteLink) onNotify(ctx context.Context, n Notification, _ []int64) {
 		// fetch. The page is not lost — the remote broker still holds
 		// it, and the next publish (or a proxy fetch) after recovery
 		// reads through.
-		l.dropped.Add(1)
 		return
 	}
 	l.wg.Add(1)
@@ -137,10 +133,6 @@ func uplinkUnreachable(err error) bool {
 // BreakerState reports the uplink breaker's current state.
 func (l *RemoteLink) BreakerState() BreakerState { return l.brk.State() }
 
-// Dropped reports how many remote notifications the open breaker has
-// shed since the link was built.
-func (l *RemoteLink) Dropped() int64 { return l.dropped.Load() }
-
 // Client exposes the link's underlying resilient client (telemetry,
 // liveness checks).
 func (l *RemoteLink) Client() *Client { return l.client }
@@ -172,7 +164,7 @@ func (f clientFetcher) Fetch(pageID string) (Content, error) {
 	return f.FetchContext(context.Background(), pageID)
 }
 
-// FetchContext implements ContextFetcher: the caller's trace rides the
+// FetchContext implements Fetcher: the caller's trace rides the
 // fetch frame to the remote broker.
 func (f clientFetcher) FetchContext(ctx context.Context, pageID string) (Content, error) {
 	ctx, cancel := context.WithTimeout(ctx, f.timeout)

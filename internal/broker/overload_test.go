@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
 	"io"
 	"net"
@@ -329,7 +328,7 @@ func TestDeadlineLegacyPeerInterop(t *testing.T) {
 	// A deadline-aware peer on the legacy JSON framing: the server must
 	// honour the budget and accept the publish.
 	rc := dialRaw(t, s.Addr())
-	body := base64.StdEncoding.EncodeToString([]byte("x"))
+	body := []byte("x")
 	rc.send(Message{Type: msgPublish, ID: "interop", Version: 1, Topics: []string{"t"}, Body: body, DeadlineMS: 5000})
 	if resp := rc.read(); resp.Error != "" || !resp.OK {
 		t.Fatalf("deadline-stamped publish rejected: %+v", resp)

@@ -12,26 +12,19 @@ import (
 
 // Fetcher fetches the current content of a page. *Broker satisfies it
 // (in-process origin); Client.Fetcher adapts the resilient TCP client
-// to it, so a proxy can fetch across a real network.
+// to it, so a proxy can fetch across a real network. A proxy always
+// calls FetchContext, whose context carries the request's deadline and
+// trace; Fetch is the same call without a context.
 type Fetcher interface {
 	Fetch(pageID string) (Content, error)
-}
-
-// ContextFetcher is an optional extension of Fetcher for
-// implementations that can carry the caller's context (and trace)
-// through the fetch. *Broker satisfies it.
-type ContextFetcher interface {
-	Fetcher
 	FetchContext(ctx context.Context, pageID string) (Content, error)
 }
 
-// fetchVia dispatches through FetchContext when available.
-func fetchVia(ctx context.Context, f Fetcher, pageID string) (Content, error) {
-	if cf, ok := f.(ContextFetcher); ok {
-		return cf.FetchContext(ctx, pageID)
-	}
-	return f.Fetch(pageID)
-}
+// ContextFetcher is Fetcher under its former name. It remains only
+// because the benchmark module (perfbench) names it and calls the
+// plain Fetch through it; a change to that module can drop both this
+// alias and Fetcher.Fetch.
+type ContextFetcher = Fetcher
 
 // Proxy is a content-distribution proxy server: it aggregates its users'
 // subscriptions, caches page content under a core.Strategy, receives
@@ -142,20 +135,18 @@ func NewProxy(id int, b *Broker, strategy core.Strategy, cost float64, opts ...P
 }
 
 var _ PushSink = (*Proxy)(nil)
-var _ ContextPushSink = (*Proxy)(nil)
 var _ Fetcher = (*Broker)(nil)
-var _ ContextFetcher = (*Broker)(nil)
 
 // ID returns the proxy identifier.
 func (p *Proxy) ID() int { return p.id }
 
-// Push implements PushSink: the content distribution engine offers a
-// freshly published page that matched `matched` local subscriptions.
+// Push is PushContext without a context: it offers a freshly published
+// page that matched `matched` local subscriptions.
 func (p *Proxy) Push(c Content, matched int) {
 	p.PushContext(context.Background(), c, matched)
 }
 
-// PushContext implements ContextPushSink: the placement decision is
+// PushContext implements PushSink: the placement decision is
 // recorded as a span in the trace active in ctx — typically a child of the broker.push span of the
 // publish that triggered it.
 func (p *Proxy) PushContext(ctx context.Context, c Content, matched int) {
@@ -224,7 +215,7 @@ func (pg *proxyPage) observe(version int) {
 // Caller holds p.mu. A stale serve is annotated on the active span in
 // ctx (degraded=stale) and returns only the stale body.
 func (p *Proxy) fetch(ctx context.Context, pageID string, staleBody []byte, haveStale bool) (Content, bool, error) {
-	current, err := fetchVia(ctx, p.fetcher, pageID)
+	current, err := p.fetcher.FetchContext(ctx, pageID)
 	if err == nil {
 		return current, false, nil
 	}

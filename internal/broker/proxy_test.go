@@ -163,6 +163,10 @@ func (o *modelOrigin) content(pageID string) Content {
 }
 
 func (o *modelOrigin) Fetch(pageID string) (Content, error) {
+	return o.FetchContext(context.Background(), pageID)
+}
+
+func (o *modelOrigin) FetchContext(_ context.Context, pageID string) (Content, error) {
 	if o.down {
 		return Content{}, errors.New("origin down")
 	}
@@ -572,6 +576,10 @@ func (o *sizedOrigin) content(pageID string) Content {
 }
 
 func (o *sizedOrigin) Fetch(pageID string) (Content, error) {
+	return o.content(pageID), nil
+}
+
+func (o *sizedOrigin) FetchContext(_ context.Context, pageID string) (Content, error) {
 	return o.content(pageID), nil
 }
 

@@ -5,10 +5,10 @@ package broker
 // owner exports the partition's registry state through the same
 // snapshot machinery the journal uses, ships it over the wire
 // (Client.Handoff), and the new owner imports it before the ring
-// version advances. Export and import speak the journal's snapshot
-// encoding, so a handoff blob and an on-disk snapshot are the same
-// bytes — a durable receiver checkpoints the imported state straight
-// into its own journal directory.
+// version advances. Export, import and the journal's checkpoints share
+// one snapshot encoder (checkpointLocked), so a handoff blob and an
+// on-disk snapshot are the same bytes — a durable receiver checkpoints
+// the imported state straight into its own journal directory.
 
 import (
 	"encoding/json"
@@ -32,15 +32,9 @@ func (b *Broker) Durable() bool { return b.durable() }
 func (b *Broker) ExportState() ([]byte, error) {
 	b.jmu.Lock()
 	defer b.jmu.Unlock()
-	subs, nextID := b.engine.Dump()
-	blob, err := json.Marshal(brokerSnapshot{NextID: nextID, Subs: subs})
+	blob, err := b.checkpointLocked()
 	if err != nil {
 		return nil, fmt.Errorf("broker: export state: %w", err)
-	}
-	if b.jnl != nil {
-		if err := b.jnl.WriteSnapshot(blob); err != nil {
-			return nil, fmt.Errorf("broker: export checkpoint: %w", err)
-		}
 	}
 	return blob, nil
 }
@@ -69,12 +63,7 @@ func (b *Broker) ImportState(blob []byte) error {
 	b.engine.AdvanceNextID(snap.NextID)
 	var jerr error
 	if b.jnl != nil {
-		subs, nextID := b.engine.Dump()
-		merged, err := json.Marshal(brokerSnapshot{NextID: nextID, Subs: subs})
-		if err == nil {
-			err = b.jnl.WriteSnapshot(merged)
-		}
-		jerr = err
+		_, jerr = b.checkpointLocked()
 	}
 	b.jmu.Unlock()
 	if bt := b.telemetryHandles(); bt != nil {

@@ -171,7 +171,7 @@ func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 // pushSinkFunc adapts a function to PushSink for tests.
 type pushSinkFunc func(c Content, matched int)
 
-func (f pushSinkFunc) Push(c Content, matched int) { f(c, matched) }
+func (f pushSinkFunc) PushContext(_ context.Context, c Content, matched int) { f(c, matched) }
 
 func TestTransportMetricsRoundTrip(t *testing.T) {
 	b := New()

@@ -351,10 +351,6 @@ func (s *Server) OverloadState() (state, reason string) {
 	return s.admission.snapshot()
 }
 
-// PendingFanoutBytes returns the broker-wide bytes queued toward
-// subscribers (unflushed control frames plus queued notifications).
-func (s *Server) PendingFanoutBytes() int64 { return s.pending.Load() }
-
 // countShed advances the overload.shed{class} counter.
 func (s *Server) countShed(class string) {
 	if sm := s.metrics; sm != nil {
@@ -799,16 +795,12 @@ func (s *Server) dispatch(ctx context.Context, m *Message, notifier *connNotifie
 			}
 			defer s.admission.releasePublish()
 		}
-		body, err := m.bodyBytes()
-		if err != nil {
-			return Message{Type: msgResponse, Error: "bad body encoding: " + err.Error()}
-		}
 		matched, err := s.backend.PublishContext(ctx, Content{
 			ID:       m.ID,
 			Version:  m.Version,
 			Topics:   m.Topics,
 			Keywords: m.Keywords,
-			Body:     body,
+			Body:     m.Body,
 		})
 		if err != nil {
 			if m.DeadlineMS > 0 && ctx.Err() != nil {
@@ -832,10 +824,7 @@ func (s *Server) dispatch(ctx context.Context, m *Message, notifier *connNotifie
 		}
 		return Message{
 			Type: msgResponse, OK: true, ID: c.ID, Version: c.Version,
-			Topics: c.Topics, Keywords: c.Keywords,
-			// Raw: the codec decides how bodies travel (the JSON codec
-			// base64s at encode time, the binary codec ships the bytes).
-			BodyRaw: c.Body,
+			Topics: c.Topics, Keywords: c.Keywords, Body: c.Body,
 		}
 	case msgPing:
 		return Message{Type: msgResponse, OK: true}
@@ -844,11 +833,7 @@ func (s *Server) dispatch(ctx context.Context, m *Message, notifier *connNotifie
 		if !ok {
 			return Message{Type: msgResponse, Error: "backend does not accept partition handoffs"}
 		}
-		payload, err := m.bodyBytes()
-		if err != nil {
-			return Message{Type: msgResponse, Error: "bad handoff encoding: " + err.Error()}
-		}
-		if err := hr.ReceiveHandoff(ctx, m.Part-1, m.Ring, payload); err != nil {
+		if err := hr.ReceiveHandoff(ctx, m.Part-1, m.Ring, m.Body); err != nil {
 			return Message{Type: msgResponse, Error: err.Error()}
 		}
 		return Message{Type: msgResponse, OK: true}

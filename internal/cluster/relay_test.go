@@ -125,12 +125,14 @@ func TestRelayIsOneFramePerHop(t *testing.T) {
 	var sub frameCounter
 	var mu sync.Mutex
 	got := map[int64]int{}
+	delivered := 0
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	c, err := broker.Dial(ctx, edge.Addr(), broker.WithDialFunc(sub.dial),
 		broker.WithNotify(func(n broker.Notification) {
 			mu.Lock()
 			got[n.SubscriptionID]++
+			delivered++
 			mu.Unlock()
 		}))
 	if err != nil {
@@ -168,8 +170,17 @@ func TestRelayIsOneFramePerHop(t *testing.T) {
 			}
 		}
 	}
+	// The frame counter sees a frame when its bytes are read, before the
+	// client's read loop hands its notifications to the callback: wait
+	// for the callback to catch up.
+	deadline := time.Now().Add(10 * time.Second)
 	mu.Lock()
 	defer mu.Unlock()
+	for delivered < subs*publishes && time.Now().Before(deadline) {
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+	}
 	if len(got) != subs {
 		t.Fatalf("%d subscriptions notified, want %d", len(got), subs)
 	}

@@ -228,26 +228,12 @@ func forwardBackoff(attempt int) time.Duration {
 	return d
 }
 
-// retryableForward classifies forwarding failures worth re-routing:
-// stale-ring rejections, lost/absent connections and attempt
-// timeouts. Semantic broker rejections surface to the publisher.
+// retryableForward classifies forwarding failures worth re-routing: an
+// open breaker's fail-fast (the peer may recover, or the ring may move
+// the partition), stale-ring rejections, and an unreachable peer.
+// Semantic broker rejections surface to the publisher.
 func retryableForward(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, errBreakerOpen):
-		// Fail-fast from an open breaker: the peer may recover (or the
-		// ring may move the partition); keep the work buffered.
-		return true
-	case broker.IsStaleRing(err):
-		return true
-	case errors.Is(err, broker.ErrConnectionLost), errors.Is(err, broker.ErrClientClosed):
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		return true
-	}
-	s := err.Error()
-	return strings.Contains(s, "dial") || strings.Contains(s, "connection")
+	return errors.Is(err, errBreakerOpen) || broker.IsStaleRing(err) || peerUnreachable(err)
 }
 
 // --- Subscribe -------------------------------------------------------

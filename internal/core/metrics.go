@@ -38,33 +38,10 @@ type StrategyMetrics struct {
 	evalNanos    *telemetry.Histogram
 }
 
-// NewStrategyMetrics resolves the strategy metric handles in a registry
-// under the given name prefix (e.g. "strategy" yields
-// "strategy.push_offers", "strategy.request_ns", …).
-func NewStrategyMetrics(r *telemetry.Registry, prefix string) *StrategyMetrics {
-	lat := telemetry.LatencyBuckets()
-	return &StrategyMetrics{
-		pushOffers:     r.Counter(prefix + ".push_offers"),
-		pushStores:     r.Counter(prefix + ".push_stores"),
-		requests:       r.Counter(prefix + ".requests"),
-		hits:           r.Counter(prefix + ".hits"),
-		staleRefreshes: r.Counter(prefix + ".stale_refreshes"),
-		accessAdmits:   r.Counter(prefix + ".access_admits"),
-		accessRejects:  r.Counter(prefix + ".access_rejects"),
-		evictions:      r.Counter(prefix + ".evictions"),
-		evictedBytes:   r.Counter(prefix + ".evicted_bytes"),
-		pushNanos:      r.Histogram(prefix+".push_ns", lat),
-		requestNanos:   r.Histogram(prefix+".request_ns", lat),
-		evalNanos:      r.Histogram(prefix+".eval_ns", lat),
-	}
-}
-
-// NewStrategyMetricsLabeled resolves the strategy metric handles as
-// labeled series — prefix+".requests"{strategy="GD*"} and so on — so
-// runs of different strategies merge into distinct series fleet-wide.
-// The deprecated unlabeled aliases that used to advance alongside the
-// labeled series have been removed; scrape the labeled form.
-func NewStrategyMetricsLabeled(r *telemetry.Registry, prefix, strategy string) *StrategyMetrics {
+// NewStrategyMetrics resolves the strategy metric handles as labeled
+// series — prefix+".requests"{strategy="GD*"} and so on — so runs of
+// different strategies merge into distinct series fleet-wide.
+func NewStrategyMetrics(r *telemetry.Registry, prefix, strategy string) *StrategyMetrics {
 	lat := telemetry.LatencyBuckets()
 	cv := func(name string) *telemetry.Counter {
 		return r.CounterVec(prefix+"."+name, "strategy").With(strategy)
@@ -72,7 +49,7 @@ func NewStrategyMetricsLabeled(r *telemetry.Registry, prefix, strategy string) *
 	hv := func(name string) *telemetry.Histogram {
 		return r.HistogramVec(prefix+"."+name, lat, "strategy").With(strategy)
 	}
-	m := &StrategyMetrics{
+	return &StrategyMetrics{
 		pushOffers:     cv("push_offers"),
 		pushStores:     cv("push_stores"),
 		requests:       cv("requests"),
@@ -86,7 +63,6 @@ func NewStrategyMetricsLabeled(r *telemetry.Registry, prefix, strategy string) *
 		requestNanos:   hv("request_ns"),
 		evalNanos:      hv("eval_ns"),
 	}
-	return m
 }
 
 // record mirrors the OpStats counters accumulated since the last call

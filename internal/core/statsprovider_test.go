@@ -102,7 +102,7 @@ func TestStrategyMetricsMirrorOpStats(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			m := NewStrategyMetrics(reg, "strategy")
+			m := NewStrategyMetrics(reg, "strategy", f.Name)
 			s, err := f.New(Params{Capacity: 20_000, Beta: 2, Metrics: m})
 			if err != nil {
 				t.Fatal(err)
@@ -110,23 +110,26 @@ func TestStrategyMetricsMirrorOpStats(t *testing.T) {
 			miniWorkload(t, s)
 			st := s.(StatsProvider).OpStats()
 			snap := reg.Snapshot()
+			series := func(name string) string {
+				return telemetry.RenderSeries("strategy."+name, []string{"strategy"}, []string{f.Name})
+			}
 			for name, want := range map[string]int64{
-				"strategy.push_offers":     st.PushOffers,
-				"strategy.push_stores":     st.PushStores,
-				"strategy.requests":        st.Requests,
-				"strategy.hits":            st.Hits,
-				"strategy.stale_refreshes": st.StaleRefreshes,
-				"strategy.access_admits":   st.AccessAdmits,
-				"strategy.access_rejects":  st.AccessRejects,
-				"strategy.evictions":       st.Evictions,
-				"strategy.evicted_bytes":   st.EvictedBytes,
+				"push_offers":     st.PushOffers,
+				"push_stores":     st.PushStores,
+				"requests":        st.Requests,
+				"hits":            st.Hits,
+				"stale_refreshes": st.StaleRefreshes,
+				"access_admits":   st.AccessAdmits,
+				"access_rejects":  st.AccessRejects,
+				"evictions":       st.Evictions,
+				"evicted_bytes":   st.EvictedBytes,
 			} {
-				if got := snap.Counters[name]; got != want {
+				if got := snap.Counters[series(name)]; got != want {
 					t.Errorf("%s = %d, want %d (OpStats)", name, got, want)
 				}
 			}
 			if st.Requests > 0 {
-				lat := snap.Histograms["strategy.request_ns"]
+				lat := snap.Histograms[series("request_ns")]
 				if lat.Count == 0 {
 					t.Error("request_ns histogram saw no samples")
 				}

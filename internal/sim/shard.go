@@ -77,7 +77,7 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 	// the registry exposes a fleet-wide view of placement decisions even
 	// while shards replay concurrently.
 	if opts.Telemetry != nil {
-		r.stratMetrics = core.NewStrategyMetricsLabeled(opts.Telemetry, "sim.strategy", factory.Name)
+		r.stratMetrics = core.NewStrategyMetrics(opts.Telemetry, "sim.strategy", factory.Name)
 	}
 	metrics := newRunMetrics(opts.Telemetry)
 	usesPush := factory.UsesPush()

@@ -24,7 +24,6 @@ package telemetry
 // verbatim and ParseSeries can split any key back into name + labels.
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -336,21 +335,4 @@ func (r *Registry) vec(name string, labels []string, maxSeries int, build func(*
 	v := build(core)
 	r.vecs[name] = &vecSpec{labels: core.labels, max: core.max, vec: v}
 	return v
-}
-
-// VecNames returns the registered vec family names, sorted — the
-// exposition writer uses this to group a family's series under one
-// TYPE line even before any series exists.
-func (r *Registry) VecNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.vecs))
-	for name := range r.vecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

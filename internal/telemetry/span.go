@@ -141,17 +141,6 @@ type Attr struct {
 // String builds a string-valued attribute.
 func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 
-// Int builds an integer-valued attribute.
-func Int(key string, value int64) Attr { return Attr{Key: key, Value: fmt.Sprintf("%d", value)} }
-
-// Bool builds a boolean-valued attribute.
-func Bool(key string, value bool) Attr {
-	if value {
-		return Attr{Key: key, Value: "true"}
-	}
-	return Attr{Key: key, Value: "false"}
-}
-
 // Span is one live stage measurement. A nil *Span is the disabled form:
 // every method is a no-op, so callers never need to branch.
 type Span struct {

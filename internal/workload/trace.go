@@ -104,9 +104,10 @@ func (w *Workload) CheckSubscriptions() error {
 }
 
 // checkRefs reports an error unless every reference a replay follows
-// is in range: the subscription matrix's shape, each request's page
-// and server, and each publication's page. Versions and subscription
-// counts must be non-negative.
+// is in range: the subscription matrix's shape, each page's popularity
+// class, each request's page and server, and each publication's page.
+// Versions and subscription counts must be non-negative, and page sizes
+// positive.
 func (w *Workload) checkRefs() error {
 	if err := w.CheckSubscriptions(); err != nil {
 		return err
@@ -116,6 +117,11 @@ func (w *Workload) checkRefs() error {
 			if n < 0 {
 				return fmt.Errorf("workload: page %d has %d subscriptions at server %d", page, n, server)
 			}
+		}
+	}
+	for i, p := range w.Pages {
+		if p.Class < 0 || p.Class >= len(ageDistByClass) || p.Size < 1 {
+			return fmt.Errorf("workload: page %d has class %d and size %d, want a class in [0, %d] and a size of at least 1", i, p.Class, p.Size, len(ageDistByClass)-1)
 		}
 	}
 	pages, servers := int32(len(w.Pages)), int32(w.Config.Servers)

@@ -72,7 +72,8 @@ func TestReadRejectsBadVersion(t *testing.T) {
 // TestReadRejectsOutOfRangeReferences round-trips a trace through
 // JSON with one reference broken at a time. Read must reject each,
 // since a replay would index out of range (or, for a short row,
-// silently read another page's counts).
+// silently read another page's counts, and for a page of size 0 or
+// less, count every request a hit).
 func TestReadRejectsOutOfRangeReferences(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -86,6 +87,10 @@ func TestReadRejectsOutOfRangeReferences(t *testing.T) {
 		{"negative request page", func(w *Workload) { w.Requests[5].Page = -1 }},
 		{"negative version", func(w *Workload) { w.Publications[5].Version = -1 }},
 		{"negative count", func(w *Workload) { w.Subscriptions[2][3] = -1 }},
+		{"page class above 3", func(w *Workload) { w.Pages[4].Class = 4 }},
+		{"negative page class", func(w *Workload) { w.Pages[4].Class = -1 }},
+		{"zero page size", func(w *Workload) { w.Pages[4].Size = 0 }},
+		{"negative page size", func(w *Workload) { w.Pages[4].Size = -5 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -106,8 +106,9 @@ type (
 	StrategyMetrics = core.StrategyMetrics
 )
 
-// NewStrategyMetrics resolves strategy metric handles under the given
-// name prefix (e.g. "proxy3.strategy").
+// NewStrategyMetrics resolves strategy metric handles as series under
+// the given name prefix labeled with the strategy's name (e.g.
+// "proxy3.strategy.requests"{strategy="GD*"}).
 var NewStrategyMetrics = core.NewStrategyMetrics
 
 // StrategyCatalog returns every available strategy factory (Table 1).

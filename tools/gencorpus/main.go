@@ -95,7 +95,7 @@ func main() {
 	}
 	binSub := binFrame(&broker.Message{Type: "subscribe", Seq: 9, Topics: []string{"news"}, Keywords: []string{"go"}, Proxy: 2})
 	writeSeed(bdir, "bin_subscribe", binSub)
-	writeSeed(bdir, "bin_publish", binFrame(&broker.Message{Type: "publish", Seq: 3, ID: "page-1", Version: 4, Topics: []string{"a"}, BodyRaw: []byte("hello world")}))
+	writeSeed(bdir, "bin_publish", binFrame(&broker.Message{Type: "publish", Seq: 3, ID: "page-1", Version: 4, Topics: []string{"a"}, Body: []byte("hello world")}))
 	writeSeed(bdir, "bin_notify", binFrame(&broker.Message{Type: "notify", Notification: &broker.Notification{PageID: "p", Version: 2, Size: 11, SubscriptionID: 7}}))
 	writeSeed(bdir, "bin_notify_coalesced", binFrame(&broker.Message{Type: "notify", PublishedAt: 1500, Notification: &broker.Notification{PageID: "p", Version: 2, Size: 11, SubscriptionID: 7}, MoreSubIDs: []int64{8, -9, 300}}))
 	writeSeed(bdir, "bin_hello", binFrame(&broker.Message{Type: "hello", Seq: 1, Codecs: []string{"binary", "json"}, MaxFrame: 1 << 20}))

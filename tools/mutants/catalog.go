@@ -257,8 +257,9 @@ var catalog = []mutant{
 		run:     "^TestShardsPassWorkloadSubCounts$",
 	},
 
-	// The trace reader's range checks: a misshapen subscription matrix
-	// is an error, not an index panic in the replay.
+	// The trace reader's range checks: a misshapen subscription matrix,
+	// a page class outside [0, 3] or a page size below 1 is an error,
+	// not an index panic or a run of false hits in the replay.
 	{
 		name:    "workload/read-skips-shape-check",
 		file:    "internal/workload/trace.go",
@@ -266,6 +267,25 @@ var catalog = []mutant{
 		replace: "",
 		pkg:     "internal/workload",
 		run:     "^TestReadRejectsOutOfRangeReferences$",
+	},
+	{
+		name:    "workload/read-skips-page-check",
+		file:    "internal/workload/trace.go",
+		snippet: "\t\tif p.Class < 0 || p.Class >= len(ageDistByClass) || p.Size < 1 {\n",
+		replace: "\t\tif false {\n",
+		pkg:     "internal/workload",
+		run:     "^TestReadRejectsOutOfRangeReferences$",
+	},
+
+	// The wire bytes of a body: the JSON codec writes Body as base64
+	// under "body", as the golden frames pin.
+	{
+		name:    "codec/json-drops-body",
+		file:    "internal/broker/codec.go",
+		snippet: "\tBody []byte `json:\"body,omitempty\"`\n",
+		replace: "\tBody []byte `json:\"-\"`\n",
+		pkg:     "internal/broker",
+		run:     "^TestGoldenFrames$",
 	},
 
 	// The strategies' arithmetic.
