@@ -191,44 +191,6 @@ func BenchmarkStrategySG2(b *testing.B)    { benchStrategyOps(b, "SG2") }
 func BenchmarkStrategyDM(b *testing.B)     { benchStrategyOps(b, "DM") }
 func BenchmarkStrategyDCLAP(b *testing.B)  { benchStrategyOps(b, "DC-LAP") }
 
-// Instrumentation-overhead pairs: the same Push/Request mix with and
-// without a StrategyMetrics attached. Compare ns/op between the
-// /uninstrumented and /instrumented variants — decision counters are
-// exact (atomic adds of OpStats deltas) and wall-clock timing is
-// sampled 1-in-16, so the instrumented path should stay within a few
-// percent of the bare one.
-func benchInstrumentationOverhead(b *testing.B, name string) {
-	run := func(b *testing.B, m *StrategyMetrics) {
-		f, err := LookupStrategy(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := f.New(StrategyParams{Capacity: 1 << 20, Beta: 2, Metrics: m})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := i % 512
-			meta := PageMeta{ID: id, Size: int64(1000 + id*13%9000), Cost: 1}
-			if i%3 == 0 {
-				s.Push(meta, 0, 1+id%7)
-			} else {
-				s.Request(meta, 0, 1+id%7)
-			}
-		}
-	}
-	b.Run("uninstrumented", func(b *testing.B) { run(b, nil) })
-	b.Run("instrumented", func(b *testing.B) {
-		run(b, NewStrategyMetrics(NewMetricsRegistry(), "bench", name))
-	})
-}
-
-func BenchmarkInstrumentationOverheadGDStar(b *testing.B) { benchInstrumentationOverhead(b, "GD*") }
-func BenchmarkInstrumentationOverheadSG2(b *testing.B)    { benchInstrumentationOverhead(b, "SG2") }
-func BenchmarkInstrumentationOverheadDCLAP(b *testing.B)  { benchInstrumentationOverhead(b, "DC-LAP") }
-
 func BenchmarkMatchEngine(b *testing.B) {
 	e := NewMatchEngine()
 	topics := []string{"sports", "politics", "tech", "weather", "finance"}

@@ -66,7 +66,7 @@ func run(args []string) error {
 	}
 	// Validate flags up front with actionable messages instead of
 	// clamping silently or failing deep inside the simulator.
-	if *capacity <= 0 || *capacity > 1 {
+	if !(0 < *capacity && *capacity <= 1) {
 		return fmt.Errorf("-capacity must be in (0, 1], got %g", *capacity)
 	}
 	if *scale < 1 {
@@ -75,7 +75,7 @@ func run(args []string) error {
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be ≥ 1, got %d", *parallel)
 	}
-	if *sq <= 0 || *sq > 1 {
+	if !(0 < *sq && *sq <= 1) {
 		return fmt.Errorf("-sq must be in (0, 1], got %g", *sq)
 	}
 

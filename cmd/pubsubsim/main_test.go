@@ -72,12 +72,14 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"zero capacity", []string{"-capacity", "0", "-scale", "100"}, "-capacity"},
 		{"capacity above 1", []string{"-capacity", "1.5", "-scale", "100"}, "-capacity"},
+		{"NaN capacity", []string{"-capacity", "NaN", "-scale", "100"}, "-capacity"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-3"}, "-scale"},
 		{"zero parallel", []string{"-parallel", "0", "-scale", "100"}, "-parallel"},
 		{"negative parallel", []string{"-parallel", "-1", "-scale", "100"}, "-parallel"},
 		{"zero sq", []string{"-sq", "0", "-scale", "100"}, "-sq"},
 		{"sq above 1", []string{"-sq", "2", "-scale", "100"}, "-sq"},
+		{"NaN sq", []string{"-sq", "NaN", "-scale", "100"}, "-sq"},
 	} {
 		err := run(tc.args)
 		if err == nil {

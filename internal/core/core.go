@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // PageMeta is the strategy-visible description of a page at one proxy.
@@ -66,12 +67,8 @@ type Params struct {
 	Capacity int64
 	// Beta is the GD* balance parameter β of eq. 1 (ignored by
 	// strategies that don't use the GD* framework). Must be positive
-	// for strategies that use it.
+	// and finite for strategies that use it.
 	Beta float64
-	// Metrics, when non-nil, receives live telemetry from the
-	// strategy's hot path (decision counters and sampled latencies).
-	// Nil disables instrumentation at the cost of one branch per op.
-	Metrics *StrategyMetrics
 }
 
 func (p Params) validate() error {
@@ -85,8 +82,8 @@ func (p Params) validateBeta() error {
 	if err := p.validate(); err != nil {
 		return err
 	}
-	if p.Beta <= 0 {
-		return fmt.Errorf("core: beta must be positive, got %g", p.Beta)
+	if !(0 < p.Beta && p.Beta <= math.MaxFloat64) {
+		return fmt.Errorf("core: beta must be positive and finite, got %g", p.Beta)
 	}
 	return nil
 }

@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // dm implements Dual-Methods (§3.3): the push-time module runs SUB and
 // the access-time module runs GD* over the *same* cache space. Every page
 // carries two values — its GD* value and its SUB value — and each module
@@ -19,9 +17,7 @@ type dm struct {
 
 	stats   OpStats
 	evicted evictionLog
-	metrics *StrategyMetrics
-	flushed OpStats
-	_       [24]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
+	_       [40]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 type dmEntry struct {
@@ -50,7 +46,6 @@ func NewDM(params Params) (Strategy, error) {
 		beta:     params.Beta,
 		gdHeap:   dmHeap{key: dmGD},
 		subHeap:  dmHeap{key: dmSUB},
-		metrics:  params.Metrics,
 	}
 	return d, nil
 }
@@ -80,17 +75,6 @@ func (d *dm) subEval(e *dmEntry) float64 {
 // Push runs the SUB placement module.
 func (d *dm) Push(p PageMeta, version, subs int) bool {
 	d.evicted.reset()
-	m := d.metrics
-	if m == nil || !sampleOp(d.seq) {
-		return d.push(p, version, subs)
-	}
-	t0 := time.Now()
-	stored := d.push(p, version, subs)
-	m.pushDone(t0, &d.flushed, &d.stats)
-	return stored
-}
-
-func (d *dm) push(p PageMeta, version, subs int) bool {
 	d.seq++
 	if e, ok := d.get(p.ID); ok {
 		if version > e.Version {
@@ -133,17 +117,6 @@ func (d *dm) subAdmits(size int64, v float64) bool {
 // Request runs the GD* caching module.
 func (d *dm) Request(p PageMeta, version, subs int) (hit, stored bool) {
 	d.evicted.reset()
-	m := d.metrics
-	if m == nil || !sampleOp(d.seq) {
-		return d.request(p, version, subs)
-	}
-	t0 := time.Now()
-	hit, stored = d.request(p, version, subs)
-	m.requestDone(t0, &d.flushed, &d.stats)
-	return hit, stored
-}
-
-func (d *dm) request(p PageMeta, version, subs int) (hit, stored bool) {
 	d.seq++
 	d.stats.Requests++
 	if e, ok := d.get(p.ID); ok {

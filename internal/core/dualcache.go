@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // dualCache implements the Dual-Caches family (§3.3): the proxy's storage
@@ -45,9 +44,7 @@ type dualCache struct {
 
 	stats   OpStats
 	evicted evictionLog
-	metrics *StrategyMetrics
-	flushed OpStats
-	_       [24]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
+	_       [40]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 var _ Strategy = (*dualCache)(nil)
@@ -104,7 +101,6 @@ func newDualCache(name string, params Params, adaptive bool, minPC, maxPC float6
 		beta:     params.Beta,
 		pc:       pc,
 		ac:       ac,
-		metrics:  params.Metrics,
 	}, nil
 }
 
@@ -130,17 +126,6 @@ func (d *dualCache) subEval(e *Entry) float64 {
 // Push implements the placing algorithm.
 func (d *dualCache) Push(p PageMeta, version, subs int) bool {
 	d.evicted.reset()
-	m := d.metrics
-	if m == nil || !sampleOp(d.seq) {
-		return d.push(p, version, subs)
-	}
-	t0 := time.Now()
-	stored := d.push(p, version, subs)
-	m.pushDone(t0, &d.flushed, &d.stats)
-	return stored
-}
-
-func (d *dualCache) push(p PageMeta, version, subs int) bool {
 	d.seq++
 	// A resident page (in either cache) is refreshed in place.
 	if e, ok := d.pc.Get(p.ID); ok {
@@ -280,17 +265,6 @@ func (d *dualCache) reclaimable(need int64) (chosen []*Entry, freed int64) {
 // Request implements the locating algorithm.
 func (d *dualCache) Request(p PageMeta, version, subs int) (hit, stored bool) {
 	d.evicted.reset()
-	m := d.metrics
-	if m == nil || !sampleOp(d.seq) {
-		return d.request(p, version, subs)
-	}
-	t0 := time.Now()
-	hit, stored = d.request(p, version, subs)
-	m.requestDone(t0, &d.flushed, &d.stats)
-	return hit, stored
-}
-
-func (d *dualCache) request(p PageMeta, version, subs int) (hit, stored bool) {
 	d.seq++
 	d.stats.Requests++
 	if e, ok := d.pc.Get(p.ID); ok {

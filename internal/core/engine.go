@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // policy describes the behaviour of a single-cache, single-replacement
 // strategy (§3.1, §3.2 and the "Single Cache and Single Replacement
@@ -39,17 +36,11 @@ type engine struct {
 	seq   uint64
 	stats OpStats
 
-	// metrics, when non-nil, mirrors stats into a telemetry registry
-	// and samples op/eval latencies; flushed tracks what was mirrored.
-	metrics *StrategyMetrics
-	flushed OpStats
-	sampled bool // current op measures latency
-
 	cand  Entry // admission scratch: the page being valued
 	spare freeList[Entry]
 
 	evicted evictionLog
-	_       [8]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
+	_       [32]byte // to whole cache lines (TestStrategyStructsFillCacheLines)
 }
 
 var _ Strategy = (*engine)(nil)
@@ -59,7 +50,7 @@ func newEngine(p policy, params Params) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &engine{policy: p, store: st, beta: params.Beta, metrics: params.Metrics}, nil
+	return &engine{policy: p, store: st, beta: params.Beta}, nil
 }
 
 func (g *engine) Name() string    { return g.name }
@@ -67,23 +58,9 @@ func (g *engine) Used() int64     { return g.store.Used() }
 func (g *engine) Capacity() int64 { return g.store.Capacity() }
 func (g *engine) Len() int        { return g.store.Len() }
 
-// Push implements Strategy. The wrapper keeps the uninstrumented and
-// unsampled paths down to two predictable branches.
+// Push implements Strategy.
 func (g *engine) Push(p PageMeta, version, subs int) bool {
 	g.evicted.reset()
-	m := g.metrics
-	if m == nil || !sampleOp(g.seq) {
-		return g.push(p, version, subs)
-	}
-	t0 := time.Now()
-	g.sampled = true
-	stored := g.push(p, version, subs)
-	g.sampled = false
-	m.pushDone(t0, &g.flushed, &g.stats)
-	return stored
-}
-
-func (g *engine) push(p PageMeta, version, subs int) bool {
 	if !g.pushEnabled {
 		// Access-time-only schemes do not participate in content
 		// pushing at all; resident copies stay stale until a request
@@ -111,22 +88,9 @@ func (g *engine) push(p PageMeta, version, subs int) bool {
 	return false
 }
 
-// Request implements Strategy; see Push for the instrumentation shape.
+// Request implements Strategy.
 func (g *engine) Request(p PageMeta, version, subs int) (hit, stored bool) {
 	g.evicted.reset()
-	m := g.metrics
-	if m == nil || !sampleOp(g.seq) {
-		return g.request(p, version, subs)
-	}
-	t0 := time.Now()
-	g.sampled = true
-	hit, stored = g.request(p, version, subs)
-	g.sampled = false
-	m.requestDone(t0, &g.flushed, &g.stats)
-	return hit, stored
-}
-
-func (g *engine) request(p PageMeta, version, subs int) (hit, stored bool) {
 	g.seq++
 	g.stats.Requests++
 	if e, ok := g.store.Get(p.ID); ok {
@@ -179,13 +143,7 @@ func (g *engine) admit(p PageMeta, version, subs, refs int) bool {
 	}
 	limit := math.Inf(1)
 	if g.gatedAdmission {
-		if g.sampled { // sampled implies g.metrics != nil
-			t0 := time.Now()
-			limit = g.eval(g, &g.cand)
-			g.metrics.evalDone(t0)
-		} else {
-			limit = g.eval(g, &g.cand)
-		}
+		limit = g.eval(g, &g.cand)
 		if !g.store.CanAdmit(p.Size, limit) {
 			return false
 		}

@@ -36,8 +36,10 @@ func TestFactoryValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.New(Params{Capacity: 100, Beta: 0}); err == nil {
-			t.Errorf("%s: zero beta should error", name)
+		for _, beta := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			if _, err := f.New(Params{Capacity: 100, Beta: beta}); err == nil {
+				t.Errorf("%s: beta %g should error", name, beta)
+			}
 		}
 	}
 }

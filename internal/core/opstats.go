@@ -104,32 +104,14 @@ func (l *evictionLog) add(id int) {
 }
 
 // OpStats implements StatsProvider for the single-cache engine family.
-// Reading it also flushes any counter deltas the sampled telemetry path
-// has not yet mirrored, so an attached registry is exact afterwards.
-func (g *engine) OpStats() OpStats {
-	if g.metrics != nil {
-		g.metrics.record(&g.flushed, &g.stats)
-	}
-	return g.stats
-}
+func (g *engine) OpStats() OpStats { return g.stats }
 
 // OpStats implements StatsProvider for Dual-Methods: the SUB push-time
-// module and GD* access-time module write into one aggregate. Reading
-// it flushes pending telemetry deltas.
-func (d *dm) OpStats() OpStats {
-	if d.metrics != nil {
-		d.metrics.record(&d.flushed, &d.stats)
-	}
-	return d.stats
-}
+// module and GD* access-time module write into one aggregate.
+func (d *dm) OpStats() OpStats { return d.stats }
 
 // OpStats implements StatsProvider for the Dual-Caches family (DC-FP,
 // DC-AP, DC-LAP): push-cache and access-cache decisions aggregate into
 // one OpStats, with partition moves and DC-AP reclamations counted as
-// evictions. Reading it flushes pending telemetry deltas.
-func (d *dualCache) OpStats() OpStats {
-	if d.metrics != nil {
-		d.metrics.record(&d.flushed, &d.stats)
-	}
-	return d.stats
-}
+// evictions.
+func (d *dualCache) OpStats() OpStats { return d.stats }

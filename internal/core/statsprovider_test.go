@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"pubsubcd/internal/telemetry"
-)
+import "testing"
 
 // miniWorkload drives a deterministic mix of pushes and requests with
 // skewed sizes and subscription counts through a strategy, small enough
@@ -89,53 +85,6 @@ func TestEveryStrategyProvidesReconcilingStats(t *testing.T) {
 			// somewhere; evictions are guaranteed by the small capacity.
 			if st.Evictions == 0 && f.Name != "SUB" {
 				t.Errorf("no evictions recorded for %s under a capacity-starved workload", f.Name)
-			}
-		})
-	}
-}
-
-// TestStrategyMetricsMirrorOpStats asserts the telemetry counters track
-// OpStats exactly for every strategy, and that the sampled latency
-// histograms receive observations.
-func TestStrategyMetricsMirrorOpStats(t *testing.T) {
-	for _, f := range Catalog() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			m := NewStrategyMetrics(reg, "strategy", f.Name)
-			s, err := f.New(Params{Capacity: 20_000, Beta: 2, Metrics: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			miniWorkload(t, s)
-			st := s.(StatsProvider).OpStats()
-			snap := reg.Snapshot()
-			series := func(name string) string {
-				return telemetry.RenderSeries("strategy."+name, []string{"strategy"}, []string{f.Name})
-			}
-			for name, want := range map[string]int64{
-				"push_offers":     st.PushOffers,
-				"push_stores":     st.PushStores,
-				"requests":        st.Requests,
-				"hits":            st.Hits,
-				"stale_refreshes": st.StaleRefreshes,
-				"access_admits":   st.AccessAdmits,
-				"access_rejects":  st.AccessRejects,
-				"evictions":       st.Evictions,
-				"evicted_bytes":   st.EvictedBytes,
-			} {
-				if got := snap.Counters[series(name)]; got != want {
-					t.Errorf("%s = %d, want %d (OpStats)", name, got, want)
-				}
-			}
-			if st.Requests > 0 {
-				lat := snap.Histograms[series("request_ns")]
-				if lat.Count == 0 {
-					t.Error("request_ns histogram saw no samples")
-				}
-				if lat.Count > st.Requests {
-					t.Errorf("request_ns count %d exceeds requests %d", lat.Count, st.Requests)
-				}
 			}
 		})
 	}

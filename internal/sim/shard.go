@@ -22,9 +22,8 @@ type Replay struct {
 	// Shards[s] replays proxy server s.
 	Shards []*Shard
 
-	res          *Result // header fields; Result fills in the rest
-	hours        int
-	stratMetrics *core.StrategyMetrics
+	res   *Result // header fields; Result fills in the rest
+	hours int
 }
 
 // NewReplay builds one shard per proxy server of w: a strategy from
@@ -34,14 +33,14 @@ type Replay struct {
 // EventView, and a private tally. Every shard reads its subscription
 // counts from w.Subscriptions, whose shape (one row per page, one
 // column per server) NewReplay checks once. opts.Telemetry, when set,
-// receives the sim.* outcome counters and the sim.strategy view as
-// shards replay; opts.Parallelism and opts.Spans belong to Run and are
-// ignored here.
+// receives each shard's sim.* outcome counts and its strategy's
+// sim.strategy.* decision counts at every trace-hour boundary;
+// opts.Parallelism and opts.Spans belong to Run and are ignored here.
 func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Replay, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil workload")
 	}
-	if opts.CapacityFraction <= 0 || opts.CapacityFraction > 1 {
+	if !(0 < opts.CapacityFraction && opts.CapacityFraction <= 1) {
 		return nil, fmt.Errorf("sim: capacity fraction must be in (0, 1], got %g", opts.CapacityFraction)
 	}
 	servers := w.Config.Servers
@@ -73,20 +72,17 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 			SQ:               w.Config.SQ,
 		},
 	}
-	// All proxies share one StrategyMetrics: the handles are atomic, so
-	// the registry exposes a fleet-wide view of placement decisions even
-	// while shards replay concurrently.
+	var counters *runCounters
 	if opts.Telemetry != nil {
-		r.stratMetrics = core.NewStrategyMetrics(opts.Telemetry, "sim.strategy", factory.Name)
+		counters = newRunCounters(opts.Telemetry, factory.Name)
 	}
-	metrics := newRunMetrics(opts.Telemetry)
 	usesPush := factory.UsesPush()
 	for i := 0; i < servers; i++ {
-		s, err := factory.New(core.Params{Capacity: capacities[i], Beta: opts.Beta, Metrics: r.stratMetrics})
+		s, err := factory.New(core.Params{Capacity: capacities[i], Beta: opts.Beta})
 		if err != nil {
 			return nil, fmt.Errorf("sim: server %d: %w", i, err)
 		}
-		r.Shards[i] = &Shard{
+		sh := &Shard{
 			server:     i,
 			strategy:   s,
 			cost:       costs[i],
@@ -96,9 +92,14 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 			stream:     view.Streams[i],
 			hourStarts: view.HourStarts[i],
 			subs:       w.Subscriptions,
-			tally:      newShardTally(hours, metrics),
+			tally:      newShardTally(hours),
 			seen:       make([]bool, len(w.Pages)),
 		}
+		if counters != nil {
+			stats, _ := s.(core.StatsProvider)
+			sh.pub = &publication{c: counters, stats: stats}
+		}
+		r.Shards[i] = sh
 	}
 	return r, nil
 }
@@ -106,8 +107,10 @@ func NewReplay(w *workload.Workload, factory core.Factory, opts Options) (*Repla
 // Result merges the shards' tallies into the run's Result in ascending
 // server order. Every field is an integer sum or a per-server row, so
 // the Result is bit-identical for any schedule the shards replayed on.
-// Call it once, after every shard has finished: the shards' hourly
-// rows move into the Result.
+// With telemetry on it first publishes what each shard tallied since
+// its last hour boundary, so the registry is exact on return. Call it
+// once, after every shard has finished: the shards' hourly rows move
+// into the Result.
 func (r *Replay) Result() *Result {
 	servers, hours := len(r.Shards), r.hours
 	res := r.res
@@ -124,16 +127,10 @@ func (r *Replay) Result() *Result {
 	res.PerServerHourlyHits = make([][]int64, servers)
 	res.PerServerHourlyRequests = make([][]int64, servers)
 	for i, sh := range r.Shards {
-		sh.tally.mergeInto(res, i)
-	}
-	if r.stratMetrics != nil {
-		// Reading OpStats flushes each strategy's pending telemetry
-		// deltas, so the registry is exact when the run returns.
-		for _, sh := range r.Shards {
-			if sp, ok := sh.strategy.(core.StatsProvider); ok {
-				sp.OpStats()
-			}
+		if sh.pub != nil {
+			sh.pub.publish(sh.tally, hours)
 		}
+		sh.tally.mergeInto(res, i)
 	}
 	return res
 }
@@ -143,7 +140,7 @@ func (r *Replay) Result() *Result {
 // seen-set and its private tally. It reads each event's subscription
 // count from the workload's matrix, the one subscription table. Shards
 // share only immutable data (the workload and its event view) plus
-// atomic telemetry handles, so any number of shards can
+// atomic registry counters, so any number of shards can
 // replay concurrently and the merged result is bit-identical to a
 // sequential replay. One shard must be driven by one goroutine at a
 // time.
@@ -165,18 +162,23 @@ type Shard struct {
 	// seen[page] records whether this server has requested the page
 	// before (cold/warm miss classification).
 	seen []bool
+	// pub publishes the shard's counts to the run's registry; nil when
+	// telemetry is off.
+	pub *publication
 }
 
 // Events returns the shard's event stream in replay order, each event
 // expanded with its exact trace time and hour (Workload.TimedEvents),
 // for drivers that feed the shard event by event through Offer and
-// Request. It allocates the expanded stream on every call.
+// Request, which take the events in this order. It allocates the
+// expanded stream on every call.
 func (sh *Shard) Events() []workload.ServerEvent { return sh.w.TimedEvents(sh.server) }
 
 // Offer replays a publication event: the page is offered to the
 // proxy's strategy and tallied as a push. Access-only schemes get no
 // offer and nothing is tallied.
 func (sh *Shard) Offer(ev workload.ServerEvent) {
+	sh.enterHour(ev.Hour)
 	sh.offer(ev.Hour, int(ev.Page), int(ev.Version))
 }
 
@@ -184,7 +186,16 @@ func (sh *Shard) Offer(ev workload.ServerEvent) {
 // and tallies it; a miss is a fetch from the publisher. It reports
 // whether the request hit a fresh local copy.
 func (sh *Shard) Request(ev workload.ServerEvent) bool {
+	sh.enterHour(ev.Hour)
 	return sh.request(ev.Hour, int(ev.Page), int(ev.Version))
+}
+
+// enterHour publishes the shard's counts through the previous hours
+// when it takes its first event of hour.
+func (sh *Shard) enterHour(hour int) {
+	if p := sh.pub; p != nil && hour > p.hour {
+		p.publish(sh.tally, hour)
+	}
 }
 
 // subCount returns the server's subscription count for page, the S
@@ -212,8 +223,9 @@ func (sh *Shard) request(hour, page, version int) bool {
 }
 
 // replay runs the shard's whole event stream, hour window by hour
-// window, under a sim.shard span (a no-op nil span when tracing is off,
-// so the event loop itself stays untouched).
+// window, publishing at each window's start, under a sim.shard span (a
+// no-op nil span when tracing is off, so the event loop itself stays
+// untouched).
 func (sh *Shard) replay(ctx context.Context) {
 	_, sp := telemetry.StartSpan(ctx, "sim.shard")
 	if sp != nil {
@@ -221,6 +233,7 @@ func (sh *Shard) replay(ctx context.Context) {
 		sp.SetAttrInt("events", int64(len(sh.stream)))
 	}
 	for h := 0; h+1 < len(sh.hourStarts); h++ {
+		sh.enterHour(h)
 		for _, ev := range sh.stream[sh.hourStarts[h]:sh.hourStarts[h+1]] {
 			if ev.Request() {
 				sh.request(h, ev.Page(), int(ev.Version))

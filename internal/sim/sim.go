@@ -34,10 +34,12 @@ type Options struct {
 	// FetchCosts optionally supplies precomputed per-proxy fetch costs
 	// (len == servers); when nil they are generated from TopologySeed.
 	FetchCosts []float64
-	// Telemetry, when non-nil, receives live counters from the run
-	// (sim.* outcome tallies and a shared sim.strategy.* view of the
-	// proxies' placement decisions and sampled latencies). Nil keeps
-	// the run uninstrumented.
+	// Telemetry, when non-nil, receives the run's counters: the sim.*
+	// outcome tallies and the sim.strategy.*{strategy} sums of the
+	// proxies' OpStats. Each shard adds its counts at every trace-hour
+	// boundary, so while shards replay the registry trails them by at
+	// most their current hour; it is exact once Run returns. Nil keeps
+	// the run off any registry.
 	Telemetry *telemetry.Registry
 	// Parallelism bounds how many per-proxy shards replay concurrently.
 	// 0 selects GOMAXPROCS; 1 forces a sequential replay. The Result is

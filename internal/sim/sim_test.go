@@ -52,6 +52,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(w, f, Options{CapacityFraction: 2, Beta: 2}); err == nil {
 		t.Error("capacity fraction above 1 should error")
 	}
+	if _, err := Run(w, f, Options{CapacityFraction: math.NaN(), Beta: 2}); err == nil {
+		t.Error("NaN capacity fraction should error")
+	}
 	if _, err := Run(w, f, Options{CapacityFraction: 0.05, Beta: 2, FetchCosts: []float64{1}}); err == nil {
 		t.Error("mismatched fetch costs should error")
 	}

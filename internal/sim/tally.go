@@ -1,46 +1,5 @@
 package sim
 
-import (
-	"pubsubcd/internal/telemetry"
-)
-
-// runMetrics are the simulator's pre-resolved telemetry handles; a nil
-// *runMetrics means telemetry is off and recording is a no-op. The
-// handles are atomic, so one instance is shared by every shard of a run
-// and the registry stays a live fleet-wide view while shards execute
-// concurrently.
-type runMetrics struct {
-	requests   *telemetry.Counter
-	hits       *telemetry.Counter
-	coldMisses *telemetry.Counter
-	warmMisses *telemetry.Counter
-
-	pushedPagesAP  *telemetry.Counter
-	pushedPagesPWN *telemetry.Counter
-	pushedBytesAP  *telemetry.Counter
-	pushedBytesPWN *telemetry.Counter
-	fetchedPages   *telemetry.Counter
-	fetchedBytes   *telemetry.Counter
-}
-
-func newRunMetrics(reg *telemetry.Registry) *runMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &runMetrics{
-		requests:       reg.Counter("sim.requests"),
-		hits:           reg.Counter("sim.hits"),
-		coldMisses:     reg.Counter("sim.cold_misses"),
-		warmMisses:     reg.Counter("sim.warm_misses"),
-		pushedPagesAP:  reg.Counter("sim.pushed_pages_ap"),
-		pushedPagesPWN: reg.Counter("sim.pushed_pages_pwn"),
-		pushedBytesAP:  reg.Counter("sim.pushed_bytes_ap"),
-		pushedBytesPWN: reg.Counter("sim.pushed_bytes_pwn"),
-		fetchedPages:   reg.Counter("sim.fetched_pages"),
-		fetchedBytes:   reg.Counter("sim.fetched_bytes"),
-	}
-}
-
 // shardTally is one proxy shard's private accumulator for every
 // accounting dimension of a run: hourly series, popularity-class
 // breakdown and the cold/warm miss split. A shard calls exactly two
@@ -60,12 +19,9 @@ type shardTally struct {
 	hourlyHits, hourlyRequests                  []int64
 	pushedPagesAP, pushedPagesPWN, fetchedPages []int64
 	pushedBytesAP, pushedBytesPWN, fetchedBytes []int64
-
-	// metrics is the run-wide shared handle set (atomic; may be nil).
-	metrics *runMetrics
 }
 
-func newShardTally(hours int, metrics *runMetrics) *shardTally {
+func newShardTally(hours int) *shardTally {
 	return &shardTally{
 		hourlyHits:     make([]int64, hours),
 		hourlyRequests: make([]int64, hours),
@@ -75,7 +31,6 @@ func newShardTally(hours int, metrics *runMetrics) *shardTally {
 		pushedBytesAP:  make([]int64, hours),
 		pushedBytesPWN: make([]int64, hours),
 		fetchedBytes:   make([]int64, hours),
-		metrics:        metrics,
 	}
 }
 
@@ -91,14 +46,6 @@ func (t *shardTally) push(hour int, size int64, stored bool) {
 	if stored {
 		t.pushedPagesPWN[hour]++
 		t.pushedBytesPWN[hour] += size
-	}
-	if m := t.metrics; m != nil {
-		m.pushedPagesAP.Inc()
-		m.pushedBytesAP.Add(size)
-		if stored {
-			m.pushedPagesPWN.Inc()
-			m.pushedBytesPWN.Add(size)
-		}
 	}
 }
 
@@ -121,20 +68,6 @@ func (t *shardTally) request(hour, class int, size int64, hit, first bool) {
 			t.coldMisses++
 		} else {
 			t.warmMisses++
-		}
-	}
-	if m := t.metrics; m != nil {
-		m.requests.Inc()
-		if hit {
-			m.hits.Inc()
-		} else {
-			m.fetchedPages.Inc()
-			m.fetchedBytes.Add(size)
-			if first {
-				m.coldMisses.Inc()
-			} else {
-				m.warmMisses.Inc()
-			}
 		}
 	}
 }

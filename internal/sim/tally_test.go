@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"pubsubcd/internal/telemetry"
 	"pubsubcd/internal/workload"
 )
 
@@ -44,66 +43,5 @@ func TestPerServerHourlyMatricesReconcile(t *testing.T) {
 			t.Errorf("hour %d: matrix sums (%d, %d) != hourly series (%d, %d)",
 				h, hits, reqs, res.HourlyHits[h], res.HourlyRequests[h])
 		}
-	}
-}
-
-func TestRunTelemetryMatchesResult(t *testing.T) {
-	w := testWorkload(t, workload.TraceNEWS, 1)
-	reg := telemetry.NewRegistry()
-	opts := DefaultOptions()
-	opts.Telemetry = reg
-	res := runStrategy(t, w, "SG2", opts)
-
-	var pushedAP, pushedPWN, fetched, fetchedBytes int64
-	for i := range res.PushedPagesAP {
-		pushedAP += res.PushedPagesAP[i]
-		pushedPWN += res.PushedPagesPWN[i]
-		fetched += res.FetchedPages[i]
-		fetchedBytes += res.FetchedBytes[i]
-	}
-	snap := reg.Snapshot()
-	for name, want := range map[string]int64{
-		"sim.requests":         res.Requests,
-		"sim.hits":             res.Hits,
-		"sim.cold_misses":      res.ColdMisses,
-		"sim.warm_misses":      res.WarmMisses,
-		"sim.pushed_pages_ap":  pushedAP,
-		"sim.pushed_pages_pwn": pushedPWN,
-		"sim.fetched_pages":    fetched,
-		"sim.fetched_bytes":    fetchedBytes,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("%s = %d, want %d (Result)", name, got, want)
-		}
-	}
-	// The shared strategy view must agree with the run outcome: every
-	// user request reaches exactly one proxy strategy. The series are
-	// labeled by strategy; the unlabeled aliases are gone.
-	reqKey := `sim.strategy.requests{strategy="SG2"}`
-	hitKey := `sim.strategy.hits{strategy="SG2"}`
-	if got := snap.Counters[reqKey]; got != res.Requests {
-		t.Errorf("%s = %d, want %d", reqKey, got, res.Requests)
-	}
-	hitsAndRefreshes := snap.Counters[hitKey] + snap.Counters[`sim.strategy.stale_refreshes{strategy="SG2"}`]
-	if snap.Counters[hitKey] != res.Hits {
-		t.Errorf("%s = %d, want %d", hitKey, snap.Counters[hitKey], res.Hits)
-	}
-	if hitsAndRefreshes > res.Requests {
-		t.Errorf("strategy hits+refreshes %d exceed requests %d", hitsAndRefreshes, res.Requests)
-	}
-	if snap.Histograms[`sim.strategy.request_ns{strategy="SG2"}`].Count == 0 {
-		t.Error("sampled request latency histogram stayed empty")
-	}
-	// The retired unlabeled aliases must no longer advance.
-	for _, name := range []string{"sim.strategy.requests", "sim.strategy.hits"} {
-		if got, ok := snap.Counters[name]; ok {
-			t.Errorf("removed alias %s still registered (= %d)", name, got)
-		}
-	}
-	// Telemetry must not perturb the simulation outcome.
-	plain := runStrategy(t, w, "SG2", DefaultOptions())
-	if plain.Hits != res.Hits || plain.Requests != res.Requests {
-		t.Errorf("instrumented run diverged: %d/%d vs %d/%d",
-			res.Hits, res.Requests, plain.Hits, plain.Requests)
 	}
 }

@@ -191,8 +191,9 @@ func BenchmarkCounterVecWith(b *testing.B) {
 }
 
 // BenchmarkCounterVecPreResolved is the hot-path pattern the
-// instrumentation actually uses (StrategyMetrics, proxy counters):
-// resolve the series once, keep the *Counter, pay nothing per Inc.
+// instrumentation actually uses (the simulator's run counters, proxy
+// counters): resolve the series once, keep the *Counter, pay nothing
+// per Inc.
 func BenchmarkCounterVecPreResolved(b *testing.B) {
 	r := NewRegistry()
 	c := r.CounterVec("bench.labeled", "strategy").With("GD*")

@@ -139,7 +139,8 @@ func (c Config) Trace() TraceName {
 // Horizon returns the simulation horizon in hours.
 func (c Config) Horizon() float64 { return float64(c.Days) * HoursPerDay }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency. Each range check
+// is written so that NaN fails it.
 func (c Config) Validate() error {
 	switch {
 	case c.Days <= 0:
@@ -152,15 +153,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: ModifiedPages %d out of [0, %d]", c.ModifiedPages, c.DistinctPages)
 	case c.TotalPublished < c.DistinctPages:
 		return fmt.Errorf("workload: TotalPublished %d below DistinctPages %d", c.TotalPublished, c.DistinctPages)
-	case c.Alpha < 0:
+	case !(0 <= c.Alpha):
 		return fmt.Errorf("workload: Alpha must be non-negative, got %g", c.Alpha)
 	case c.TotalRequests < 0:
 		return fmt.Errorf("workload: TotalRequests must be non-negative, got %d", c.TotalRequests)
-	case c.SQ <= 0 || c.SQ > 1:
+	case !(0 < c.SQ && c.SQ <= 1):
 		return fmt.Errorf("workload: SQ must be in (0, 1], got %g", c.SQ)
-	case c.ServerOverlap < 0 || c.ServerOverlap > 1:
+	case !(0 <= c.ServerOverlap && c.ServerOverlap <= 1):
 		return fmt.Errorf("workload: ServerOverlap must be in [0, 1], got %g", c.ServerOverlap)
-	case c.NotificationDrivenFrac < 0 || c.NotificationDrivenFrac > 1:
+	case !(0 <= c.NotificationDrivenFrac && c.NotificationDrivenFrac <= 1):
 		return fmt.Errorf("workload: NotificationDrivenFrac must be in [0, 1], got %g", c.NotificationDrivenFrac)
 	}
 	return nil

@@ -49,13 +49,19 @@ func TestConfigValidate(t *testing.T) {
 		{"SQ above one", func(c *Config) { c.SQ = 1.5 }},
 		{"bad overlap", func(c *Config) { c.ServerOverlap = 1.5 }},
 		{"bad notification frac", func(c *Config) { c.NotificationDrivenFrac = -0.1 }},
+		{"NaN alpha", func(c *Config) { c.Alpha = math.NaN() }},
+		{"NaN SQ", func(c *Config) { c.SQ = math.NaN() }},
+		{"NaN overlap", func(c *Config) { c.ServerOverlap = math.NaN() }},
+		{"NaN notification frac", func(c *Config) { c.NotificationDrivenFrac = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := base
 			m.f(&cfg)
+			// Fatal: Generate may not terminate on a config Validate
+			// wrongly admits (a NaN SQ spins its rejection sampler).
 			if err := cfg.Validate(); err == nil {
-				t.Error("expected validation error")
+				t.Fatal("expected validation error")
 			}
 			if _, err := Generate(cfg); err == nil {
 				t.Error("Generate should reject invalid config")

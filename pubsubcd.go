@@ -101,15 +101,7 @@ type (
 	OpStats          = core.OpStats
 	StatsProvider    = core.StatsProvider
 	EvictionReporter = core.EvictionReporter
-	// StrategyMetrics streams a strategy's hot-path decisions and
-	// sampled latencies into a telemetry registry (StrategyParams.Metrics).
-	StrategyMetrics = core.StrategyMetrics
 )
-
-// NewStrategyMetrics resolves strategy metric handles as series under
-// the given name prefix labeled with the strategy's name (e.g.
-// "proxy3.strategy.requests"{strategy="GD*"}).
-var NewStrategyMetrics = core.NewStrategyMetrics
 
 // StrategyCatalog returns every available strategy factory (Table 1).
 func StrategyCatalog() []StrategyFactory { return core.Catalog() }

@@ -50,7 +50,7 @@ var catalog = []mutant{
 	{
 		name:    "core/engine-unpadded",
 		file:    "internal/core/engine.go",
-		snippet: "\t_       [8]byte // to whole cache lines (TestStrategyStructsFillCacheLines)\n",
+		snippet: "\t_       [32]byte // to whole cache lines (TestStrategyStructsFillCacheLines)\n",
 		replace: "",
 		pkg:     "internal/core",
 		run:     "^TestStrategyStructsFillCacheLines$",
@@ -255,6 +255,28 @@ var catalog = []mutant{
 		replace: "return int(sh.subs[page][(sh.server+1)%len(sh.subs[page])])",
 		pkg:     "internal/sim",
 		run:     "^TestShardsPassWorkloadSubCounts$",
+	},
+
+	// The registry is exact once the replay ends: Result publishes
+	// what each shard tallied since its last hour boundary.
+	{
+		name:    "sim/result-skips-final-publish",
+		file:    "internal/sim/shard.go",
+		snippet: "\t\tif sh.pub != nil {\n\t\t\tsh.pub.publish(sh.tally, hours)\n\t\t}\n",
+		replace: "",
+		pkg:     "internal/sim",
+		run:     "^(TestRunTelemetryMatchesResult|TestShardDriveTelemetryMatchesResult)$",
+	},
+
+	// The generator's range checks fail NaN: a NaN SQ would spin the
+	// SQ' rejection sampler forever.
+	{
+		name:    "workload/validate-admits-nan-sq",
+		file:    "internal/workload/config.go",
+		snippet: "\tcase !(0 < c.SQ && c.SQ <= 1):\n",
+		replace: "\tcase c.SQ <= 0 || c.SQ > 1:\n",
+		pkg:     "internal/workload",
+		run:     "^TestConfigValidate$",
 	},
 
 	// The trace reader's range checks: a misshapen subscription matrix,
