@@ -69,6 +69,9 @@ func run(args []string) error {
 	if !(0 < *capacity && *capacity <= 1) {
 		return fmt.Errorf("-capacity must be in (0, 1], got %g", *capacity)
 	}
+	if !(0 < *beta && *beta <= math.MaxFloat64) {
+		return fmt.Errorf("-beta must be positive and finite, got %g", *beta)
+	}
 	if *scale < 1 {
 		return fmt.Errorf("-scale must be ≥ 1, got %d", *scale)
 	}

@@ -73,6 +73,10 @@ func TestFlagValidation(t *testing.T) {
 		{"zero capacity", []string{"-capacity", "0", "-scale", "100"}, "-capacity"},
 		{"capacity above 1", []string{"-capacity", "1.5", "-scale", "100"}, "-capacity"},
 		{"NaN capacity", []string{"-capacity", "NaN", "-scale", "100"}, "-capacity"},
+		{"NaN beta", []string{"-beta", "NaN", "-scale", "100"}, "-beta"},
+		{"zero beta", []string{"-strategy", "GD*", "-beta", "0", "-scale", "100"}, "-beta"},
+		{"negative beta", []string{"-beta", "-1", "-scale", "100"}, "-beta"},
+		{"infinite beta", []string{"-beta", "+Inf", "-scale", "100"}, "-beta"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-3"}, "-scale"},
 		{"zero parallel", []string{"-parallel", "0", "-scale", "100"}, "-parallel"},

@@ -244,7 +244,7 @@ func TestClusterRoutingAcrossNodes(t *testing.T) {
 
 	// Fetch must find content from any member, wherever it lives.
 	for i, n := range tc.nodes {
-		got, err := n.Fetch("page-a")
+		got, err := n.FetchContext(ctx, "page-a")
 		if err != nil {
 			t.Fatalf("fetch via n%d: %v", i, err)
 		}
@@ -366,7 +366,7 @@ func TestClusterJoinLeaveCycle(t *testing.T) {
 	// Content handed off with the partitions must remain fetchable
 	// from the new owner.
 	for _, id := range acked {
-		if _, err := joiner.Fetch(id); err != nil {
+		if _, err := joiner.FetchContext(ctx, id); err != nil {
 			t.Fatalf("fetch %s via joiner: %v", id, err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestClusterJoinLeaveCycle(t *testing.T) {
 
 	// Everything ever acked is fetchable from the survivors.
 	for _, id := range acked {
-		if _, err := tc.nodes[1].Fetch(id); err != nil {
+		if _, err := tc.nodes[1].FetchContext(ctx, id); err != nil {
 			t.Fatalf("fetch %s after retirement: %v", id, err)
 		}
 	}

@@ -183,15 +183,3 @@ func (r *Ring) OwnedBy(node string) []int {
 	}
 	return out
 }
-
-// ChangedPartitions lists the partitions whose owner differs between
-// two rings (both must share the partition count).
-func ChangedPartitions(old, neu *Ring) []int {
-	var out []int
-	for p := 0; p < neu.partitions; p++ {
-		if old.Owner(p) != neu.Owner(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}

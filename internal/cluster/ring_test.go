@@ -44,16 +44,19 @@ func TestRingEveryPartitionOwned(t *testing.T) {
 func TestRingMemberRemovalOnlyMovesItsPartitions(t *testing.T) {
 	old := NewRing(64, 64, []string{"a", "b", "c"}, 1)
 	neu := NewRing(64, 64, []string{"a", "b"}, 2)
+	moved := 0
 	for p := 0; p < old.Partitions(); p++ {
-		if old.Owner(p) != "c" && old.Owner(p) != neu.Owner(p) {
+		if old.Owner(p) == neu.Owner(p) {
+			continue
+		}
+		if old.Owner(p) != "c" {
 			t.Fatalf("partition %d moved from %q to %q although %q did not leave",
 				p, old.Owner(p), neu.Owner(p), old.Owner(p))
 		}
+		moved++
 	}
-	changed := ChangedPartitions(old, neu)
-	want := len(old.OwnedBy("c"))
-	if len(changed) != want {
-		t.Fatalf("ChangedPartitions reported %d moves, want %d (c's partitions)", len(changed), want)
+	if want := len(old.OwnedBy("c")); moved != want {
+		t.Fatalf("%d partitions moved, want %d (c's partitions)", moved, want)
 	}
 }
 

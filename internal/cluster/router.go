@@ -128,11 +128,6 @@ func (n *Node) PublishContext(ctx context.Context, c broker.Content) (int, error
 	return total, nil
 }
 
-// Publish is PublishContext with a background context.
-func (n *Node) Publish(c broker.Content) (int, error) {
-	return n.PublishContext(context.Background(), c)
-}
-
 // publishPartitions lists the distinct partitions a publish must
 // reach: one per topic, or the page-ID partition when topic-less.
 func (n *Node) publishPartitions(c broker.Content) []int {
@@ -287,11 +282,6 @@ func (n *Node) SubscribeContext(ctx context.Context, sub match.Subscription, not
 		n.rebindRoute(es, ringNow)
 	}
 	return id, nil
-}
-
-// Subscribe is SubscribeContext with a background context.
-func (n *Node) Subscribe(sub match.Subscription, notifier broker.Notifier) (int64, error) {
-	return n.SubscribeContext(context.Background(), sub, notifier)
 }
 
 // applyForwardedSubscribe registers a peer's partition-scoped
@@ -554,9 +544,4 @@ func (n *Node) FetchContext(ctx context.Context, pageID string) (broker.Content,
 		}
 	}
 	return broker.Content{}, lastErr
-}
-
-// Fetch is FetchContext with a background context.
-func (n *Node) Fetch(pageID string) (broker.Content, error) {
-	return n.FetchContext(context.Background(), pageID)
 }

@@ -127,7 +127,9 @@ func dmFrom(t *testing.T, s *Store) *dm {
 	}
 	d := st.(*dm)
 	s.Each(func(e *Entry) bool {
-		d.add(&dmEntry{Entry: *e, val: [2]float64{dmGD: -e.Value, dmSUB: e.Value}})
+		gd := *e
+		gd.Value = -e.Value
+		d.add(&dmEntry{gd: gd, sub: *e})
 		return true
 	})
 	return d
@@ -136,8 +138,8 @@ func dmFrom(t *testing.T, s *Store) *dm {
 func scanDMAdmits(d *dm, size int64, v float64) bool {
 	var below int64
 	for _, x := range d.slots {
-		if x != nil && x.val[dmSUB] < v {
-			below += x.Size
+		if x != nil && x.sub.Value < v {
+			below += x.sub.Size
 		}
 	}
 	return d.free()+below >= size

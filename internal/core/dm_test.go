@@ -70,8 +70,17 @@ func TestDMVersionRefresh(t *testing.T) {
 	}
 }
 
+// TestDMCapacityInvariant drives DM with mixed pushes and requests and,
+// after every op, checks its pairs against the slot table: each heap
+// holds exactly the resident pages, each at the position its entry
+// records and as that pair's own half; both halves of a pair name the
+// same page; and used is the sum of the resident sizes, within capacity.
 func TestDMCapacityInvariant(t *testing.T) {
 	s := mustStrategy(t, NewDM, Params{Capacity: 300, Beta: 2})
+	d, ok := s.(*dm)
+	if !ok {
+		t.Fatal("DM should be *dm")
+	}
 	for i := 0; i < 3000; i++ {
 		id := (i * 5) % 37
 		size := int64(10 + (i*17)%80)
@@ -80,28 +89,41 @@ func TestDMCapacityInvariant(t *testing.T) {
 		} else {
 			s.Request(page(id, size), i/1000, (i*3)%7)
 		}
-		if s.Used() > s.Capacity() {
-			t.Fatalf("step %d: used %d > capacity %d", i, s.Used(), s.Capacity())
-		}
-	}
-	d, ok := s.(*dm)
-	if !ok {
-		t.Fatal("DM should be *dm")
-	}
-	// Both heaps must track exactly the resident set.
-	var resident int
-	var sum int64
-	for _, e := range d.slots {
-		if e != nil {
+		var resident int
+		var sum int64
+		for id, e := range d.slots {
+			if e == nil {
+				continue
+			}
 			resident++
-			sum += e.Size
+			sum += e.gd.Size
+			if e.gd.ID != id || e.sub.ID != id || e.gd.Size != e.sub.Size {
+				t.Fatalf("step %d: slot %d holds gd (page %d, %d bytes) and sub (page %d, %d bytes)",
+					i, id, e.gd.ID, e.gd.Size, e.sub.ID, e.sub.Size)
+			}
 		}
-	}
-	if len(d.gdHeap.items) != resident || len(d.subHeap.items) != resident {
-		t.Fatalf("heap sizes diverged: gd=%d sub=%d slots=%d",
-			len(d.gdHeap.items), len(d.subHeap.items), resident)
-	}
-	if sum != d.used {
-		t.Fatalf("accounting drift: sum=%d used=%d", sum, d.used)
+		for _, h := range []struct {
+			name  string
+			heap  entryHeap
+			entry func(*dmEntry) *Entry
+		}{
+			{"gd", d.gdHeap, func(e *dmEntry) *Entry { return &e.gd }},
+			{"sub", d.subHeap, func(e *dmEntry) *Entry { return &e.sub }},
+		} {
+			if len(h.heap) != resident {
+				t.Fatalf("step %d: %s heap holds %d entries, slot table %d", i, h.name, len(h.heap), resident)
+			}
+			for pos, x := range h.heap {
+				if x.index != pos {
+					t.Fatalf("step %d: %s heap slot %d holds page %d with index %d", i, h.name, pos, x.ID, x.index)
+				}
+				if e, ok := d.get(x.ID); !ok || h.entry(e) != x {
+					t.Fatalf("step %d: %s heap holds page %d, which is not its resident pair's entry", i, h.name, x.ID)
+				}
+			}
+		}
+		if sum != d.used || d.used > d.capacity {
+			t.Fatalf("step %d: used %d, resident bytes %d, capacity %d", i, d.used, sum, d.capacity)
+		}
 	}
 }

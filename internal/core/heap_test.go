@@ -8,24 +8,23 @@ import (
 
 // refHeap is container/heap's reference for the typed heaps: the same
 // order, with positions written through setIdx on every swap.
-type refHeap[E any] struct {
-	items  []E
-	less   func(a, b E) bool
-	setIdx func(e E, i int)
+type refHeap struct {
+	items  []*Entry
+	setIdx func(e *Entry, i int)
 }
 
-func (h *refHeap[E]) Len() int           { return len(h.items) }
-func (h *refHeap[E]) Less(i, j int) bool { return h.less(h.items[i], h.items[j]) }
-func (h *refHeap[E]) Swap(i, j int) {
+func (h *refHeap) Len() int           { return len(h.items) }
+func (h *refHeap) Less(i, j int) bool { return refLess(h.items[i], h.items[j]) }
+func (h *refHeap) Swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.setIdx(h.items[i], i)
 	h.setIdx(h.items[j], j)
 }
-func (h *refHeap[E]) Push(x any) {
-	h.setIdx(x.(E), len(h.items))
-	h.items = append(h.items, x.(E))
+func (h *refHeap) Push(x any) {
+	h.setIdx(x.(*Entry), len(h.items))
+	h.items = append(h.items, x.(*Entry))
 }
-func (h *refHeap[E]) Pop() any {
+func (h *refHeap) Pop() any {
 	n := len(h.items) - 1
 	e := h.items[n]
 	h.setIdx(e, -1)
@@ -59,16 +58,14 @@ func randomOps(r *rand.Rand, n int) []heapOp {
 
 func randomValue(r *rand.Rand) float64 { return float64(r.Intn(12)) / 4 }
 
-// refLess is the eviction order, (value, page ID), written out here so
-// the reference does not share the code under test.
-func refLess(va, vb float64, a, b int) bool {
-	if va != vb {
-		return va < vb
+// refLess is the eviction order, (Value, ID), written out here so the
+// reference does not share the code under test.
+func refLess(a, b *Entry) bool {
+	if a.Value != b.Value {
+		return a.Value < b.Value
 	}
-	return a < b
+	return a.ID < b.ID
 }
-
-func refEntryLess(a, b *Entry) bool { return refLess(a.Value, b.Value, a.ID, b.ID) }
 
 // TestEntryHeapMatchesContainerHeap drives entryHeap and a container/heap
 // reference through the same random push/pop/remove/fix sequence: after
@@ -78,7 +75,7 @@ func TestEntryHeapMatchesContainerHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
 		var h entryHeap
-		ref := &refHeap[*Entry]{less: refEntryLess, setIdx: func(e *Entry, i int) { e.index = i }}
+		ref := &refHeap{setIdx: func(e *Entry, i int) { e.index = i }}
 		twin := map[*Entry]*Entry{} // typed entry → its reference copy
 		nextID := 0
 		for step, op := range randomOps(r, 1+r.Intn(120)) {
@@ -127,85 +124,13 @@ func TestEntryHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestDMHeapMatchesContainerHeap is the same check for DM's two heaps,
-// which share entries: every operation runs on both orderings, and each
-// entry's idx must name its slot in each.
-func TestDMHeapMatchesContainerHeap(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for round := 0; round < 200; round++ {
-		hs := [2]*dmHeap{{key: dmGD}, {key: dmSUB}}
-		var refs [2]*refHeap[*dmEntry]
-		for k := range refs {
-			k := k
-			refs[k] = &refHeap[*dmEntry]{
-				less:   func(a, b *dmEntry) bool { return refLess(a.val[k], b.val[k], a.ID, b.ID) },
-				setIdx: func(e *dmEntry, i int) { e.idx[k] = i },
-			}
-		}
-		twin := map[*dmEntry]*dmEntry{}
-		nextID := 0
-		for step, op := range randomOps(r, 1+r.Intn(120)) {
-			if op != opPush && len(hs[dmGD].items) == 0 {
-				op = opPush
-			}
-			switch op {
-			case opPush:
-				e := &dmEntry{Entry: Entry{ID: nextID}, val: [2]float64{randomValue(r), randomValue(r)}}
-				nextID++
-				c := *e
-				twin[e] = &c
-				for k := range hs {
-					hs[k].push(e)
-					heap.Push(refs[k], &c)
-				}
-			case opPop, opRemove:
-				// DM removes a page from both heaps at once, wherever it
-				// sits in each; a pop is the remove of one heap's root.
-				k := r.Intn(2)
-				i := 0
-				if op == opRemove {
-					i = r.Intn(len(hs[k].items))
-				}
-				e := hs[k].items[i]
-				c := twin[e]
-				for k := range hs {
-					hs[k].remove(e.idx[k])
-					heap.Remove(refs[k], c.idx[k])
-				}
-				if e.idx != [2]int{-1, -1} {
-					t.Fatalf("round %d step %d: removed page %d keeps positions %v", round, step, e.ID, e.idx)
-				}
-			case opFix:
-				k := r.Intn(2)
-				e := hs[k].items[r.Intn(len(hs[k].items))]
-				c := twin[e]
-				e.val[k] = randomValue(r)
-				c.val[k] = e.val[k]
-				hs[k].fix(e.idx[k])
-				heap.Fix(refs[k], c.idx[k])
-			}
-			for k := range hs {
-				if len(hs[k].items) != len(refs[k].items) {
-					t.Fatalf("round %d step %d heap %d: %d entries, reference %d", round, step, k, len(hs[k].items), len(refs[k].items))
-				}
-				for i, e := range hs[k].items {
-					if e.ID != refs[k].items[i].ID || e.idx[k] != i {
-						t.Fatalf("round %d step %d heap %d: slot %d holds page %d (idx %d), reference page %d",
-							round, step, k, i, e.ID, e.idx[k], refs[k].items[i].ID)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEntryQueueMatchesContainerHeap checks ascend's frontier: pushes and
 // pops leave container/heap's layout and never touch an entry's index.
 func TestEntryQueueMatchesContainerHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for round := 0; round < 200; round++ {
 		var q entryQueue
-		ref := &refHeap[*Entry]{less: refEntryLess, setIdx: func(*Entry, int) {}}
+		ref := &refHeap{setIdx: func(*Entry, int) {}}
 		nextID := 0
 		for step, op := range randomOps(r, 1+r.Intn(120)) {
 			if op == opPush || len(q) == 0 {

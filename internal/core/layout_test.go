@@ -12,8 +12,9 @@ import (
 // interleaves ops over a hundred instances per shard: when the eviction
 // report once grew the structs past a whole line, instances straddled
 // lines and sim_paper's CPU per event rose about 8 % on a 2-core Xeon.
-// Each struct is padded to the next whole line, 320 bytes today; a
-// field added to or removed from one resizes its padding.
+// engine and dualCache are padded to the next whole line, 320 bytes
+// today; dm fills 256 bytes unpadded. A field added to or removed from
+// one resizes its padding, or gives one to dm.
 func TestStrategyStructsFillCacheLines(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the padding is sized for 64-bit platforms")

@@ -17,7 +17,7 @@ var catalog = []mutant{
 	{
 		name:    "core/dm-drops-report",
 		file:    "internal/core/dm.go",
-		snippet: "\td.evicted.add(e.ID)\n",
+		snippet: "\td.evicted.add(id)\n",
 		replace: "",
 		pkg:     "internal/core",
 		run:     "^TestEvictedMatchesResidencyDiff$",
@@ -45,6 +45,16 @@ var catalog = []mutant{
 		replace: "",
 		pkg:     "internal/broker",
 		run:     "^(TestProxyNeverServesEvictedCopy|TestProxyHoldsWhatItsStrategyHolds|TestProxyMatchesMapModel)$",
+	},
+
+	// DM's pairs: an evicted page leaves both of DM's orderings.
+	{
+		name:    "core/dm-evict-keeps-sub-entry",
+		file:    "internal/core/dm.go",
+		snippet: "\td.subHeap.remove(e.sub.index)\n",
+		replace: "",
+		pkg:     "internal/core",
+		run:     "^TestDMCapacityInvariant$",
 	},
 
 	{
